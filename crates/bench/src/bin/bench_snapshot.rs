@@ -1,7 +1,7 @@
 //! Perf-trajectory snapshot: times the full analysis pipeline over the
 //! multi-binary profile corpus — sequentially (`parallelism = 1`), with
-//! every available core (thread fan-out), and distributed across worker
-//! **processes** (`bside-dist`) — and emits `BENCH_pipeline.json` so
+//! every available core (thread fan-out), and distributed across local
+//! agent **processes** (`bside-fleet`) — and emits `BENCH_pipeline.json` so
 //! future PRs have a recorded baseline to beat.
 //!
 //! ```text
@@ -17,7 +17,7 @@
 //! JSON marshalling, so on tiny corpora it trails the thread engine;
 //! its value is fault isolation and the path past one machine.
 //!
-//! The distributed configuration needs the `bside-worker` binary next to
+//! The distributed configuration needs the `bside-agent` binary next to
 //! this one (`cargo build --release --all-targets`); when it is missing
 //! the snapshot records `"distributed": null` and keeps the rest.
 //!
@@ -81,11 +81,11 @@ fn run_config(parallelism: usize, binaries: &[(String, bside::elf::Elf)]) -> Con
     }
 }
 
-/// Times the distributed engine (`workers` child processes) over the
-/// corpus, materialized to a scratch directory the workers read from.
-/// `None` when the `bside-worker` binary is not built or a unit fails.
+/// Times a local run (`workers` agent processes) over the corpus,
+/// materialized to a scratch directory the coordinator reads from.
+/// `None` when the `bside-agent` binary is not built or a unit fails.
 fn run_distributed(workers: usize, images: &[(String, Vec<u8>)]) -> Option<ConfigResult> {
-    bside::dist::resolve_worker_bin(None).ok()?;
+    bside::fleet::resolve_agent_bin(None).ok()?;
     let dir = std::env::temp_dir().join(format!("bside_bench_dist_{}", std::process::id()));
     std::fs::create_dir_all(&dir).ok()?;
     let result = run_distributed_in(workers, images, &dir);
@@ -104,9 +104,9 @@ fn run_distributed_in(
         std::fs::write(&path, bytes).ok()?;
         units.push((name.clone(), path));
     }
-    let options = bside::dist::DistOptions {
+    let agents = bside::fleet::LocalAgents {
         workers,
-        ..bside::dist::DistOptions::default()
+        ..bside::fleet::LocalAgents::default()
     };
 
     let mut best_wall = Duration::MAX;
@@ -114,7 +114,11 @@ fn run_distributed_in(
     let mut syscall_counts = Vec::new();
     for _ in 0..REPEATS {
         let t0 = Instant::now();
-        let run = match bside::dist::analyze_corpus_dist(&units, &options) {
+        let run = match bside::fleet::analyze_corpus_local(
+            &units,
+            bside::fleet::FleetOptions::default(),
+            &agents,
+        ) {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("  distributed config failed: {e}");
@@ -153,7 +157,7 @@ fn run_distributed_in(
 
 /// The fleet measurement: the corpus shipped in band over loopback TCP
 /// to in-process agents — what the multi-machine path costs per unit
-/// (JSON marshalling + base64 + socket hops) relative to local workers.
+/// (JSON marshalling + base64 + socket hops) relative to threads.
 struct FleetBenchResult {
     agents: usize,
     slots_per_agent: usize,
@@ -1178,7 +1182,7 @@ fn main() {
     // Table 2 synthetic corpus (static binaries only — the batch API's
     // per-binary unit), so the measurement covers varied code shapes and
     // enough work to time meaningfully. Images ride along for the
-    // distributed configuration, whose workers read from disk.
+    // distributed configuration, whose coordinator reads from disk.
     let mut binaries: Vec<(String, bside::elf::Elf)> = Vec::new();
     let mut images: Vec<(String, Vec<u8>)> = Vec::new();
     for p in all_profiles() {
@@ -1221,8 +1225,8 @@ fn main() {
     let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
     eprintln!("  end-to-end speedup: {speedup:.2}x on {ncpus} cpu(s)");
 
-    // Distributed configuration: worker *processes* instead of threads.
-    // Same worker count as the thread configuration (at least 2 so the
+    // Distributed configuration: local agent *processes* instead of
+    // threads. Same count as the thread configuration (at least 2 so the
     // multi-process path is exercised even on a 1-CPU container).
     let dist_workers = ncpus.max(2);
     let distributed = run_distributed(dist_workers, &images);
@@ -1240,7 +1244,7 @@ fn main() {
         None => {
             eprintln!(
                 "  distributed: skipped (cause above if a run failed; \
-                 otherwise bside-worker is not built)"
+                 otherwise bside-agent is not built)"
             );
             ("null".to_string(), "null".to_string())
         }

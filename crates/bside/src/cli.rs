@@ -50,7 +50,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
         name: "corpus",
         synopsis: "<dir> [--workers N] [--fleet LISTEN_ADDR] [--fleet-secret SECRET] \
                    [--heartbeat-secs SECS] [--unit-timeout-secs SECS] [--max-attempts N] \
-                   [--cache DIR] [--timeout SECS] [--in-process] [--report] \
+                   [--cache DIR] [--in-process] [--report] \
                    [--trace-out FILE] [--metrics-dump]",
         run: cmd_corpus,
     },
@@ -295,16 +295,6 @@ fn corpus_units(
         let entry = entry?;
         if entry.file_type()?.is_file() {
             let path = entry.path();
-            // Unit paths cross the worker protocol as JSON strings, so a
-            // non-UTF-8 name cannot round-trip; reject it up front rather
-            // than failing the unit with a misleading read error.
-            if path.to_str().is_none() {
-                return Err(format!(
-                    "corpus file {} has a non-UTF-8 name, which the worker protocol cannot carry",
-                    path.display()
-                )
-                .into());
-            }
             let name = path
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
@@ -319,6 +309,17 @@ fn corpus_units(
     Ok(units)
 }
 
+/// Parses the value after `flag` as a nonzero number.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| format!("{flag} needs a positive integer"))
+}
+
 fn cmd_corpus(args: &[String]) -> CmdResult {
     let mut dir = None;
     let mut workers: Option<usize> = None;
@@ -328,7 +329,6 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
     let mut unit_timeout_secs: Option<u64> = None;
     let mut max_attempts: Option<u32> = None;
     let mut cache_dir: Option<String> = None;
-    let mut timeout_secs: Option<u64> = None;
     let mut in_process = false;
     let mut want_report = false;
     let mut trace_out: Option<String> = None;
@@ -342,62 +342,14 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
             "--fleet-secret" => {
                 fleet_secret = Some(it.next().ok_or("--fleet-secret needs SECRET")?.clone());
             }
-            "--heartbeat-secs" => {
-                let secs: u64 = it
-                    .next()
-                    .ok_or("--heartbeat-secs needs SECS")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-secs needs a positive integer")?;
-                if secs == 0 {
-                    return Err("--heartbeat-secs needs a positive integer".into());
-                }
-                heartbeat_secs = Some(secs);
+            "--heartbeat-secs" => heartbeat_secs = Some(positive(&mut it, arg)?),
+            // `--timeout` is the older spelling of the same deadline.
+            "--unit-timeout-secs" | "--timeout" => {
+                unit_timeout_secs = Some(positive(&mut it, arg)?);
             }
-            "--unit-timeout-secs" => {
-                let secs: u64 = it
-                    .next()
-                    .ok_or("--unit-timeout-secs needs SECS")?
-                    .parse()
-                    .map_err(|_| "--unit-timeout-secs needs a positive integer")?;
-                if secs == 0 {
-                    return Err("--unit-timeout-secs needs a positive integer".into());
-                }
-                unit_timeout_secs = Some(secs);
-            }
-            "--max-attempts" => {
-                let n: u32 = it
-                    .next()
-                    .ok_or("--max-attempts needs N")?
-                    .parse()
-                    .map_err(|_| "--max-attempts needs a positive integer")?;
-                if n == 0 {
-                    return Err("--max-attempts needs a positive integer".into());
-                }
-                max_attempts = Some(n);
-            }
-            "--workers" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--workers needs N")?
-                    .parse()
-                    .map_err(|_| "--workers needs a positive integer")?;
-                if n == 0 {
-                    return Err("--workers needs a positive integer".into());
-                }
-                workers = Some(n);
-            }
+            "--max-attempts" => max_attempts = Some(positive(&mut it, arg)?),
+            "--workers" => workers = Some(positive(&mut it, arg)?),
             "--cache" => cache_dir = Some(it.next().ok_or("--cache needs DIR")?.clone()),
-            "--timeout" => {
-                let secs: u64 = it
-                    .next()
-                    .ok_or("--timeout needs SECS")?
-                    .parse()
-                    .map_err(|_| "--timeout needs a positive integer")?;
-                if secs == 0 {
-                    return Err("--timeout needs a positive integer".into());
-                }
-                timeout_secs = Some(secs);
-            }
             "--in-process" => in_process = true,
             "--report" => want_report = true,
             "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs FILE")?.clone()),
@@ -411,45 +363,33 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
     if in_process && fleet_listen.is_some() {
         return Err("--in-process and --fleet are mutually exclusive".into());
     }
-    if fleet_listen.is_none() {
-        let fleet_only: Vec<&str> = [
-            fleet_secret.as_ref().map(|_| "--fleet-secret"),
-            heartbeat_secs.map(|_| "--heartbeat-secs"),
-            unit_timeout_secs.map(|_| "--unit-timeout-secs"),
-            max_attempts.map(|_| "--max-attempts"),
-        ]
-        .into_iter()
-        .flatten()
-        .collect();
-        if !fleet_only.is_empty() {
-            return Err(format!("{} require(s) --fleet LISTEN_ADDR", fleet_only.join("/")).into());
-        }
-    }
-    if unit_timeout_secs.is_some() && timeout_secs.is_some() {
-        return Err("--unit-timeout-secs and --timeout set the same deadline; pick one".into());
+    if fleet_secret.is_some() && fleet_listen.is_none() {
+        return Err("--fleet-secret requires --fleet LISTEN_ADDR".into());
     }
 
     if in_process {
         let ignored: Vec<&str> = [
             cache_dir.as_ref().map(|_| "--cache"),
             workers.map(|_| "--workers"),
-            timeout_secs.map(|_| "--timeout"),
+            unit_timeout_secs.map(|_| "--unit-timeout-secs"),
+            heartbeat_secs.map(|_| "--heartbeat-secs"),
+            max_attempts.map(|_| "--max-attempts"),
         ]
         .into_iter()
         .flatten()
         .collect();
         if !ignored.is_empty() {
             eprintln!(
-                "# note: {} only apply to distributed runs; ignored with --in-process",
+                "# note: {} only apply to agent runs; ignored with --in-process",
                 ignored.join("/")
             );
         }
         // The single-address-space reference path: same report renderer
-        // and same per-unit degradation as the distributed engine (an
+        // and same per-unit degradation as the agent engine (an
         // unreadable or non-ELF file fails that unit, with the same
-        // message a worker would produce, instead of aborting the run),
-        // so `--report` output is byte-comparable against a distributed
-        // run even over degraded corpora.
+        // message an agent run renders, instead of aborting the run), so
+        // `--report` output is byte-comparable against an agent run even
+        // over degraded corpora.
         let mut rows: Vec<Option<Result<bside_core::BinaryAnalysis, String>>> = Vec::new();
         rows.resize_with(units.len(), || None);
         let mut images: Vec<(usize, String, Vec<u8>)> = Vec::new();
@@ -457,7 +397,7 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
             let display = path.to_string_lossy();
             match std::fs::read(path) {
                 Ok(bytes) => images.push((i, name.clone(), bytes)),
-                Err(e) => rows[i] = Some(Err(bside_dist::worker::read_error_message(&display, &e))),
+                Err(e) => rows[i] = Some(Err(bside_dist::read_error_message(&display, &e))),
             }
         }
         let mut elfs: Vec<(usize, String, bside_elf::Elf)> = Vec::new();
@@ -466,7 +406,7 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
                 Ok(elf) => elfs.push((*i, name.clone(), elf)),
                 Err(e) => {
                     let display = units[*i].1.to_string_lossy();
-                    rows[*i] = Some(Err(bside_dist::worker::parse_error_message(&display, &e)));
+                    rows[*i] = Some(Err(bside_dist::parse_error_message(&display, &e)));
                 }
             }
         }
@@ -510,39 +450,34 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
         return Ok(());
     }
 
+    let defaults = bside_fleet::FleetOptions::default();
+    // --heartbeat-secs moves both the announced interval and the reaper
+    // deadline, preserving the default 5x interval/timeout ratio so a
+    // slower heartbeat doesn't shrink the grace window.
+    let heartbeat_interval = heartbeat_secs
+        .map(std::time::Duration::from_secs)
+        .unwrap_or(defaults.heartbeat_interval);
+    let options = bside_fleet::FleetOptions {
+        analyzer: analyzer_options_from_env(),
+        unit_timeout: std::time::Duration::from_secs(unit_timeout_secs.unwrap_or(60)),
+        heartbeat_interval,
+        heartbeat_timeout: heartbeat_interval * 5,
+        max_attempts: max_attempts.unwrap_or(defaults.max_attempts),
+        cache_dir: cache_dir.map(std::path::PathBuf::from),
+        secret: bside_fleet::auth::resolve_secret(fleet_secret),
+        registry: Some(obs::global()),
+    };
     let run = if let Some(listen) = &fleet_listen {
         // Machines mode: listen for remote agents and ship binaries in
-        // band — no worker processes are spawned here.
+        // band — no agent processes are spawned here.
         if let Some(n) = workers {
             eprintln!(
                 "# note: --workers {n} is the local-process knob; agents bring their own slots"
             );
         }
-        let endpoint = bside_fleet::connect_endpoint(listen);
-        let defaults = bside_fleet::FleetOptions::default();
-        // --heartbeat-secs moves both the announced interval and the
-        // reaper deadline, preserving the default 5x interval/timeout
-        // ratio so a slower heartbeat doesn't shrink the grace window.
-        let heartbeat_interval = heartbeat_secs
-            .map(std::time::Duration::from_secs)
-            .unwrap_or(defaults.heartbeat_interval);
-        let secret = bside_fleet::auth::resolve_secret(fleet_secret);
-        let sealed = secret.is_some();
-        let handle = bside_fleet::FleetCoordinator::bind(
-            &endpoint,
-            bside_fleet::FleetOptions {
-                analyzer: analyzer_options_from_env(),
-                unit_timeout: std::time::Duration::from_secs(
-                    unit_timeout_secs.or(timeout_secs).unwrap_or(60),
-                ),
-                heartbeat_interval,
-                heartbeat_timeout: heartbeat_interval * 5,
-                max_attempts: max_attempts.unwrap_or(defaults.max_attempts),
-                cache_dir: cache_dir.map(std::path::PathBuf::from),
-                secret,
-                registry: Some(obs::global()),
-            },
-        )?;
+        let sealed = options.secret.is_some();
+        let handle =
+            bside_fleet::FleetCoordinator::bind(&bside_fleet::connect_endpoint(listen), options)?;
         eprintln!(
             "bside corpus --fleet: coordinating on {}{}; waiting for agents \
              (`bside agent --connect {listen}` on any machine)",
@@ -560,14 +495,12 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
         );
         run
     } else {
-        bside_dist::analyze_corpus_dist(
+        bside_fleet::analyze_corpus_local(
             &units,
-            &bside_dist::DistOptions {
+            options,
+            &bside_fleet::LocalAgents {
                 workers: workers.unwrap_or_else(crate::default_worker_count),
-                analyzer: analyzer_options_from_env(),
-                unit_timeout: std::time::Duration::from_secs(timeout_secs.unwrap_or(60)),
-                cache_dir: cache_dir.map(std::path::PathBuf::from),
-                ..bside_dist::DistOptions::default()
+                ..bside_fleet::LocalAgents::default()
             },
         )?
     };
@@ -594,14 +527,10 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
         }
     }
     let s = run.stats;
-    let mode = if fleet_listen.is_some() {
-        ("fleet", "agent(s)")
-    } else {
-        ("distributed", "worker(s)")
-    };
     eprintln!(
-        "# {}: {} unit(s) over {} {}: {} cached, {} retried, {} crash(es), {} timeout(s), {} failure(s)",
-        mode.0, s.units, s.workers, mode.1, s.cache_hits, s.retries, s.worker_crashes, s.timeouts, s.failures
+        "# {}: {} unit(s) over {} agent(s): {} cached, {} retried, {} crash(es), {} timeout(s), {} failure(s)",
+        if fleet_listen.is_some() { "fleet" } else { "local" },
+        s.units, s.workers, s.cache_hits, s.retries, s.worker_crashes, s.timeouts, s.failures
     );
     dump_telemetry(trace_out.as_deref(), metrics_dump)?;
     if s.failures > 0 {
@@ -611,83 +540,10 @@ fn cmd_corpus(args: &[String]) -> CmdResult {
 }
 
 fn cmd_agent(args: &[String]) -> CmdResult {
-    let mut connect: Option<String> = None;
-    let mut slots: Option<usize> = None;
-    let mut dial_timeout: u64 = 10;
-    let mut fleet_secret: Option<String> = None;
-    let mut heartbeat_cap: Option<u64> = None;
-    let mut reconnect = true;
-    let mut metrics_dump = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(it.next().ok_or("--connect needs HOST:PORT")?.clone()),
-            "--slots" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--slots needs N")?
-                    .parse()
-                    .map_err(|_| "--slots needs a positive integer")?;
-                if n == 0 {
-                    return Err("--slots needs a positive integer".into());
-                }
-                slots = Some(n);
-            }
-            "--dial-timeout" => {
-                dial_timeout = it
-                    .next()
-                    .ok_or("--dial-timeout needs SECS")?
-                    .parse()
-                    .map_err(|_| "--dial-timeout needs a non-negative integer")?;
-            }
-            "--fleet-secret" => {
-                fleet_secret = Some(it.next().ok_or("--fleet-secret needs SECRET")?.clone());
-            }
-            "--heartbeat-secs" => {
-                let secs: u64 = it
-                    .next()
-                    .ok_or("--heartbeat-secs needs SECS")?
-                    .parse()
-                    .map_err(|_| "--heartbeat-secs needs a positive integer")?;
-                if secs == 0 {
-                    return Err("--heartbeat-secs needs a positive integer".into());
-                }
-                heartbeat_cap = Some(secs);
-            }
-            "--no-reconnect" => reconnect = false,
-            "--metrics-dump" => metrics_dump = true,
-            other => return Err(format!("unexpected argument {other}").into()),
-        }
-    }
-    let connect = connect.ok_or("missing --connect HOST:PORT")?;
-    let endpoint = bside_fleet::connect_endpoint(&connect);
-    let slots = slots.unwrap_or_else(crate::default_worker_count);
-    let options = bside_fleet::AgentOptions {
-        slots,
-        dial_timeout: Some(std::time::Duration::from_secs(dial_timeout)),
-        secret: bside_fleet::auth::resolve_secret(fleet_secret),
-        heartbeat_cap: heartbeat_cap.map(std::time::Duration::from_secs),
-        ..bside_fleet::AgentOptions::default()
-    };
-    eprintln!(
-        "bside agent: dialing {endpoint} with {slots} slot(s){}",
-        if options.secret.is_some() {
-            " (authenticated)"
-        } else {
-            ""
-        }
-    );
-    let report = if reconnect {
-        bside_fleet::run_agent_loop(&endpoint, &options)?
-    } else {
-        bside_fleet::run_agent(&endpoint, &options)?
-    };
-    eprintln!(
-        "bside agent: coordinator said goodbye after {} unit(s) over {} session(s); exiting",
-        report.units, report.sessions
-    );
-    dump_telemetry(None, metrics_dump)?;
-    Ok(())
+    Ok(bside_fleet::agent_main(
+        args,
+        crate::default_worker_count(),
+    )?)
 }
 
 fn cmd_gen_corpus(args: &[String]) -> CmdResult {

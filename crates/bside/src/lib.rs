@@ -17,8 +17,8 @@
 //! | [`mod@cfg`] | `bside-cfg` | CFG recovery, active address-taken heuristic |
 //! | [`symex`] | `bside-symex` | backward-BFS + directed symbolic execution |
 //! | [`core`] | `bside-core` | the analysis pipeline, wrappers, shared interfaces, phases |
-//! | [`dist`] | `bside-dist` | multi-process distributed corpus analysis + result cache |
-//! | [`fleet`] | `bside-fleet` | multi-machine analysis fleet over TCP: agents, heartbeat scheduling, serve offload |
+//! | [`dist`] | `bside-dist` | shared wire/cache/report plumbing: sockets, NDJSON codec, fault injection, result cache, report renderer, policy bundles |
+//! | [`fleet`] | `bside-fleet` | the corpus engine: local agent processes or a TCP fleet, heartbeat scheduling, serve offload |
 //! | [`serve`] | `bside-serve` | policy-distribution daemon, content-addressed policy store, client |
 //! | [`baselines`] | `bside-baselines` | Chestnut / SysFilter reimplementations |
 //! | [`gen`] | `bside-gen` | synthetic ground-truth corpus generator |
@@ -87,7 +87,7 @@ pub fn analyzer_options_from_env() -> AnalyzerOptions {
     options
 }
 
-/// The default worker-process count for `bside corpus`:
+/// The default agent-process count for `bside corpus --workers`:
 /// `BSIDE_PARALLELISM` when set, otherwise all cores.
 pub fn default_worker_count() -> usize {
     positive_env("BSIDE_PARALLELISM").unwrap_or_else(bside_core::default_parallelism)

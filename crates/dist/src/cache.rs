@@ -10,11 +10,9 @@
 //! written to a temporary file and atomically renamed into place, and a
 //! corrupt or truncated entry reads as a miss, never as an error.
 //!
-//! One assumption: corpus files are not rewritten *during* a run. The
-//! coordinator hashes each file in its pre-pass while the worker re-reads
-//! it at analysis time, so a mid-run rewrite could store the new bytes'
-//! analysis under the old bytes' key. Batch corpus analysis over a
-//! mutating directory is outside the engine's contract; re-run instead.
+//! The coordinator reads each corpus file once: the same bytes are
+//! hashed for the key and shipped to the agent, so an entry always
+//! describes the bytes it is filed under.
 
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
 use serde::{to_value, Value};
@@ -98,14 +96,14 @@ impl ResultCache {
 /// * v1 — original analysis semantics, naive cBPF lowering.
 /// * v2 — policy bundles carry the optimized (BST-compiled) cBPF
 ///   program from `bside_filter::compile`; the flow through
-///   [`options_fingerprint`] invalidates dist caches, serve policy
+///   [`options_fingerprint`] invalidates corpus caches, serve policy
 ///   stores, and fleet-agent hello compatibility alike, so naive and
 ///   optimized artifacts never mix.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// Canonical JSON of the result-affecting analyzer options. Excludes
 /// `parallelism` (unobservable by the determinism contract) so
-/// distributed runs at any worker count share cache entries; includes
+/// runs at any agent count share cache entries; includes
 /// [`CACHE_FORMAT_VERSION`] so engine upgrades invalidate old entries.
 pub fn options_fingerprint(options: &AnalyzerOptions) -> String {
     let value = Value::Object(vec![

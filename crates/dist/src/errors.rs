@@ -1,27 +1,38 @@
-//! Error types of the distributed engine.
+//! Error types and failure messages shared by every corpus engine.
 //!
 //! Two layers are deliberately kept apart: [`DistError`] aborts a whole
-//! corpus run before any work is dispatched (worker binary unlocatable,
-//! cache directory unusable), while [`UnitFailure`] is scoped to one work
+//! corpus run (agent binary unlocatable, cache directory unusable, no
+//! agent could be started), while [`UnitFailure`] is scoped to one work
 //! unit and **never** aborts the run — the fault-isolation contract.
-//! Spawn failures after a successful lookup are unit-scoped too: the
-//! affected unit is retried, then recorded as a [`UnitFailure`].
 
 use std::fmt;
 use std::path::PathBuf;
+
+/// The unit-failure message for an unreadable file. Shared (with
+/// [`parse_error_message`]) by the coordinator and the CLI's in-process
+/// reference path, so degraded reports are byte-identical across
+/// deployment modes — one definition, every engine.
+pub fn read_error_message(path: &str, e: &std::io::Error) -> String {
+    format!("reading {path}: {e}")
+}
+
+/// The unit-failure message for a file that is not a parseable ELF.
+pub fn parse_error_message(path: &str, e: &bside_elf::ElfError) -> String {
+    format!("parsing {path}: {e}")
+}
 
 /// A run-level failure: the coordinator could not do its job at all.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum DistError {
-    /// The `bside-worker` binary could not be located. (Spawn failures
-    /// *after* a successful lookup are per-unit events, not run-level
-    /// ones: the affected unit is retried, then recorded as a
-    /// [`UnitFailure`].)
-    WorkerBinNotFound {
+    /// The `bside-agent` binary for local agents could not be located.
+    AgentBinNotFound {
         /// The locations that were tried, in order.
         tried: Vec<PathBuf>,
     },
+    /// The local coordinator could not be set up, or no local agent
+    /// could be started.
+    Local(std::io::Error),
     /// The result cache directory could not be created or accessed.
     Cache(std::io::Error),
 }
@@ -29,11 +40,11 @@ pub enum DistError {
 impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DistError::WorkerBinNotFound { tried } => {
+            DistError::AgentBinNotFound { tried } => {
                 write!(
                     f,
-                    "bside-worker binary not found (tried: {}); build it with \
-                     `cargo build -p bside-dist` or set BSIDE_WORKER_BIN",
+                    "bside-agent binary not found (tried: {}); build it with \
+                     `cargo build -p bside-fleet`",
                     tried
                         .iter()
                         .map(|p| p.display().to_string())
@@ -41,6 +52,7 @@ impl fmt::Display for DistError {
                         .join(", ")
                 )
             }
+            DistError::Local(e) => write!(f, "local agents unavailable: {e}"),
             DistError::Cache(e) => write!(f, "result cache unavailable: {e}"),
         }
     }
@@ -52,16 +64,16 @@ impl std::error::Error for DistError {}
 /// learns about it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The worker reported an analysis error (budget exhaustion, missing
+    /// The agent reported an analysis error (budget exhaustion, missing
     /// `.text`, unreadable file …) — deterministic, the in-model analogue
     /// of the paper's per-binary timeouts (§5.2).
     Analysis,
-    /// The worker process died mid-unit (crash, panic, OOM kill).
+    /// The agent died mid-unit (crash, panic, OOM kill, lost link).
     WorkerCrash,
-    /// The unit exceeded the per-unit wall-clock budget and its worker
-    /// was killed.
+    /// The unit exceeded the per-unit wall-clock budget and its agent
+    /// was severed (and, when local, killed).
     Timeout,
-    /// The worker produced bytes that do not parse as protocol messages.
+    /// The agent produced bytes that do not parse as protocol messages.
     Protocol,
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic network fault injection at the codec boundary.
 //!
-//! Every NDJSON protocol in the workspace — dist workers, the serve
-//! daemon, the multi-machine fleet — funnels its writes through one
+//! Every NDJSON protocol in the workspace — the serve daemon and the
+//! analysis fleet — funnels its writes through one
 //! codec ([`crate::protocol::write_message`]). That makes the codec the
 //! one place where *network weather* can be injected for every layer at
 //! once: a seeded [`FaultPlan`] rolls per-frame dice and delivers,
@@ -453,11 +453,8 @@ mod tests {
             ..FaultPlan::quiet(9)
         });
         let mut out = Vec::new();
-        let err = crate::protocol::write_message(
-            &mut out,
-            &crate::protocol::FromWorker::Ready { version: 1 },
-        )
-        .expect_err("the shared codec must inject");
+        let err = crate::protocol::write_message(&mut out, &serde::Value::Str("ready".to_string()))
+            .expect_err("the shared codec must inject");
         assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
     }
 }

@@ -1,10 +1,11 @@
 //! Transport endpoints: Unix-domain sockets and TCP, std only.
 //!
-//! The daemon listens on exactly one [`Endpoint`]; clients connect to
-//! the same value. Unix sockets are the container/pod-launch deployment
-//! (a path the runtime mounts into the enforcement agent); TCP is the
-//! fleet deployment (one analysis service per rack answering many
-//! hosts). [`Conn`] erases the difference for the protocol layer.
+//! A server (the policy daemon, a fleet coordinator) listens on exactly
+//! one [`Endpoint`]; clients connect to the same value. Unix sockets
+//! are the same-host deployment (a path the runtime mounts into the
+//! enforcement agent, or a local run's private agent socket); TCP is the
+//! multi-machine one. [`Conn`] erases the difference for the protocol
+//! layer.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -47,9 +48,8 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// A listening socket on either transport. Public because the serve
-/// daemon is not its only consumer: the fleet coordinator accepts agent
-/// connections through the same abstraction.
+/// A listening socket on either transport: the serve daemon accepts
+/// clients and the fleet coordinator accepts agents through it.
 pub enum Listener {
     /// A bound Unix-domain listener.
     Unix(UnixListener),

@@ -1,157 +1,23 @@
-//! The coordinator ↔ worker wire protocol.
+//! The NDJSON wire codec every protocol in the workspace shares.
 //!
-//! Newline-delimited JSON over the worker's stdin/stdout: one message per
-//! line, each a single JSON object tagged by a `"type"` field. The
-//! payload of a result is the `bside-core` analysis wire format
-//! (`bside_core::wire`), so a worker's answer is exactly what the
-//! in-process engine would have produced, minus the CFG.
+//! One message per line, each a single JSON object tagged by a `"type"`
+//! field. The fleet's agent protocol and the serve daemon's policy
+//! protocol both frame through [`write_message`] / [`read_message_capped`]
+//! and build their tagged objects with the field helpers below, so
+//! framing errors, the line cap, trace propagation and shipped spans
+//! behave identically on every link.
 //!
-//! ```text
-//! coordinator → worker    {"type":"unit","id":3,"name":"grep_3","path":"/corpus/003_grep.elf","options":{…}}
-//!                         {"type":"shutdown"}
-//! worker → coordinator    {"type":"ready","version":1}
-//!                         {"type":"result","id":3,"analysis":{…}}
-//!                         {"type":"error","id":3,"message":"analysis budget exhausted during identification"}
-//! ```
-//!
-//! The protocol is strictly request/response per worker: the coordinator
-//! never has more than one unit outstanding on a connection, which is what
-//! makes the pull-based queue balance load (a slow unit occupies one
-//! worker; everyone else keeps pulling).
-//!
-//! Unit paths travel as JSON strings, so non-UTF-8 file names (legal on
-//! Linux) cannot cross the wire; callers must reject or rename them
-//! before dispatch (the CLI refuses such corpus entries up front).
+//! Paths travel as JSON strings, so non-UTF-8 file names (legal on
+//! Linux) cannot cross the wire intact: the policy client refuses them,
+//! and fleet units carry the file's bytes in band next to a lossy
+//! display path.
 
-use bside_core::{AnalyzerOptions, BinaryAnalysis};
 use bside_obs::{SpanRecord, TraceContext};
-use serde::{de, to_value, Value};
+use serde::{de, Value};
 use std::io::{BufRead, Write};
 
-/// Protocol revision; bumped on any incompatible message change. The
-/// coordinator refuses workers announcing a different version rather than
-/// mis-parsing their output.
-pub const PROTOCOL_VERSION: u32 = 1;
-
-/// Messages the coordinator sends to a worker.
-#[derive(Debug, Clone)]
-pub enum ToWorker {
-    /// Analyze one binary.
-    Unit {
-        /// Corpus-wide unit index (position in the input order).
-        id: usize,
-        /// Display name of the unit.
-        name: String,
-        /// Path of the ELF file to analyze.
-        path: String,
-        /// Analyzer configuration for this unit.
-        options: AnalyzerOptions,
-        /// Cross-machine trace correlation. Optional on the wire —
-        /// absent (old coordinators) or corrupted fields parse as
-        /// `None`, never as a protocol error, so telemetry loss can
-        /// orphan a span but cannot sever a working link.
-        trace: Option<TraceContext>,
-    },
-    /// Exit cleanly after finishing the current line.
-    Shutdown,
-}
-
-/// Messages a worker sends to the coordinator.
-#[derive(Debug)]
-pub enum FromWorker {
-    /// Sent once on startup, before any unit is accepted.
-    Ready {
-        /// The worker's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// A unit analyzed successfully.
-    Result {
-        /// The unit's id, echoed back.
-        id: usize,
-        /// The analysis, in the `bside_core::wire` format (boxed: it
-        /// dwarfs the other variants).
-        analysis: Box<BinaryAnalysis>,
-        /// The unit's trace context, echoed back (same leniency as on
-        /// the way out).
-        trace: Option<TraceContext>,
-    },
-    /// A unit failed deterministically (analysis error, unreadable file).
-    Error {
-        /// The unit's id, echoed back.
-        id: usize,
-        /// The error's `Display` rendering.
-        message: String,
-        /// The unit's trace context, echoed back.
-        trace: Option<TraceContext>,
-    },
-}
-
-impl serde::Serialize for ToWorker {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            ToWorker::Unit {
-                id,
-                name,
-                path,
-                options,
-                trace,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("unit".to_string())),
-                    ("id".to_string(), Value::UInt(*id as u64)),
-                    ("name".to_string(), Value::Str(name.clone())),
-                    ("path".to_string(), Value::Str(path.clone())),
-                    ("options".to_string(), to_value(options)),
-                ];
-                push_trace(&mut fields, trace);
-                Value::Object(fields)
-            }
-            ToWorker::Shutdown => Value::Object(vec![(
-                "type".to_string(),
-                Value::Str("shutdown".to_string()),
-            )]),
-        };
-        serializer.serialize_value(value)
-    }
-}
-
-impl serde::Serialize for FromWorker {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            FromWorker::Ready { version } => Value::Object(vec![
-                ("type".to_string(), Value::Str("ready".to_string())),
-                ("version".to_string(), Value::UInt(*version as u64)),
-            ]),
-            FromWorker::Result {
-                id,
-                analysis,
-                trace,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("result".to_string())),
-                    ("id".to_string(), Value::UInt(*id as u64)),
-                    ("analysis".to_string(), to_value(analysis)),
-                ];
-                push_trace(&mut fields, trace);
-                Value::Object(fields)
-            }
-            FromWorker::Error { id, message, trace } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("error".to_string())),
-                    ("id".to_string(), Value::UInt(*id as u64)),
-                    ("message".to_string(), Value::Str(message.clone())),
-                ];
-                push_trace(&mut fields, trace);
-                Value::Object(fields)
-            }
-        };
-        serializer.serialize_value(value)
-    }
-}
-
 /// Unwraps a tagged-message [`Value`] into its field list, naming `what`
-/// in the error. Shared with every protocol that speaks this crate's
-/// tagged-object NDJSON style (e.g. `bside-serve`).
+/// in the error.
 pub fn obj_fields(value: Value, what: &str) -> Result<Vec<(String, Value)>, de::ValueError> {
     match value {
         Value::Object(entries) => Ok(entries),
@@ -171,10 +37,33 @@ pub fn take_field(entries: &mut Vec<(String, Value)>, name: &str) -> Result<Valu
     Ok(entries.remove(pos).1)
 }
 
+/// Removes a named unsigned-integer field.
+pub fn take_u64(entries: &mut Vec<(String, Value)>, name: &str) -> Result<u64, de::ValueError> {
+    match take_field(entries, name)? {
+        Value::UInt(n) => Ok(n),
+        other => Err(de::Error::custom(format!(
+            "field `{name}` must be an unsigned integer, found {other:?}"
+        ))),
+    }
+}
+
+/// Removes a named string field.
+pub fn take_string(
+    entries: &mut Vec<(String, Value)>,
+    name: &str,
+) -> Result<String, de::ValueError> {
+    match take_field(entries, name)? {
+        Value::Str(s) => Ok(s),
+        other => Err(de::Error::custom(format!(
+            "field `{name}` must be a string, found {other:?}"
+        ))),
+    }
+}
+
 /// Appends a trace context's run/unit/span ids to a message's field
 /// list; a no-op for `None`, so frames without telemetry are
 /// byte-identical to the previous protocol revision (which is why no
-/// version bump is needed). Shared with the fleet protocol.
+/// version bump is needed).
 pub fn push_trace(entries: &mut Vec<(String, Value)>, trace: &Option<TraceContext>) {
     if let Some(ctx) = trace {
         entries.push(("trace_run".to_string(), Value::UInt(ctx.run_id)));
@@ -280,86 +169,9 @@ pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Vec<SpanRecord> {
     spans
 }
 
-fn tag_of(entries: &mut Vec<(String, Value)>) -> Result<String, de::ValueError> {
-    match take_field(entries, "type")? {
-        Value::Str(s) => Ok(s),
-        other => Err(de::Error::custom(format!(
-            "message `type` must be a string, found {other:?}"
-        ))),
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for ToWorker {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "ToWorker").map_err(de::Error::custom)?;
-        let tag = tag_of(&mut entries).map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "unit" => Ok(ToWorker::Unit {
-                id: serde::from_value(take_field(&mut entries, "id").map_err(de::Error::custom)?)
-                    .map_err(de::Error::custom)?,
-                name: serde::from_value(
-                    take_field(&mut entries, "name").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                path: serde::from_value(
-                    take_field(&mut entries, "path").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                options: serde::from_value(
-                    take_field(&mut entries, "options").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-            }),
-            "shutdown" => Ok(ToWorker::Shutdown),
-            other => Err(de::Error::custom(format!(
-                "unknown coordinator message type `{other}`"
-            ))),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for FromWorker {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "FromWorker").map_err(de::Error::custom)?;
-        let tag = tag_of(&mut entries).map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "ready" => Ok(FromWorker::Ready {
-                version: serde::from_value(
-                    take_field(&mut entries, "version").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-            }),
-            "result" => Ok(FromWorker::Result {
-                id: serde::from_value(take_field(&mut entries, "id").map_err(de::Error::custom)?)
-                    .map_err(de::Error::custom)?,
-                analysis: serde::from_value(
-                    take_field(&mut entries, "analysis").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-            }),
-            "error" => Ok(FromWorker::Error {
-                id: serde::from_value(take_field(&mut entries, "id").map_err(de::Error::custom)?)
-                    .map_err(de::Error::custom)?,
-                message: serde::from_value(
-                    take_field(&mut entries, "message").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-            }),
-            other => Err(de::Error::custom(format!(
-                "unknown worker message type `{other}`"
-            ))),
-        }
-    }
-}
-
 /// Writes one message as a single JSON line and flushes — flushing per
-/// message is what keeps the request/response protocol live across the
-/// pipe's buffering. The actual byte write goes through the
+/// message is what keeps a request/response protocol live across the
+/// socket's buffering. The actual byte write goes through the
 /// fault-injection choke point ([`crate::fault::write_frame`]): a no-op
 /// unless a chaos plan is installed, and the single place where every
 /// NDJSON protocol in the workspace can be subjected to line noise.
@@ -372,24 +184,13 @@ pub fn write_message<T: serde::Serialize>(
     crate::fault::write_frame(writer, json.as_bytes())
 }
 
-/// Reads one message line. `Ok(None)` is a clean EOF (peer closed the
-/// stream); empty lines are skipped.
+/// Reads one message line with no length cap (trusted peers only).
+/// `Ok(None)` is a clean EOF (peer closed the stream); empty lines are
+/// skipped.
 pub fn read_message<T: for<'de> serde::Deserialize<'de>>(
     reader: &mut impl BufRead,
 ) -> std::io::Result<Option<T>> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(None);
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        return serde_json::from_str(line.trim())
-            .map(Some)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()));
-    }
+    read_message_capped(reader, u64::MAX)
 }
 
 /// [`read_message`] with a line-length cap — the framing every
@@ -430,69 +231,34 @@ pub fn read_message_capped<T: for<'de> serde::Deserialize<'de>>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn unit_message_round_trips() {
-        let msg = ToWorker::Unit {
-            id: 7,
-            name: "nginx_7".to_string(),
-            path: "/corpus/007_nginx.elf".to_string(),
-            options: AnalyzerOptions::default(),
-            trace: Some(TraceContext {
-                run_id: 11,
-                unit_id: 7,
-                span_id: 13,
-            }),
-        };
-        let json = serde_json::to_string(&msg).unwrap();
-        match serde_json::from_str::<ToWorker>(&json).unwrap() {
-            ToWorker::Unit {
-                id,
-                name,
-                path,
-                options,
-                trace,
-            } => {
-                assert_eq!(id, 7);
-                assert_eq!(name, "nginx_7");
-                assert_eq!(path, "/corpus/007_nginx.elf");
-                assert_eq!(options.limits, AnalyzerOptions::default().limits);
-                assert_eq!(
-                    trace,
-                    Some(TraceContext {
-                        run_id: 11,
-                        unit_id: 7,
-                        span_id: 13,
-                    })
-                );
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
+    fn fields(json: &str) -> Vec<(String, Value)> {
+        obj_fields(serde_json::from_str(json).unwrap(), "test").unwrap()
     }
 
     #[test]
     fn absent_or_corrupted_trace_parses_as_none_never_an_error() {
-        // A frame from a pre-telemetry coordinator: no trace fields.
-        let old = r#"{"type":"error","id":3,"message":"boom"}"#;
-        match serde_json::from_str::<FromWorker>(old).unwrap() {
-            FromWorker::Error { id, trace, .. } => {
-                assert_eq!(id, 3);
-                assert_eq!(trace, None);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        // Corrupted: the span id is a string. The frame must still
-        // parse; only the context is dropped (orphan span downstream).
-        let bad = r#"{"type":"error","id":3,"message":"boom","trace_run":5,"trace_unit":3,"trace_span":"xx"}"#;
-        match serde_json::from_str::<FromWorker>(bad).unwrap() {
-            FromWorker::Error { trace, .. } => assert_eq!(trace, None),
-            other => panic!("wrong variant: {other:?}"),
-        }
+        let ctx = TraceContext {
+            run_id: 11,
+            unit_id: 7,
+            span_id: 13,
+        };
+        let mut entries = vec![("type".to_string(), Value::Str("error".to_string()))];
+        push_trace(&mut entries, &Some(ctx));
+        assert_eq!(take_trace(&mut entries), Some(ctx));
+        assert_eq!(entries.len(), 1, "trace fields consumed");
+
+        // A frame from a pre-telemetry peer: no trace fields.
+        assert_eq!(take_trace(&mut fields(r#"{"type":"error","id":3}"#)), None);
+        // Corrupted: the span id is a string. Only the context is
+        // dropped (orphan span downstream); the frame's other fields
+        // are untouched.
+        let mut bad =
+            fields(r#"{"type":"error","id":3,"trace_run":5,"trace_unit":3,"trace_span":"xx"}"#);
+        assert_eq!(take_trace(&mut bad), None);
+        assert!(take_field(&mut bad, "id").is_ok());
         // All-zero means "no context", same as absent.
-        let zero = r#"{"type":"error","id":3,"message":"boom","trace_run":0,"trace_unit":0,"trace_span":0}"#;
-        match serde_json::from_str::<FromWorker>(zero).unwrap() {
-            FromWorker::Error { trace, .. } => assert_eq!(trace, None),
-            other => panic!("wrong variant: {other:?}"),
-        }
+        let mut zero = fields(r#"{"type":"error","trace_run":0,"trace_unit":0,"trace_span":0}"#);
+        assert_eq!(take_trace(&mut zero), None);
     }
 
     #[test]
@@ -527,52 +293,31 @@ mod tests {
     }
 
     #[test]
-    fn control_messages_round_trip_via_line_codec() {
-        let mut buf = Vec::new();
-        write_message(&mut buf, &ToWorker::Shutdown).unwrap();
-        write_message(
-            &mut buf,
-            &FromWorker::Ready {
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .unwrap();
-        let mut reader = std::io::BufReader::new(buf.as_slice());
-        assert!(matches!(
-            read_message::<ToWorker>(&mut reader).unwrap(),
-            Some(ToWorker::Shutdown)
-        ));
-        assert!(matches!(
-            read_message::<FromWorker>(&mut reader).unwrap(),
-            Some(FromWorker::Ready {
-                version: PROTOCOL_VERSION
-            })
-        ));
-        assert!(read_message::<ToWorker>(&mut reader).unwrap().is_none());
-    }
-
-    #[test]
     fn garbage_line_is_a_protocol_error() {
         let mut reader = std::io::BufReader::new(&b"not json\n"[..]);
-        assert!(read_message::<FromWorker>(&mut reader).is_err());
+        assert!(read_message::<Value>(&mut reader).is_err());
     }
 
     #[test]
     fn capped_reader_enforces_the_line_limit_without_buffering_it() {
+        let shutdown = Value::Object(vec![(
+            "type".to_string(),
+            Value::Str("shutdown".to_string()),
+        )]);
         let mut buf = Vec::new();
-        write_message(&mut buf, &ToWorker::Shutdown).unwrap();
+        write_message(&mut buf, &shutdown).unwrap();
         let mut reader = std::io::BufReader::new(buf.as_slice());
-        assert!(matches!(
-            read_message_capped::<ToWorker>(&mut reader, 1024).unwrap(),
-            Some(ToWorker::Shutdown)
-        ));
-        assert!(read_message_capped::<ToWorker>(&mut reader, 1024)
+        assert_eq!(
+            read_message_capped::<Value>(&mut reader, 1024).unwrap(),
+            Some(shutdown)
+        );
+        assert!(read_message_capped::<Value>(&mut reader, 1024)
             .unwrap()
             .is_none());
 
         let endless = vec![b'x'; 64];
         let mut reader = std::io::BufReader::new(endless.as_slice());
-        let err = read_message_capped::<ToWorker>(&mut reader, 16).expect_err("over the cap");
+        let err = read_message_capped::<Value>(&mut reader, 16).expect_err("over the cap");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds"), "got: {err}");
     }

@@ -1,13 +1,15 @@
 //! The agent side: a long-lived worker process on any machine that can
-//! reach the coordinator.
+//! reach the coordinator (or a local child of `bside corpus --workers`,
+//! see [`crate::local`]).
 //!
-//! An agent is intentionally close to a dist worker in spirit — no
-//! queue knowledge, no retry logic, no cache; a unit in, a message out —
-//! but machine-shaped in mechanics: it *dials* the coordinator over
-//! TCP, answers the coordinator's challenge in a capability hello
-//! (protocol version, slot count, cache-format fingerprint, and — on
-//! secured fleets — an HMAC over the challenge nonce and those fields),
-//! receives binaries in band (no shared filesystem), analyzes up to
+//! An agent is intentionally dumb — no queue knowledge, no retry logic,
+//! no cache; a unit in, a message out — so an agent crashing at *any*
+//! point loses at most the units it holds. It *dials* the coordinator
+//! (over TCP, or a Unix socket on the same host), answers the
+//! coordinator's challenge in a capability hello (protocol version,
+//! slot count, cache-format fingerprint, and — on secured fleets — an
+//! HMAC over the challenge nonce and those fields), receives binaries
+//! in band (no shared filesystem), analyzes up to
 //! `slots` units concurrently, and keeps a heartbeat flowing from a
 //! dedicated thread so the coordinator can tell "busy" from "gone"
 //! without probing.
@@ -32,19 +34,21 @@
 //!
 //! # Fault-injection hooks
 //!
-//! The fleet fault-isolation tests drive real `bside-agent` processes
-//! into machine-level failures, exactly as `dist/tests/fault_isolation.rs`
-//! drives `bside-worker`:
+//! The fault-isolation tests drive real `bside-agent` processes into
+//! process- and machine-level failures:
 //!
 //! * `BSIDE_AGENT_CRASH_UNIT=<substr>` — abort the whole agent process
 //!   before analyzing any unit whose name contains `<substr>` (the
 //!   "machine died mid-unit" model — every slot's in-flight unit is
 //!   lost at once);
+//! * `BSIDE_AGENT_HANG_UNIT=<substr>` — sleep forever instead of
+//!   analyzing (exercises the per-unit deadline and, for local agents,
+//!   the supervisor's kill);
 //! * `BSIDE_AGENT_SEVER_UNIT=<substr>` — write *half* of the unit's
 //!   result frame, flush it onto the wire, then abort: the coordinator
 //!   sees a torn frame followed by EOF (the "connection severed
 //!   mid-result" model);
-//! * `BSIDE_AGENT_FAULT_MARKER=<path>` — make either fault one-shot:
+//! * `BSIDE_AGENT_FAULT_MARKER=<path>` — make any of these one-shot:
 //!   the first faulting agent creates `<path>` and later agents seeing
 //!   the marker behave normally, so the retry succeeds elsewhere.
 
@@ -54,12 +58,11 @@ use crate::protocol::{
     MAX_FLEET_LINE_BYTES, PROTOCOL_VERSION,
 };
 use bside_core::{Analyzer, AnalyzerOptions};
-use bside_dist::worker::parse_error_message;
+use bside_dist::{parse_error_message, Conn, Endpoint};
 use bside_obs as obs;
-use bside_serve::{Conn, Endpoint};
 use std::io::{BufReader, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -180,6 +183,11 @@ fn analyze_unit(
     if fault_requested("BSIDE_AGENT_CRASH_UNIT", name) {
         std::process::abort();
     }
+    if fault_requested("BSIDE_AGENT_HANG_UNIT", name) {
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+    }
     // Install the dispatch context (an absent/corrupted one degrades to
     // the all-zero default: the spans below become orphans) and collect
     // everything the analysis records — core's `analyze` span and its
@@ -219,7 +227,7 @@ fn analyze_unit(
         // does none of it. Agents carry no shared-interface store, so a
         // dynamic binary degrades to the same guidance message the
         // daemon itself would produce without --lib-dir.
-        Want::Bundle => match bside_serve::derive_bundle(name, elf_bytes, &options, None) {
+        Want::Bundle => match bside_dist::derive_bundle(name, elf_bytes, &options, None) {
             Ok(bundle) => FromAgent::Bundle {
                 id,
                 bundle: Box::new(bundle),
@@ -446,27 +454,23 @@ fn run_session(
     // A completed handshake is a served session, however it later ends.
     agent_metrics().sessions.inc();
 
-    let stop = Arc::new(AtomicBool::new(false));
     let units_done = Arc::new(AtomicU64::new(0));
 
     // The liveness channel: beats flow from a dedicated thread so a
     // fully busy agent (every slot mid-analysis) still reads as alive.
+    // It beats until a write fails or the session ends (dropping
+    // `stop_beats` wakes it at once).
+    let (stop_beats, beats_stopped) = channel::<()>();
     let heartbeat = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         let auth = auth.clone();
         std::thread::spawn(move || {
-            let slice = Duration::from_millis(25);
-            let mut next = Instant::now() + heartbeat_interval;
-            while !stop.load(Ordering::SeqCst) {
-                if Instant::now() >= next {
-                    if send_frame(&writer, auth.as_deref(), &FromAgent::Heartbeat).is_err() {
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    next = Instant::now() + heartbeat_interval;
+            while let Err(RecvTimeoutError::Timeout) =
+                beats_stopped.recv_timeout(heartbeat_interval)
+            {
+                if send_frame(&writer, auth.as_deref(), &FromAgent::Heartbeat).is_err() {
+                    return;
                 }
-                std::thread::sleep(slice);
             }
         })
     };
@@ -488,7 +492,6 @@ fn run_session(
         .map(|_| {
             let rx: Arc<Mutex<Receiver<UnitJob>>> = Arc::clone(&rx);
             let writer = Arc::clone(&writer);
-            let stop = Arc::clone(&stop);
             let units_done = Arc::clone(&units_done);
             let auth = auth.clone();
             std::thread::spawn(move || loop {
@@ -503,7 +506,6 @@ fn run_session(
                 units_done.fetch_add(1, Ordering::Relaxed);
                 agent_metrics().units.inc();
                 if write_reply(&writer, auth.as_deref(), &name, &reply).is_err() {
-                    stop.store(true, Ordering::SeqCst);
                     return;
                 }
             })
@@ -593,12 +595,14 @@ fn run_session(
 
     // Drain: close the queue, let workers finish what they hold (their
     // late results are best-effort once the coordinator is gone), stop
-    // the heartbeat, and report.
+    // the heartbeat, and report. A slot hung in its unit never finishes,
+    // so neither does this agent: the coordinator severs it at the
+    // deadline, and a local agent's supervisor kills the process.
     drop(tx);
     for worker in workers {
         let _ = worker.join();
     }
-    stop.store(true, Ordering::SeqCst);
+    drop(stop_beats);
     let _ = heartbeat.join();
     Ok((units_done.load(Ordering::Relaxed), end))
 }
@@ -694,79 +698,54 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
 
 /// The `bside-agent` / `bside agent` entry point: argument parsing plus
 /// [`run_agent_loop`] (or single-session [`run_agent`] with
-/// `--no-reconnect`). Returns the process exit code: 0 for an in-band
-/// goodbye, nonzero for fatal verdicts.
-pub fn agent_main(args: &[String]) -> i32 {
-    let mut connect: Option<String> = None;
-    let mut slots: usize = 1;
-    let mut dial_timeout = Duration::from_secs(10);
-    let mut secret: Option<String> = None;
-    let mut heartbeat_cap: Option<Duration> = None;
-    let mut reconnect = true;
-    let mut metrics_dump = false;
-    let mut it = args.iter();
+/// `--no-reconnect`). `default_slots` applies when `--slots` is absent.
+/// `Ok` means the coordinator said goodbye in band; `Err` carries a
+/// usage error or a fatal verdict for the caller to print.
+pub fn agent_main(args: &[String], default_slots: usize) -> Result<(), String> {
     let usage = "usage: bside-agent --connect HOST:PORT [--slots N] [--dial-timeout SECS] \
                  [--fleet-secret SECRET] [--heartbeat-secs SECS] [--no-reconnect] \
                  [--metrics-dump]";
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--connect" => match it.next() {
-                Some(spec) => connect = Some(spec.clone()),
-                None => {
-                    eprintln!("{usage}");
-                    return 2;
-                }
-            },
-            "--slots" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => slots = n,
-                _ => {
-                    eprintln!("--slots needs a positive integer\n{usage}");
-                    return 2;
-                }
-            },
-            "--dial-timeout" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(secs) => dial_timeout = Duration::from_secs(secs),
-                None => {
-                    eprintln!("--dial-timeout needs SECS\n{usage}");
-                    return 2;
-                }
-            },
-            "--fleet-secret" => match it.next() {
-                Some(value) => secret = Some(value.clone()),
-                None => {
-                    eprintln!("--fleet-secret needs SECRET\n{usage}");
-                    return 2;
-                }
-            },
-            "--heartbeat-secs" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(secs) if secs > 0 => heartbeat_cap = Some(Duration::from_secs(secs)),
-                _ => {
-                    eprintln!("--heartbeat-secs needs a positive integer\n{usage}");
-                    return 2;
-                }
-            },
-            "--no-reconnect" => reconnect = false,
-            "--metrics-dump" => metrics_dump = true,
-            other => {
-                eprintln!("unexpected argument {other}\n{usage}");
-                return 2;
-            }
-        }
-    }
-    let Some(connect) = connect else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    let endpoint = connect_endpoint(&connect);
-    let options = AgentOptions {
-        slots,
-        dial_timeout: Some(dial_timeout),
-        secret: crate::auth::resolve_secret(secret),
-        heartbeat_cap,
+    let mut connect: Option<String> = None;
+    let mut options = AgentOptions {
+        slots: default_slots.max(1),
         ..AgentOptions::default()
     };
+    let mut secret: Option<String> = None;
+    let mut reconnect = true;
+    let mut metrics_dump = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value\n{usage}"))
+        };
+        let number = |v: String, min: u64| {
+            v.parse::<u64>()
+                .ok()
+                .filter(|&n| n >= min)
+                .ok_or_else(|| format!("{arg} needs an integer >= {min}\n{usage}"))
+        };
+        match arg.as_str() {
+            "--connect" => connect = Some(value()?),
+            "--slots" => options.slots = number(value()?, 1)? as usize,
+            "--dial-timeout" => {
+                options.dial_timeout = Some(Duration::from_secs(number(value()?, 0)?));
+            }
+            "--fleet-secret" => secret = Some(value()?),
+            "--heartbeat-secs" => {
+                options.heartbeat_cap = Some(Duration::from_secs(number(value()?, 1)?));
+            }
+            "--no-reconnect" => reconnect = false,
+            "--metrics-dump" => metrics_dump = true,
+            other => return Err(format!("unexpected argument {other}\n{usage}")),
+        }
+    }
+    let endpoint = connect_endpoint(&connect.ok_or(usage)?);
+    options.secret = crate::auth::resolve_secret(secret);
     eprintln!(
-        "bside-agent: dialing {endpoint} with {slots} slot(s){}",
+        "bside-agent: dialing {endpoint} with {} slot(s){}",
+        options.slots,
         if options.secret.is_some() {
             " (authenticated)"
         } else {
@@ -778,28 +757,20 @@ pub fn agent_main(args: &[String]) -> i32 {
     } else {
         run_agent(&endpoint, &options)
     };
-    match outcome {
-        Ok(_report) => {
-            // The exit line reads the same registry counters the metrics
-            // dump renders — one source of truth for what this process
-            // did (a bside-agent process runs exactly one agent loop, so
-            // the counters and the report agree).
-            let metrics = agent_metrics();
-            eprintln!(
-                "bside-agent: coordinator said goodbye after {} unit(s) over {} session(s); exiting",
-                metrics.units.get(),
-                metrics.sessions.get()
-            );
-            if metrics_dump {
-                print!("{}", obs::global().render_prometheus());
-            }
-            0
-        }
-        Err(e) => {
-            eprintln!("bside-agent: {e}");
-            1
-        }
+    outcome.map_err(|e| e.to_string())?;
+    // The exit line reads the same registry counters the metrics dump
+    // renders — one source of truth for what this process did (a process
+    // runs exactly one agent loop, so the counters and the report agree).
+    let metrics = agent_metrics();
+    eprintln!(
+        "bside-agent: coordinator said goodbye after {} unit(s) over {} session(s); exiting",
+        metrics.units.get(),
+        metrics.sessions.get()
+    );
+    if metrics_dump {
+        print!("{}", obs::global().render_prometheus());
     }
+    Ok(())
 }
 
 #[cfg(test)]

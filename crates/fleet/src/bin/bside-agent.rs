@@ -10,5 +10,8 @@ fn main() {
         std::process::exit(2);
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(bside_fleet::agent::agent_main(&args));
+    if let Err(e) = bside_fleet::agent_main(&args, 1) {
+        eprintln!("bside-agent: {e}");
+        std::process::exit(1);
+    }
 }

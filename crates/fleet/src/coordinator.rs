@@ -1,12 +1,10 @@
 //! The fleet coordinator: accept loop, agent sessions, heartbeat and
 //! deadline policing, dead-agent requeue, and the submission API.
 //!
-//! This generalizes the dist coordinator one level up the scaling
-//! ladder: where `bside_dist` spawns local child *processes* over
-//! pipes, the fleet coordinator accepts remote *agents* over TCP (or
-//! Unix sockets for same-host tests) and never spawns anything — agents
-//! dial in, announce their capabilities, and pull work. The fault model
-//! is the same, machine-shaped:
+//! The coordinator accepts *agents* over TCP or a Unix socket and never
+//! spawns anything itself — agents dial in, announce their
+//! capabilities, and pull work (local runs spawn theirs from
+//! [`crate::local`]). The fault model:
 //!
 //! * an agent that **disconnects** (killed, crashed, rebooted) is
 //!   detected as EOF or a transport error on its connection; its
@@ -16,11 +14,11 @@
 //!   no out-of-band probe, no pinging thread;
 //! * a unit that **exceeds its wall-clock budget** is expired by the
 //!   reaper; since a remote process cannot be killed from here, the
-//!   whole agent connection is severed (the machine-level analogue of
-//!   the dist watchdog's `kill`) and everything it held is requeued;
-//! * a unit that keeps failing exhausts the attempt budget — carried on
-//!   the unit exactly as in `dist::queue` — and is recorded as a
-//!   per-unit [`UnitFailure`]; a corpus run always completes.
+//!   whole agent connection is severed and everything it held is
+//!   requeued (a local agent's supervisor then kills the process);
+//! * a unit that keeps failing exhausts the attempt budget carried on
+//!   the unit and is recorded as a per-unit [`UnitFailure`]; a corpus
+//!   run always completes.
 //!
 //! The coordinator is a long-lived service, not a one-shot run:
 //! [`FleetSubmitter`] feeds it units from anywhere (the serve daemon's
@@ -35,13 +33,12 @@ use crate::protocol::{
 use crate::queue::{FleetQueue, FleetUnit, UnitDone, UnitOutput, UnitSlot};
 use crate::registry::{AgentSnapshot, AgentState, Pending, Registry, ReplySlot, SlotReply};
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
-use bside_dist::cache::ResultCache;
-use bside_dist::coordinator::{CorpusRun, RunStats, UnitReport};
-use bside_dist::worker::read_error_message;
-use bside_dist::{DistError, FailureKind, UnitFailure};
+use bside_dist::net::{cleanup, is_deadline, Listener};
+use bside_dist::{
+    read_error_message, Conn, CorpusRun, DistError, Endpoint, FailureKind, PolicyBundle,
+    ResultCache, RunStats, UnitFailure, UnitReport,
+};
 use bside_obs as obs;
-use bside_serve::net::{cleanup, is_deadline, Listener};
-use bside_serve::{Conn, Endpoint, PolicyBundle};
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,12 +62,10 @@ pub struct FleetOptions {
     /// otherwise) for this long is declared dead. Must comfortably
     /// exceed `heartbeat_interval`.
     pub heartbeat_timeout: Duration,
-    /// Total dispatch attempts per unit (2 = one retry) — the
-    /// `dist::queue` retry budget.
+    /// Total dispatch attempts per unit (2 = one retry).
     pub max_attempts: u32,
-    /// Directory of the content-addressed result cache shared with the
-    /// dist engine; `None` disables caching. Used by
-    /// [`analyze_corpus_fleet`]'s pre-pass.
+    /// Directory of the content-addressed result cache; `None` disables
+    /// caching. Used by [`analyze_corpus_fleet`]'s pre-pass.
     pub cache_dir: Option<PathBuf>,
     /// Shared fleet secret. When set, every connection is challenged:
     /// the hello must carry the matching MAC ([`crate::auth::hello_mac`])
@@ -257,8 +252,7 @@ impl FleetShared {
     }
 
     /// Requeues a lost/failed unit, or records its permanent failure
-    /// when the attempt budget is spent — `dist`'s retry accounting over
-    /// the open queue.
+    /// when the attempt budget is spent.
     fn retry_or_fail(&self, mut unit: FleetUnit, kind: FailureKind, message: String) {
         if self.queue.retry(&mut unit) {
             self.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -404,7 +398,11 @@ impl FleetShared {
     /// Declares an agent dead, attributing the loss unless the
     /// coordinator is shutting down (goodbyes are not casualties).
     fn declare_dead(&self, agent: &AgentState, kind: FailureKind) {
-        if agent.mark_dead(kind) && !self.shutdown.load(Ordering::SeqCst) {
+        self.count_loss(agent.mark_dead(kind));
+    }
+
+    fn count_loss(&self, severed: bool) {
+        if severed && !self.shutdown.load(Ordering::SeqCst) {
             self.registry.lost_total.fetch_add(1, Ordering::Relaxed);
             self.metrics.agents_lost.inc();
         }
@@ -493,15 +491,14 @@ fn reaper_loop(shared: &Arc<FleetShared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         let now = Instant::now();
         for agent in shared.registry.alive() {
-            if agent.expire_deadlines(now) > 0 {
-                // A remote process cannot be killed from here; severing
-                // the connection is the machine-level analogue of the
-                // dist watchdog's kill. Everything else the agent held
-                // is failed as a lost attempt and requeued.
-                shared.declare_dead(&agent, FailureKind::WorkerCrash);
-            }
+            // A remote process cannot be killed from here; severing the
+            // connection is the next best thing. Everything else the
+            // agent held is failed as a lost attempt and requeued.
+            shared.count_loss(agent.expire_deadlines(now));
         }
-        std::thread::sleep(REAPER_TICK);
+        // Parked rather than slept, so shutdown can wake the reaper
+        // instead of waiting out the tick.
+        std::thread::park_timeout(REAPER_TICK);
     }
 }
 
@@ -876,11 +873,18 @@ impl FleetHandle {
         self.join_threads();
     }
 
+    /// Starts the teardown without joining: queued units fail, agents
+    /// are severed. The handle's owner still calls [`Self::shutdown`].
+    pub(crate) fn close(&self) {
+        self.shared.begin_teardown(true);
+    }
+
     fn join_threads(&mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
         if let Some(reaper) = self.reaper.take() {
+            reaper.thread().unpark();
             let _ = reaper.join();
         }
         let handles: Vec<JoinHandle<()>> = {
@@ -972,11 +976,11 @@ impl FleetSubmitter {
 
 /// Analyzes a corpus of on-disk static binaries across the fleet.
 ///
-/// The batch semantics are exactly the dist engine's: a cache pre-pass
-/// answers unchanged binaries without dispatching, every miss is shipped
-/// in band to whichever agent pulls it first, results merge back in
-/// input order, and the rendered report is **byte-identical** to
-/// in-process [`Analyzer::analyze_corpus`](bside_core::Analyzer::analyze_corpus)
+/// A cache pre-pass answers unchanged binaries without dispatching,
+/// every miss is shipped in band to whichever agent pulls it first,
+/// results merge back in input order, and the rendered report is
+/// **byte-identical** to in-process
+/// [`Analyzer::analyze_corpus`](bside_core::Analyzer::analyze_corpus)
 /// — deployment mode (threads, processes, machines) is unobservable.
 ///
 /// The run completes even when individual units fail; only run-level
@@ -1010,8 +1014,8 @@ pub fn analyze_corpus_fleet(
             Ok(bytes) => bytes,
             Err(e) => {
                 // The coordinator is the only filesystem toucher, so a
-                // read failure surfaces here — with the same message a
-                // dist worker (or the in-process reference) would render.
+                // read failure surfaces here — with the same message the
+                // in-process reference renders.
                 results[id] = Some(UnitReport {
                     name: name.clone(),
                     result: Err(UnitFailure {

@@ -1,16 +1,18 @@
-//! # `bside-fleet`: the multi-machine analysis fleet
+//! # `bside-fleet`: the corpus engine
 //!
 //! The paper's headline evaluation is corpus-scale (557 Debian ELFs for
-//! Table 2), and the workspace already climbed two rungs of the scaling
-//! ladder: threads (`bside-core`'s parallel engine) and local processes
-//! (`bside-dist`'s coordinator/worker). This crate is the third rung —
-//! **machines**. A long-lived [`agent`] process on any host dials the
-//! [`coordinator`] over TCP (the `bside-serve` net abstraction, so Unix
-//! sockets work for same-host tests), self-describes in a versioned
-//! capability hello, and pulls `(binary, options)` units whose payloads
-//! travel **in band** — no shared filesystem, no remote spawning, no
-//! out-of-band probes:
+//! Table 2). In-process thread fan-out (`bside-core`) shares one address
+//! space, so one pathological binary can take a whole run with it; this
+//! crate runs corpus units in **agent processes** instead — on this
+//! machine or on many. A long-lived [`agent`] dials the [`coordinator`]
+//! (TCP, or a Unix socket on the same host), self-describes in a
+//! versioned capability hello, and pulls `(binary, options)` units whose
+//! payloads travel **in band** — no shared filesystem, no remote
+//! spawning, no out-of-band probes:
 //!
+//! * **local runs** — [`analyze_corpus_local`] (`bside corpus --workers
+//!   N`) binds a coordinator on a private Unix socket and supervises N
+//!   local agent children, killing and replacing any that crash or hang;
 //! * **capability hello** — protocol version, slot count, and the
 //!   analysis cache-format fingerprint; the coordinator rejects agents
 //!   whose results would not be comparable, so a heterogeneous fleet
@@ -19,13 +21,13 @@
 //!   flowing while every slot is busy, and the coordinator's socket
 //!   read timeout doubles as the silence deadline: a dead or
 //!   partitioned agent is detected and its in-flight units are
-//!   **requeued onto surviving agents**, with the `dist::queue` retry
-//!   budget riding each unit;
-//! * **byte-identical merges** — [`analyze_corpus_fleet`] reuses the
-//!   dist engine's cache pre-pass (same content-addressed
-//!   [`bside_dist::cache`]), input-ordered merge, and report renderer,
-//!   so a fleet run at any agent count reproduces the in-process
-//!   `analyze_corpus` report byte for byte;
+//!   **requeued onto surviving agents**, with the retry budget riding
+//!   each unit;
+//! * **byte-identical merges** — [`analyze_corpus_fleet`] answers
+//!   unchanged binaries from the content-addressed
+//!   [`bside_dist::cache`], merges results in input order, and renders
+//!   with the shared report renderer, so a run at any agent count
+//!   reproduces the in-process `analyze_corpus` report byte for byte;
 //! * **serve-daemon offload** — [`serve_offload`] turns a
 //!   [`FleetSubmitter`] into the hook `bside serve --fleet` installs:
 //!   analyze-on-miss leaders ship the whole bundle derivation
@@ -37,7 +39,7 @@
 //!
 //! ```no_run
 //! use bside_fleet::{analyze_corpus_fleet, FleetCoordinator, FleetOptions};
-//! use bside_serve::Endpoint;
+//! use bside_dist::Endpoint;
 //! use std::path::PathBuf;
 //!
 //! let handle = FleetCoordinator::bind(
@@ -59,6 +61,7 @@ pub mod agent;
 pub mod auth;
 pub mod backoff;
 pub mod coordinator;
+pub mod local;
 pub mod protocol;
 pub(crate) mod queue;
 pub mod registry;
@@ -71,6 +74,7 @@ pub use coordinator::{
     analyze_corpus_fleet, FleetCoordinator, FleetHandle, FleetOptions, FleetOutput, FleetStats,
     FleetSubmitter, PendingUnit,
 };
+pub use local::{analyze_corpus_local, resolve_agent_bin, LocalAgents};
 pub use protocol::{Want, MAX_FLEET_LINE_BYTES, PROTOCOL_VERSION};
 pub use registry::AgentSnapshot;
 
@@ -91,7 +95,7 @@ pub use registry::AgentSnapshot;
 pub fn serve_offload(
     submitter: FleetSubmitter,
     wait_budget: std::time::Duration,
-) -> bside_serve::RemoteAnalyzer {
+) -> bside_dist::RemoteAnalyzer {
     std::sync::Arc::new(move |name: &str, path: &str, bytes: &[u8]| {
         let pending = submitter.submit_bundle(name, path, bytes.to_vec());
         match pending.wait_for(wait_budget) {

@@ -1,12 +1,12 @@
 //! The coordinator ↔ agent wire protocol.
 //!
-//! Newline-delimited JSON over a [`bside_serve::net::Conn`] (TCP between
-//! machines, Unix sockets for same-host tests), one message per line,
+//! Newline-delimited JSON over a [`bside_dist::net::Conn`] (TCP between
+//! machines, a Unix socket for local agents), one message per line,
 //! each a single JSON object tagged by a `"type"` field — the exact
-//! framing the dist and serve protocols use, through the same shared
-//! codec ([`read_message_capped`]/[`write_message`] re-exported from
+//! framing the serve protocol uses, through the same shared codec
+//! ([`read_message_capped`]/[`write_message`] re-exported from
 //! `bside_dist::protocol`), so framing errors and the line cap behave
-//! identically in all three.
+//! identically in both.
 //!
 //! ```text
 //! coordinator → agent   {"type":"challenge","nonce":"9f2c…"}
@@ -65,12 +65,13 @@
 //! any out-of-band probe and its in-flight units are requeued.
 
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
+use bside_dist::PolicyBundle;
 use bside_obs::{SpanRecord, TraceContext};
-use bside_serve::PolicyBundle;
 use serde::{de, to_value, Value};
 
 use bside_dist::protocol::{
-    obj_fields, push_trace, spans_to_value, take_field, take_spans, take_trace,
+    obj_fields, push_trace, spans_to_value, take_field, take_spans, take_string, take_trace,
+    take_u64,
 };
 
 pub use bside_dist::cache::CACHE_FORMAT_VERSION;
@@ -394,24 +395,6 @@ impl serde::Serialize for FromAgent {
 fn push_spans(entries: &mut Vec<(String, Value)>, spans: &[SpanRecord]) {
     if !spans.is_empty() {
         entries.push(("spans".to_string(), spans_to_value(spans)));
-    }
-}
-
-fn take_u64(entries: &mut Vec<(String, Value)>, name: &str) -> Result<u64, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::UInt(n) => Ok(n),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be an unsigned integer, found {other:?}"
-        ))),
-    }
-}
-
-fn take_string(entries: &mut Vec<(String, Value)>, name: &str) -> Result<String, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::Str(s) => Ok(s),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be a string, found {other:?}"
-        ))),
     }
 }
 

@@ -1,19 +1,17 @@
-//! The fleet's open-ended pull queue and per-unit completion slots.
+//! The corpus engine's pull queue and per-unit completion slots.
 //!
-//! The dist engine's [`bside_dist::queue::WorkQueue`] is scoped to one
-//! corpus run: it knows the full unit set up front and signals
-//! completion by draining. A fleet coordinator is a long-lived service —
-//! corpus runs *and* serve-daemon offload submit units while it runs —
-//! so this queue is open-ended: [`FleetQueue::pull`] blocks until a unit
-//! arrives or the coordinator shuts down, and each unit carries its own
-//! completion slot ([`UnitSlot`]) the submitter waits on. The retry
-//! accounting (attempt counter on the unit, budget enforced at requeue
-//! time) is carried over from the dist queue unchanged.
+//! A fleet coordinator is a long-lived service — corpus runs *and*
+//! serve-daemon offload submit units while it runs — so this queue is
+//! open-ended: [`FleetQueue::pull`] blocks until a unit arrives or the
+//! coordinator shuts down, and each unit carries its own completion
+//! slot ([`UnitSlot`]) the submitter waits on. Agents pull instead of
+//! being assigned shards, so a slow binary occupies exactly one slot.
+//! Retry accounting rides the unit: its attempt counter travels with
+//! it, and the budget is enforced at requeue time.
 
 use crate::protocol::Want;
 use bside_core::BinaryAnalysis;
-use bside_dist::UnitFailure;
-use bside_serve::PolicyBundle;
+use bside_dist::{PolicyBundle, UnitFailure};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -154,9 +152,9 @@ impl FleetQueue {
     /// true (checked in short slices, so a dispatcher whose agent died
     /// drains out promptly instead of blocking until the next
     /// submission). Abandoned units are discarded in passing — their
-    /// submitter already gave up. (Unlike the dist queue there is no
-    /// in-flight bookkeeping here: completion is per-unit via
-    /// [`UnitSlot`], and the queue outlives any individual run.)
+    /// submitter already gave up. There is no in-flight bookkeeping:
+    /// completion is per-unit via [`UnitSlot`], and the queue outlives
+    /// any individual run.
     pub(crate) fn pull(&self, stop: &std::sync::atomic::AtomicBool) -> Option<FleetUnit> {
         use std::sync::atomic::Ordering;
         let mut state = self.state.lock().expect("fleet queue lock");
@@ -191,8 +189,8 @@ impl FleetQueue {
         None
     }
 
-    /// Requeues a lost unit for another attempt — the dist queue's retry
-    /// accounting: the attempt counter rides the unit, and the budget is
+    /// Requeues a lost unit for another attempt, at the back of the
+    /// queue: the attempt counter rides the unit, and the budget is
     /// enforced here. Returns `false` when the budget is spent (or the
     /// queue is closed); the caller must then record the permanent
     /// failure on the unit's slot.
@@ -257,6 +255,69 @@ mod tests {
         assert!(q.close().is_empty());
         assert!(puller.join().expect("puller"), "close drains the puller");
         assert!(!q.push(unit(2)), "closed queue refuses submissions");
+    }
+
+    #[test]
+    fn drains_in_order_and_terminates() {
+        let q = FleetQueue::new(2);
+        let stop = live();
+        for seq in 0..5 {
+            assert!(q.push(unit(seq)));
+        }
+        for expect in 0..5 {
+            assert_eq!(q.pull(&stop).expect("unit available").seq, expect);
+        }
+        assert!(q.close().is_empty());
+        assert!(q.pull(&stop).is_none());
+        assert!(q.pull(&stop).is_none(), "terminal state is sticky");
+    }
+
+    #[test]
+    fn retry_requeues_until_budget_spent() {
+        let q = FleetQueue::new(3);
+        let stop = live();
+        assert!(q.push(unit(0)));
+        assert!(q.push(unit(1)));
+        let mut u = q.pull(&stop).unwrap();
+        assert!(q.retry(&mut u), "first failure requeues");
+        assert_eq!(
+            q.pull(&stop).unwrap().seq,
+            1,
+            "a retry queues behind fresh work"
+        );
+        let mut u = q.pull(&stop).unwrap();
+        assert_eq!((u.seq, u.attempts), (0, 1));
+        assert!(q.retry(&mut u), "second failure still within budget");
+        let mut u = q.pull(&stop).unwrap();
+        assert!(!q.retry(&mut u), "third failure exhausts the budget");
+        assert_eq!(u.attempts, 3);
+    }
+
+    #[test]
+    fn pull_blocks_across_inflight_retries() {
+        // Two consumers over one unit that fails once: whichever did not
+        // take it stays blocked in `pull` and must be woken by the
+        // requeue instead of missing it.
+        let q = FleetQueue::new(2);
+        let processed = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let stop = live();
+                    while let Some(mut u) = q.pull(&stop) {
+                        if u.attempts == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(10));
+                            assert!(q.retry(&mut u));
+                        } else {
+                            processed.fetch_add(1, Ordering::Relaxed);
+                            q.close();
+                        }
+                    }
+                });
+            }
+            assert!(q.push(unit(0)));
+        });
+        assert_eq!(processed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! shutdown) race to report it.
 
 use crate::queue::UnitSlot;
-use bside_dist::FailureKind;
-use bside_serve::Conn;
+use bside_dist::{Conn, FailureKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -105,6 +104,32 @@ impl AgentState {
     /// thread wherever it is), fails every outstanding dispatch with
     /// `kind`, and reports whether this call was the one that did it.
     pub(crate) fn mark_dead(&self, kind: FailureKind) -> bool {
+        self.sever(|_| kind)
+    }
+
+    /// Severs the agent if any outstanding dispatch is past its
+    /// deadline: those fail as [`FailureKind::Timeout`], everything else
+    /// it held as a lost attempt. Returns whether this call severed it.
+    /// The agent is dead before any dispatcher wakes, so a requeued unit
+    /// can never be shipped back to the agent that just hung on it.
+    pub(crate) fn expire_deadlines(&self, now: Instant) -> bool {
+        let expired = |p: &Pending| now >= p.deadline;
+        let any = self
+            .pending
+            .lock()
+            .expect("pending lock")
+            .values()
+            .any(expired);
+        any && self.sever(|p| {
+            if expired(p) {
+                FailureKind::Timeout
+            } else {
+                FailureKind::WorkerCrash
+            }
+        })
+    }
+
+    fn sever(&self, kind_of: impl Fn(&Pending) -> FailureKind) -> bool {
         if self.dead.swap(true, Ordering::SeqCst) {
             return false;
         }
@@ -114,7 +139,7 @@ impl AgentState {
             pending.drain().map(|(_, p)| p).collect()
         };
         for p in drained {
-            p.reply.fill(SlotReply::Lost(kind));
+            p.reply.fill(SlotReply::Lost(kind_of(&p)));
         }
         true
     }
@@ -145,25 +170,6 @@ impl AgentState {
         if let Some(p) = taken {
             p.reply.fill(SlotReply::Message(message));
         }
-    }
-
-    /// Ids whose deadline has passed, removed from the table and failed
-    /// as timeouts. Returns how many expired.
-    pub(crate) fn expire_deadlines(&self, now: Instant) -> usize {
-        let expired: Vec<Pending> = {
-            let mut map = self.pending.lock().expect("pending lock");
-            let ids: Vec<u64> = map
-                .iter()
-                .filter(|(_, p)| now >= p.deadline)
-                .map(|(&id, _)| id)
-                .collect();
-            ids.into_iter().filter_map(|id| map.remove(&id)).collect()
-        };
-        let n = expired.len();
-        for p in expired {
-            p.reply.fill(SlotReply::Lost(FailureKind::Timeout));
-        }
-        n
     }
 
     pub(crate) fn is_dead(&self) -> bool {
@@ -208,7 +214,6 @@ impl Registry {
         unit_duration: Arc<bside_obs::Histogram>,
     ) -> Arc<AgentState> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.joined_total.fetch_add(1, Ordering::Relaxed);
         let agent = Arc::new(AgentState {
             id,
             addr,
@@ -228,6 +233,9 @@ impl Registry {
             .lock()
             .expect("registry lock")
             .push(Arc::clone(&agent));
+        // Counted only once listed: an observer that sees the count move
+        // finds the agent in the table (or already gone).
+        self.joined_total.fetch_add(1, Ordering::SeqCst);
         agent
     }
 

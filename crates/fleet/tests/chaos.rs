@@ -22,6 +22,7 @@
 mod common;
 
 use bside_dist::fault::{faults_injected, set_plan, FaultPlan};
+use bside_dist::{Conn, Endpoint};
 use bside_fleet::protocol::{
     read_message_capped, seal, unseal_down, write_message, FromAgent, ToAgent, Want,
     CACHE_FORMAT_VERSION, MAX_FLEET_LINE_BYTES, PROTOCOL_VERSION,
@@ -30,7 +31,6 @@ use bside_fleet::{
     analyze_corpus_fleet, auth, run_agent, run_agent_loop, AgentOptions, AgentReport,
     FleetCoordinator, FleetOptions,
 };
-use bside_serve::{Conn, Endpoint};
 use common::{in_process_report, materialize, temp_dir};
 use std::io::BufReader;
 use std::sync::Mutex;

@@ -55,7 +55,7 @@ pub fn in_process_report(units: &[(String, PathBuf)]) -> String {
 /// Spawns an in-thread agent against `endpoint` (for tests that need
 /// live agents but no process-level faults).
 pub fn thread_agent(
-    endpoint: &bside_serve::Endpoint,
+    endpoint: &bside_dist::Endpoint,
     slots: usize,
 ) -> std::thread::JoinHandle<std::io::Result<bside_fleet::AgentReport>> {
     let endpoint = endpoint.clone();
@@ -74,13 +74,13 @@ pub fn thread_agent(
 /// Spawns a real `bside-agent` process against `endpoint` with extra
 /// environment variables (the fault hooks).
 pub fn process_agent(
-    endpoint: &bside_serve::Endpoint,
+    endpoint: &bside_dist::Endpoint,
     slots: usize,
     env: &[(String, String)],
 ) -> std::process::Child {
     let addr = match endpoint {
-        bside_serve::Endpoint::Tcp(addr) => addr.clone(),
-        bside_serve::Endpoint::Unix(path) => format!("unix:{}", path.display()),
+        bside_dist::Endpoint::Tcp(addr) => addr.clone(),
+        bside_dist::Endpoint::Unix(path) => format!("unix:{}", path.display()),
     };
     let mut command = std::process::Command::new(agent_bin());
     command

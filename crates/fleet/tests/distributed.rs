@@ -1,15 +1,23 @@
-//! The determinism contract across deployment modes (the acceptance
-//! criterion of the distributed engine): for the default synthetic
-//! corpus, a distributed run with N workers produces a merged report
-//! **byte-identical** to the in-process `Analyzer::analyze_corpus`, for
-//! N ∈ {1, 4} — and the content-addressed cache answers re-runs without
-//! changing a byte.
+//! The determinism contract across deployment modes: for the default
+//! synthetic corpus, a local run with N agent processes produces a
+//! merged report **byte-identical** to the in-process
+//! `Analyzer::analyze_corpus`, for N ∈ {1, 4} — and the
+//! content-addressed cache answers re-runs without changing a byte.
 
 mod common;
 
-use bside_dist::{analyze_corpus_dist, report_of_run, DistOptions};
+use bside_dist::report_of_run;
+use bside_fleet::{analyze_corpus_local, FleetOptions, LocalAgents};
 use bside_gen::corpus::{corpus_with_size, DEFAULT_SEED};
-use common::{in_process_report, temp_dir, worker_bin};
+use common::{agent_bin, in_process_report, temp_dir};
+
+fn agents(workers: usize) -> LocalAgents {
+    LocalAgents {
+        workers,
+        agent_bin: Some(agent_bin()),
+        env: Vec::new(),
+    }
+}
 
 #[test]
 fn distributed_report_is_byte_identical_to_in_process_for_1_and_4_workers() {
@@ -20,21 +28,14 @@ fn distributed_report_is_byte_identical_to_in_process_for_1_and_4_workers() {
     let reference = in_process_report(&units);
 
     for workers in [1, 4] {
-        let run = analyze_corpus_dist(
-            &units,
-            &DistOptions {
-                workers,
-                worker_bin: Some(worker_bin()),
-                ..DistOptions::default()
-            },
-        )
-        .expect("distributed run completes");
+        let run = analyze_corpus_local(&units, FleetOptions::default(), &agents(workers))
+            .expect("local run completes");
         assert_eq!(run.stats.units, units.len());
         assert_eq!(run.stats.failures, 0, "default corpus analyzes cleanly");
         assert_eq!(
             reference,
             report_of_run(&run),
-            "workers={workers}: distributed report diverged from in-process"
+            "workers={workers}: local report diverged from in-process"
         );
     }
     let _ = std::fs::remove_dir_all(&corpus_dir);
@@ -42,7 +43,7 @@ fn distributed_report_is_byte_identical_to_in_process_for_1_and_4_workers() {
 
 #[test]
 fn degraded_units_fail_per_unit_with_the_shared_message_format() {
-    use bside_dist::worker::{parse_error_message, read_error_message};
+    use bside_dist::{parse_error_message, read_error_message};
 
     let corpus_dir = temp_dir("degraded_corpus");
     let mut units = corpus_with_size(DEFAULT_SEED, 4, 0, 0)
@@ -56,15 +57,8 @@ fn degraded_units_fail_per_unit_with_the_shared_message_format() {
     let old = std::mem::replace(&mut units[2], ("0002_missing".to_string(), missing.clone()));
     std::fs::remove_file(&old.1).ok();
 
-    let run = analyze_corpus_dist(
-        &units,
-        &DistOptions {
-            workers: 2,
-            worker_bin: Some(worker_bin()),
-            ..DistOptions::default()
-        },
-    )
-    .expect("run completes despite degraded units");
+    let run = analyze_corpus_local(&units, FleetOptions::default(), &agents(2))
+        .expect("run completes despite degraded units");
     assert_eq!(run.stats.failures, 2, "exactly the degraded units fail");
 
     // The failure messages are the shared helpers' output verbatim —
@@ -100,17 +94,15 @@ fn cache_answers_rerun_without_changing_the_report() {
         .materialize_static(&corpus_dir)
         .expect("corpus materializes");
 
-    let options = DistOptions {
-        workers: 2,
-        worker_bin: Some(worker_bin()),
+    let options = || FleetOptions {
         cache_dir: Some(cache_dir.clone()),
-        ..DistOptions::default()
+        ..FleetOptions::default()
     };
-    let cold = analyze_corpus_dist(&units, &options).expect("cold run completes");
+    let cold = analyze_corpus_local(&units, options(), &agents(2)).expect("cold run completes");
     assert_eq!(cold.stats.cache_hits, 0);
     assert_eq!(cold.stats.failures, 0);
 
-    let warm = analyze_corpus_dist(&units, &options).expect("warm run completes");
+    let warm = analyze_corpus_local(&units, options(), &agents(2)).expect("warm run completes");
     assert_eq!(
         warm.stats.cache_hits,
         units.len(),
@@ -129,7 +121,7 @@ fn cache_answers_rerun_without_changing_the_report() {
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF;
     std::fs::write(first_path, &bytes).unwrap();
-    let mixed = analyze_corpus_dist(&units, &options).expect("mixed run completes");
+    let mixed = analyze_corpus_local(&units, options(), &agents(2)).expect("mixed run completes");
     assert_eq!(mixed.stats.cache_hits, units.len() - 1);
 
     let _ = std::fs::remove_dir_all(&corpus_dir);

@@ -1,18 +1,28 @@
-//! Fault isolation: a worker that crashes, hangs, or keeps failing loses
-//! only its current unit — the corpus run always completes, the lost unit
-//! is retried on a fresh process, and the merged report still matches the
-//! in-process engine byte-for-byte.
+//! Process-level fault isolation on a local run: an agent process that
+//! crashes, hangs, or keeps failing loses only its current unit — the
+//! corpus run always completes, the lost unit is retried on another
+//! process (the supervisor replaces the dead or killed one), and the
+//! merged report still matches the in-process engine byte-for-byte.
 //!
-//! The faults are injected through the `bside-worker` test hooks
-//! (`BSIDE_WORKER_CRASH_UNIT` / `BSIDE_WORKER_HANG_UNIT` /
-//! `BSIDE_WORKER_FAULT_MARKER`), passed via `DistOptions::worker_env` so
-//! only the workers of one run see them.
+//! The faults are injected through the `bside-agent` test hooks
+//! (`BSIDE_AGENT_CRASH_UNIT` / `BSIDE_AGENT_HANG_UNIT` /
+//! `BSIDE_AGENT_FAULT_MARKER`), passed via `LocalAgents::env` so only the
+//! agents of one run see them.
 
 mod common;
 
-use bside_dist::{analyze_corpus_dist, report_of_run, DistOptions, FailureKind};
-use common::{in_process_report, materialize, temp_dir, worker_bin};
+use bside_dist::{report_of_run, FailureKind};
+use bside_fleet::{analyze_corpus_local, FleetOptions, LocalAgents};
+use common::{agent_bin, in_process_report, materialize, temp_dir};
 use std::time::Duration;
+
+fn agents(env: Vec<(String, String)>) -> LocalAgents {
+    LocalAgents {
+        workers: 2,
+        agent_bin: Some(agent_bin()),
+        env,
+    }
+}
 
 #[test]
 fn crashed_worker_loses_only_its_unit_and_the_retry_recovers_it() {
@@ -21,20 +31,16 @@ fn crashed_worker_loses_only_its_unit_and_the_retry_recovers_it() {
     let marker = temp_dir("crash_once_marker").with_extension("flag");
     let victim = units[3].0.clone();
 
-    let run = analyze_corpus_dist(
+    let run = analyze_corpus_local(
         &units,
-        &DistOptions {
-            workers: 2,
-            worker_bin: Some(worker_bin()),
-            worker_env: vec![
-                ("BSIDE_WORKER_CRASH_UNIT".to_string(), victim.clone()),
-                (
-                    "BSIDE_WORKER_FAULT_MARKER".to_string(),
-                    marker.display().to_string(),
-                ),
-            ],
-            ..DistOptions::default()
-        },
+        FleetOptions::default(),
+        &agents(vec![
+            ("BSIDE_AGENT_CRASH_UNIT".to_string(), victim.clone()),
+            (
+                "BSIDE_AGENT_FAULT_MARKER".to_string(),
+                marker.display().to_string(),
+            ),
+        ]),
     )
     .expect("run completes despite the crash");
 
@@ -51,7 +57,7 @@ fn crashed_worker_loses_only_its_unit_and_the_retry_recovers_it() {
         .find(|r| r.name == victim)
         .expect("victim present in merged results");
     assert!(recovered.result.is_ok());
-    assert_eq!(recovered.attempts, 2, "first attempt died with the worker");
+    assert_eq!(recovered.attempts, 2, "first attempt died with the agent");
     assert_eq!(
         reference,
         report_of_run(&run),
@@ -69,27 +75,25 @@ fn hung_worker_is_killed_at_the_deadline_and_the_unit_recovers() {
     let marker = temp_dir("hang_once_marker").with_extension("flag");
     let victim = units[2].0.clone();
 
-    let run = analyze_corpus_dist(
+    let run = analyze_corpus_local(
         &units,
-        &DistOptions {
-            workers: 2,
-            worker_bin: Some(worker_bin()),
+        FleetOptions {
             unit_timeout: Duration::from_secs(2),
-            worker_env: vec![
-                ("BSIDE_WORKER_HANG_UNIT".to_string(), victim.clone()),
-                (
-                    "BSIDE_WORKER_FAULT_MARKER".to_string(),
-                    marker.display().to_string(),
-                ),
-            ],
-            ..DistOptions::default()
+            ..FleetOptions::default()
         },
+        &agents(vec![
+            ("BSIDE_AGENT_HANG_UNIT".to_string(), victim.clone()),
+            (
+                "BSIDE_AGENT_FAULT_MARKER".to_string(),
+                marker.display().to_string(),
+            ),
+        ]),
     )
     .expect("run completes despite the hang");
 
     assert!(
         run.stats.timeouts >= 1,
-        "the hang must be killed by the watchdog: {:?}",
+        "the hang must be cut at the deadline: {:?}",
         run.stats
     );
     assert_eq!(run.stats.failures, 0);
@@ -104,15 +108,11 @@ fn persistently_crashing_unit_becomes_a_per_unit_failure_not_an_aborted_run() {
     let (corpus_dir, units) = materialize("crash_always", 6);
     let victim = units[1].0.clone();
 
-    // No fault marker: every attempt at the victim aborts its worker.
-    let run = analyze_corpus_dist(
+    // No fault marker: every attempt at the victim aborts its agent.
+    let run = analyze_corpus_local(
         &units,
-        &DistOptions {
-            workers: 2,
-            worker_bin: Some(worker_bin()),
-            worker_env: vec![("BSIDE_WORKER_CRASH_UNIT".to_string(), victim.clone())],
-            ..DistOptions::default()
-        },
+        FleetOptions::default(),
+        &agents(vec![("BSIDE_AGENT_CRASH_UNIT".to_string(), victim.clone())]),
     )
     .expect("run completes despite a poison unit");
 
@@ -133,6 +133,29 @@ fn persistently_crashing_unit_becomes_a_per_unit_failure_not_an_aborted_run() {
             report.name
         );
     }
+
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+}
+
+#[test]
+fn agents_that_never_say_hello_fail_the_run_instead_of_hanging_it() {
+    let (corpus_dir, units) = materialize("no_hello", 2);
+    // An "agent" that exits at once: no unit can ever be dispatched, so
+    // the supervisor must give up and end the run with an error.
+    let err = analyze_corpus_local(
+        &units,
+        FleetOptions::default(),
+        &LocalAgents {
+            workers: 1,
+            agent_bin: Some("/bin/false".into()),
+            env: Vec::new(),
+        },
+    )
+    .expect_err("a run without agents must fail, not hang");
+    assert!(
+        err.to_string().contains("no local agent could be started"),
+        "got: {err}"
+    );
 
     let _ = std::fs::remove_dir_all(&corpus_dir);
 }

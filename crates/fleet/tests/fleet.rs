@@ -14,11 +14,11 @@
 
 mod common;
 
+use bside_dist::{Conn, Endpoint};
 use bside_fleet::protocol::{
     read_message_capped, write_message, FromAgent, ToAgent, MAX_FLEET_LINE_BYTES, PROTOCOL_VERSION,
 };
 use bside_fleet::{analyze_corpus_fleet, FleetCoordinator, FleetOptions};
-use bside_serve::{Conn, Endpoint};
 use common::{in_process_report, materialize, temp_dir, thread_agent};
 use std::io::BufReader;
 use std::time::Duration;
@@ -286,7 +286,7 @@ fn degraded_units_render_exactly_like_the_in_process_engine() {
             }
             Err(e) => rows.push((
                 name.clone(),
-                Err(bside_dist::worker::parse_error_message(&display, &e)),
+                Err(bside_dist::parse_error_message(&display, &e)),
             )),
         }
     }

@@ -12,8 +12,8 @@
 
 mod common;
 
+use bside_dist::Endpoint;
 use bside_fleet::{analyze_corpus_fleet, FleetCoordinator, FleetOptions};
-use bside_serve::Endpoint;
 use common::{in_process_report, materialize, process_agent, temp_dir};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -22,12 +22,12 @@ mod common;
 
 use bside_core::AnalyzerOptions;
 use bside_dist::fault::{faults_injected, set_plan, FaultPlan};
+use bside_dist::Endpoint;
 use bside_fleet::protocol::{seal_down, unseal_down, ToAgent, Want};
 use bside_fleet::{
     analyze_corpus_fleet, run_agent_loop, AgentOptions, FleetCoordinator, FleetOptions,
 };
 use bside_obs as obs;
-use bside_serve::Endpoint;
 use common::{materialize, process_agent};
 use serde::Value;
 use std::sync::Mutex;

@@ -60,9 +60,8 @@ pub struct Corpus {
 impl Corpus {
     /// Writes every **static** binary of the corpus to `dir` as a
     /// standalone ELF file and returns `(name, path)` pairs in corpus
-    /// order — the unit list a `bside-dist` distributed run consumes
-    /// (worker processes read their inputs from disk, not from the
-    /// coordinator's address space).
+    /// order — the unit list an agent-backed corpus run consumes (its
+    /// coordinator reads the inputs from disk and ships them to agents).
     ///
     /// File names are prefixed with the zero-padded corpus index so that
     /// lexicographic directory order equals corpus input order, keeping

@@ -1,8 +1,7 @@
 //! The workspace's telemetry spine.
 //!
 //! Every layer of the pipeline — the serve daemon, the fleet
-//! coordinator and its agents, the dist workers, the core analysis
-//! phases — reports through this one crate instead of growing its own
+//! coordinator and its agents, the core analysis phases — reports through this one crate instead of growing its own
 //! counter struct. Three pieces:
 //!
 //! 1. **Metrics** ([`Registry`]): monotonic [`Counter`]s, [`Gauge`]s,
@@ -20,8 +19,8 @@
 //!    a subtree under a parent that lives in another process.
 //!
 //! 3. **Cross-machine trace context** ([`TraceContext`]): the
-//!    run-id/unit-id/span-id triple the fleet and dist protocols carry
-//!    in their NDJSON frames, so a unit's coordinator-side dispatch
+//!    run-id/unit-id/span-id triple the fleet protocol carries in its
+//!    NDJSON frames, so a unit's coordinator-side dispatch
 //!    span, agent-side analysis span, and serve-side offload span
 //!    stitch into one tree. Remote spans re-enter the local rings via
 //!    [`record_remote`].

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// The cross-machine correlation triple carried in fleet and dist
-/// NDJSON frames: which run, which unit, and which sender-side span
+/// The cross-machine correlation triple carried in fleet NDJSON
+/// frames: which run, which unit, and which sender-side span
 /// should parent the receiver's spans. All-zero means "no context" —
 /// the receiver records orphan spans, which is the mandated
 /// degradation when the triple is absent or corrupted.

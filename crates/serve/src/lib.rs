@@ -10,14 +10,15 @@
 //! * a **content-addressed policy store** ([`store`]) keyed by the
 //!   `bside_dist::cache` SHA-256 scheme (elf bytes ‖ options
 //!   fingerprint, extended with a library-set fingerprint for dynamic
-//!   binaries), holding [`FilterPolicy`]/[`PhasePolicy`] plus the
-//!   lowered classic-BPF program, in memory and optionally on disk, with
-//!   a monotonic **generation counter** bumped by every mutation;
+//!   binaries), holding [`PolicyBundle`]s — allow-list, phase policy
+//!   and lowered classic-BPF program — in memory and optionally on
+//!   disk, with a monotonic **generation counter** bumped by every
+//!   mutation;
 //! * a versioned **NDJSON request/response protocol** ([`protocol`])
-//!   over Unix-domain or TCP sockets ([`net`]), with explicit framing,
-//!   in-band error replies, and push-style `watch` notification — since
-//!   v5 optionally **per key**: a keyed watch fires only when *its*
-//!   store entry is mutated;
+//!   over Unix-domain or TCP sockets ([`net`], from `bside-dist`), with
+//!   explicit framing, in-band error replies, and push-style `watch`
+//!   notification — since v5 optionally **per key**: a keyed watch
+//!   fires only when *its* store entry is mutated;
 //! * a **readiness-loop server** ([`server`]): one event-loop thread
 //!   multiplexes every connection over the vendored `poll(2)` shim
 //!   (the `shims/poll` workspace crate), dispatching complete request lines
@@ -56,24 +57,19 @@
 pub mod breaker;
 pub mod client;
 pub(crate) mod flight;
-pub mod net;
 pub mod protocol;
 pub(crate) mod readiness;
 pub mod server;
 pub mod store;
 
 pub use breaker::{BreakerState, CircuitBreaker};
+pub use bside_dist::net;
+pub use bside_dist::{derive_bundle, derive_bundle_parsed, RemoteAnalyzer};
 pub use client::{PolicyClient, PolicyFetch, ServeError};
 pub use net::{Conn, Endpoint};
 pub use protocol::{PolicyBundle, Reply, Request, Source, StatsSnapshot, PROTOCOL_VERSION};
-pub use server::{PolicyServer, RemoteAnalyzer, ServeOptions, ServerHandle};
+pub use server::{PolicyServer, ServeOptions, ServerHandle};
 pub use store::{library_fingerprint, PolicyStore};
-
-use bside_core::phase::{detect_phases, PhaseOptions};
-use bside_core::{Analyzer, AnalyzerOptions, LibraryStore};
-use bside_filter::{FilterPolicy, PhasePolicy};
-use bside_syscalls::SyscallSet;
-use std::collections::HashMap;
 
 /// The display name a path's policy is derived under: the file stem
 /// (matching the corpus unit-naming convention), falling back to the
@@ -82,78 +78,6 @@ pub fn binary_name(path: &std::path::Path) -> String {
     path.file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.to_string_lossy().into_owned())
-}
-
-/// Derives the full policy bundle for one ELF: whole-program allow-list,
-/// phase refinement, and the classic-BPF lowering.
-///
-/// A static binary needs no `libs`; a dynamically linked one (non-empty
-/// `DT_NEEDED`) is resolved through the given [`LibraryStore`] of §4.5
-/// shared interfaces via `Analyzer::analyze_dynamic`, and is refused
-/// with an explanatory message when `libs` is `None`.
-///
-/// This is the one derivation both sides of the wire share: the daemon's
-/// analyze-on-miss path calls it, and tests call it locally to prove a
-/// fetched bundle is byte-identical to a local derivation.
-///
-/// # Errors
-///
-/// A human-readable message (the error-reply payload) when the bytes are
-/// not a parseable ELF, a needed library is missing, or the analysis
-/// fails.
-pub fn derive_bundle(
-    name: &str,
-    elf_bytes: &[u8],
-    options: &AnalyzerOptions,
-    libs: Option<&LibraryStore>,
-) -> Result<PolicyBundle, String> {
-    let elf = bside_elf::Elf::parse(elf_bytes).map_err(|e| format!("parsing {name}: {e}"))?;
-    derive_bundle_parsed(name, &elf, options, libs)
-}
-
-/// [`derive_bundle`] over an already-parsed ELF — the server's path,
-/// which parses once to detect `DT_NEEDED` and compute the store key
-/// before deciding to analyze.
-pub fn derive_bundle_parsed(
-    name: &str,
-    elf: &bside_elf::Elf,
-    options: &AnalyzerOptions,
-    libs: Option<&LibraryStore>,
-) -> Result<PolicyBundle, String> {
-    let analyzer = Analyzer::new(options.clone());
-    let analysis = if elf.needed_libraries().is_empty() {
-        analyzer.analyze_static(elf).map_err(|e| e.to_string())?
-    } else {
-        let Some(libs) = libs else {
-            return Err(format!(
-                "{name} is dynamically linked; the policy service needs a shared-interface \
-                 directory to resolve it (start the daemon with --lib-dir, or analyze it \
-                 locally via `bside analyze --lib`)"
-            ));
-        };
-        analyzer
-            .analyze_dynamic(elf, libs, &[])
-            .map_err(|e| e.to_string())?
-    };
-    let site_sets: HashMap<u64, SyscallSet> = analysis
-        .sites
-        .iter()
-        .map(|s| (s.site, s.syscalls))
-        .collect();
-    let automaton = detect_phases(&analysis.cfg, &site_sets, &PhaseOptions::default());
-    let policy = FilterPolicy::allow_only(name, analysis.syscalls);
-    let phases = PhasePolicy::from_automaton(name, &automaton);
-    // The optimized lowering, gated by the exhaustive equivalence check
-    // against the naive program; falls back to naive if the gate cannot
-    // prove them identical. CACHE_FORMAT_VERSION was bumped with this
-    // change so stores never mix naive and optimized artifacts.
-    let bpf = bside_filter::compile::compile(&policy).program;
-    Ok(PolicyBundle {
-        binary: name.to_string(),
-        policy,
-        phases,
-        bpf,
-    })
 }
 
 #[cfg(test)]
@@ -167,77 +91,5 @@ mod tests {
             "0003_redis"
         );
         assert_eq!(binary_name(std::path::Path::new("plain")), "plain");
-    }
-
-    #[test]
-    fn derive_bundle_is_deterministic_and_consistent() {
-        let profile = bside_gen::profiles::lighttpd();
-        let options = AnalyzerOptions::default();
-        let a = derive_bundle("lighttpd", &profile.program.image, &options, None).expect("derives");
-        let b = derive_bundle("lighttpd", &profile.program.image, &options, None).expect("derives");
-        assert_eq!(a, b, "same bytes, same bundle");
-        assert_eq!(a.policy.allowed, a.bpf_allowed_set(), "bpf matches policy");
-    }
-
-    #[test]
-    fn derive_bundle_rejects_garbage_and_reports_parsing() {
-        let err = derive_bundle("junk", b"not an elf", &AnalyzerOptions::default(), None)
-            .expect_err("must fail");
-        assert!(err.contains("parsing junk"), "got: {err}");
-    }
-
-    #[test]
-    fn dynamic_binary_without_libs_is_refused_with_guidance() {
-        let corpus = bside_gen::corpus::corpus_with_size(5, 0, 1, 2);
-        let binary = &corpus.binaries[0];
-        assert!(!binary.program.elf.needed_libraries().is_empty());
-        let err = derive_bundle(
-            "dyn",
-            &binary.program.image,
-            &AnalyzerOptions::default(),
-            None,
-        )
-        .expect_err("no libs");
-        assert!(err.contains("--lib-dir"), "got: {err}");
-    }
-
-    #[test]
-    fn dynamic_binary_derives_through_the_library_store() {
-        let corpus = bside_gen::corpus::corpus_with_size(5, 0, 1, 2);
-        let binary = &corpus.binaries[0];
-        let analyzer = Analyzer::new(AnalyzerOptions::default());
-        let refs: Vec<(&str, &bside_elf::Elf)> = corpus
-            .libraries
-            .iter()
-            .map(|l| (l.spec.name.as_str(), &l.elf))
-            .collect();
-        let libs = analyzer.analyze_libraries(&refs).expect("libraries");
-        let bundle = derive_bundle(
-            "dyn",
-            &binary.program.image,
-            &AnalyzerOptions::default(),
-            Some(&libs),
-        )
-        .expect("derives dynamically");
-        // The bundle's allow-list is exactly the analyze_dynamic result.
-        let local = analyzer
-            .analyze_dynamic(&binary.program.elf, &libs, &[])
-            .expect("local analysis");
-        assert_eq!(bundle.policy.allowed, local.syscalls);
-    }
-
-    impl PolicyBundle {
-        /// Test helper: the allow-set the lowered program actually
-        /// accepts, recovered by evaluating it over the known table.
-        fn bpf_allowed_set(&self) -> SyscallSet {
-            use bside_filter::bpf::{execute, SeccompData, AUDIT_ARCH_X86_64, RET_ALLOW};
-            bside_syscalls::table::iter()
-                .filter(|(nr, _)| {
-                    execute(&self.bpf.insns, &SeccompData::new(AUDIT_ARCH_X86_64, *nr))
-                        == Ok(RET_ALLOW)
-                })
-                .map(|(nr, _)| bside_syscalls::Sysno::new(nr).expect("table nr"))
-                .collect()
-        }
     }
 }

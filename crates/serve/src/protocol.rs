@@ -58,13 +58,12 @@
 //! server ignores the unknown `key` field, degrading a keyed watch to a
 //! whole-store one (spurious wakes, never missed ones).
 
-use bside_filter::bpf::BpfProgram;
-use bside_filter::{FilterPolicy, PhasePolicy};
 use serde::{de, to_value, Value};
 
-use bside_dist::protocol::{obj_fields, take_field};
+use bside_dist::protocol::{obj_fields, take_field, take_string, take_u64};
 
 pub use bside_dist::protocol::{read_message, read_message_capped, write_message};
+pub use bside_dist::PolicyBundle;
 
 /// Protocol revision; bumped on any incompatible message change.
 /// v2: generation counter, `invalidate`/`watch`, `Coalesced` source.
@@ -111,28 +110,6 @@ serde::impl_serde_unit_enum!(Source {
     Store,
     Analyzed,
     Coalesced
-});
-
-/// Everything the enforcement point needs for one binary: the
-/// whole-program allow-list, the per-phase refinement, and the lowered
-/// seccomp-BPF program ready to install.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyBundle {
-    /// Display name of the binary the bundle was derived for.
-    pub binary: String,
-    /// The whole-program allow-list.
-    pub policy: FilterPolicy,
-    /// The temporal (phase-based) refinement (§4.7).
-    pub phases: PhasePolicy,
-    /// The classic-BPF lowering of `policy`.
-    pub bpf: BpfProgram,
-}
-
-serde::impl_serde_struct!(PolicyBundle {
-    binary,
-    policy,
-    phases,
-    bpf
 });
 
 /// A point-in-time copy of the server's counters.
@@ -386,24 +363,6 @@ fn tag_only(tag: &str) -> Value {
     Value::Object(vec![("type".to_string(), Value::Str(tag.to_string()))])
 }
 
-fn take_string(entries: &mut Vec<(String, Value)>, name: &str) -> Result<String, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::Str(s) => Ok(s),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be a string, found {other:?}"
-        ))),
-    }
-}
-
-fn take_u64(entries: &mut Vec<(String, Value)>, name: &str) -> Result<u64, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::UInt(n) => Ok(n),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be an unsigned integer, found {other:?}"
-        ))),
-    }
-}
-
 impl<'de> serde::Deserialize<'de> for Request {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let mut entries =
@@ -508,6 +467,8 @@ impl<'de> serde::Deserialize<'de> for Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bside_filter::bpf::BpfProgram;
+    use bside_filter::{FilterPolicy, PhasePolicy};
     use bside_syscalls::{SyscallSet, Sysno};
 
     fn bundle() -> PolicyBundle {

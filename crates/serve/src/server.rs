@@ -67,7 +67,7 @@ use crate::protocol::{
 };
 use crate::readiness::{PollSet, WakePipe, Waker};
 use crate::store::{library_fingerprint, PolicyStore, Subscribed};
-use crate::{binary_name, derive_bundle, derive_bundle_parsed};
+use crate::{binary_name, derive_bundle, derive_bundle_parsed, RemoteAnalyzer};
 use bside_core::{AnalyzerOptions, LibraryStore};
 use bside_obs as obs;
 use std::collections::HashMap;
@@ -84,16 +84,6 @@ use std::time::{Duration, Instant, SystemTime};
 /// to run a cold analysis — the observability hook the single-flight
 /// tests count invocations on. `None` in production.
 pub type AnalysisHook = Arc<dyn Fn(&str) + Send + Sync>;
-
-/// A remote bundle derivation: `(name, path, elf bytes)` in, a
-/// [`crate::PolicyBundle`] (or the in-band error message) out. Installed
-/// by `bside serve --fleet`, where it ships analyze-on-miss work to a
-/// `bside-fleet` coordinator instead of running it in-process; the
-/// single-flight table still guarantees one storm = one invocation.
-/// The remote side must run the same analyzer options as this daemon
-/// (store keys fingerprint them).
-pub type RemoteAnalyzer =
-    Arc<dyn Fn(&str, &str, &[u8]) -> Result<crate::PolicyBundle, String> + Send + Sync>;
 
 /// Configuration of a policy server.
 #[derive(Clone)]

@@ -51,10 +51,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Deserializes a value from JSON text.
 pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut parser = Parser::new(text);
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -156,11 +153,22 @@ fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut Str
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input; kept as `&str` so runs of string content can be copied
+    /// without re-validating UTF-8.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -300,12 +308,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one step. Both delimiters are ASCII, so the run ends
+                    // on a character boundary of the (already valid) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -389,10 +400,7 @@ mod tests {
     fn round_trip_nested() {
         let text = r#"{"a":[1,2,{"b":true}],"c":"x\ny","d":-5,"e":null}"#;
         let v: serde::Value = {
-            let mut p = Parser {
-                bytes: text.as_bytes(),
-                pos: 0,
-            };
+            let mut p = Parser::new(text);
             p.parse_value().unwrap()
         };
         let mut out = String::new();
@@ -422,5 +430,30 @@ mod tests {
         let text = to_string(&v).unwrap();
         let back: Vec<u64> = from_str(&text).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn every_escape_round_trips_mixed_with_multibyte_utf8() {
+        let text = r#""é\"ß\\中\/𝄞\n\r\t\b\f\u0001é end""#;
+        let parsed: String = from_str(text).unwrap();
+        assert_eq!(parsed, "é\"ß\\中/𝄞\n\r\t\u{8}\u{c}\u{1}é end");
+        let back: String = from_str(&to_string(&parsed).unwrap()).unwrap();
+        assert_eq!(back, parsed);
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // Quadratic parsing took ~20 s at this size; linear takes ~1 ms.
+        let big = "aé中".repeat(1 << 18);
+        assert!(big.len() >= 1 << 20);
+        let json = to_string(&big).unwrap();
+        let started = std::time::Instant::now();
+        let parsed: String = from_str(&json).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed, big);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "a 1.5 MiB string took {elapsed:?} to parse"
+        );
     }
 }

@@ -743,6 +743,57 @@ mod tests {
     }
 
     #[test]
+    fn unit_message_round_trips() {
+        // An untraced bundle unit with non-default options, across the
+        // line codec: no trace fields on the wire, everything else intact.
+        let mut options = AnalyzerOptions::default();
+        options.detect_wrappers = !options.detect_wrappers;
+        options.conservative_fallback = !options.conservative_fallback;
+        let unit = ToAgent::Unit {
+            id: 7,
+            name: "nginx_7".to_string(),
+            path: "/corpus/007_nginx.elf".to_string(),
+            want: Want::Bundle,
+            elf: (0..=255u8).collect(),
+            options: options.clone(),
+            trace: None,
+        };
+        let json = serde_json::to_string(&unit).unwrap();
+        assert!(
+            !json.contains("trace_"),
+            "an untraced unit carries no trace fields: {json}"
+        );
+        let mut buf = Vec::new();
+        write_message(&mut buf, &unit).unwrap();
+        let mut reader = std::io::BufReader::new(buf.as_slice());
+        match read_message_capped::<ToAgent>(&mut reader, MAX_FLEET_LINE_BYTES)
+            .unwrap()
+            .expect("one frame")
+        {
+            ToAgent::Unit {
+                id,
+                name,
+                path,
+                want,
+                elf,
+                options: got,
+                trace,
+            } => {
+                assert_eq!(id, 7);
+                assert_eq!(name, "nginx_7");
+                assert_eq!(path, "/corpus/007_nginx.elf");
+                assert_eq!(want, Want::Bundle);
+                assert_eq!(elf, (0..=255u8).collect::<Vec<u8>>());
+                assert_eq!(got.detect_wrappers, options.detect_wrappers);
+                assert_eq!(got.conservative_fallback, options.conservative_fallback);
+                assert_eq!(got.limits, options.limits);
+                assert_eq!(trace, None);
+            }
+            other => panic!("wrong variant: {other:?}"),
+        }
+    }
+
+    #[test]
     fn control_messages_round_trip_via_line_codec() {
         let mut buf = Vec::new();
         write_message(

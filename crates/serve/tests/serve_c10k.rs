@@ -146,8 +146,9 @@ fn thousand_parked_keyed_watches_keep_active_throughput() {
     let path = units[0].1.to_str().expect("utf8");
 
     // Populate both stores and warm every cache layer.
-    let mut client = PolicyClient::connect(server.endpoint()).expect("connect");
-    let first = client.fetch_path(path).expect("cold fetch");
+    let first = PolicyClient::connect(server.endpoint())
+        .and_then(|mut c| c.fetch_path(path))
+        .expect("cold fetch");
     PolicyClient::connect(reference.endpoint())
         .and_then(|mut c| c.fetch_path(path))
         .expect("reference cold fetch");
@@ -163,28 +164,47 @@ fn thousand_parked_keyed_watches_keep_active_throughput() {
         .collect();
     await_parked(&server, IDLERS as u64);
 
-    // Batches alternate between the two daemons, so machine load that
-    // drifts over the run hits both sides alike; the best batch of each
-    // side is compared.
+    // Many short batches, paired back to back (the pair's order
+    // alternates), so machine load that drifts over the run hits both
+    // sides of a pair alike. On a shared machine one batch's wall time
+    // swings by tens of percent, so a single batch — or the best of a
+    // few — is mostly noise; the median of the per-pair throughput
+    // ratios is what is compared.
     const CLIENTS: usize = 4;
-    const ROUNDS: usize = 400;
-    let mut baseline = Duration::MAX;
-    let mut with_idlers = Duration::MAX;
-    for _ in 0..5 {
-        baseline = baseline.min(hammer(reference.endpoint(), path, CLIENTS, ROUNDS));
-        with_idlers = with_idlers.min(hammer(server.endpoint(), path, CLIENTS, ROUNDS));
+    const ROUNDS: usize = 100;
+    const PAIRS: usize = 80;
+    let mut ratios = Vec::with_capacity(PAIRS);
+    let mut baseline = Duration::ZERO;
+    let mut with_idlers = Duration::ZERO;
+    for pair in 0..PAIRS {
+        let (reference_time, watched_time) = if pair % 2 == 0 {
+            let r = hammer(reference.endpoint(), path, CLIENTS, ROUNDS);
+            (r, hammer(server.endpoint(), path, CLIENTS, ROUNDS))
+        } else {
+            let w = hammer(server.endpoint(), path, CLIENTS, ROUNDS);
+            (hammer(reference.endpoint(), path, CLIENTS, ROUNDS), w)
+        };
+        ratios.push(reference_time.as_secs_f64() / watched_time.as_secs_f64());
+        baseline += reference_time;
+        with_idlers += watched_time;
     }
     reference.shutdown();
-    let ratio = baseline.as_secs_f64() / with_idlers.as_secs_f64();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[PAIRS / 2];
     assert!(
         ratio >= 0.90,
         "active throughput with {IDLERS} parked watches fell to {:.1}% of the idle-free \
-         baseline (baseline {baseline:?}, with idlers {with_idlers:?})",
+         baseline (median of {PAIRS} paired batches; totals: baseline {baseline:?}, \
+         with idlers {with_idlers:?})",
         ratio * 100.0
     );
 
-    // One targeted invalidate wakes all eleven hundred.
-    let (removed, generation) = client.invalidate(&first.key).expect("invalidate");
+    // One targeted invalidate wakes all eleven hundred. A fresh
+    // connection: one left idle through the measurement would have been
+    // expired by the daemon's read timeout.
+    let (removed, generation) = PolicyClient::connect(server.endpoint())
+        .and_then(|mut c| c.invalidate(&first.key))
+        .expect("invalidate");
     assert!(removed);
     for watcher in &mut watchers {
         assert_eq!(watcher.wake(), generation);

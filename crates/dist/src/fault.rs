@@ -9,6 +9,14 @@
 //! the frame twice, or delays it. The plan is deterministic per seed, so
 //! a chaos run that found a bug is a chaos run that reproduces it.
 //!
+//! [`write_frame`] is also where the framing contract lives: a frame and
+//! its `'\n'` terminator reach the writer in **one** `write_all` call,
+//! then a flush. A line split across two writes stalls TCP: the tail
+//! sits behind Nagle's algorithm until the peer's delayed ACK fires
+//! (~40 ms on Linux), once per frame. Every fault that delivers bytes
+//! keeps the contract (a duplicate is both copies in one buffer); only a
+//! truncation writes a partial line, because that is the fault.
+//!
 //! Faults are **write-side**: a corrupted frame crosses the wire and the
 //! *reader* deals with it, exactly like real line noise. Note what that
 //! implies for integrity: a flipped byte inside a JSON string often
@@ -244,16 +252,23 @@ pub fn init_from_env() -> Result<(), String> {
 /// Writes one already-serialized frame (sans newline), applying the
 /// installed fault plan if any. This is the single choke point
 /// [`crate::protocol::write_message`] delegates to.
-pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> std::io::Result<()> {
+///
+/// The frame is taken by value so its `'\n'` terminator is appended in
+/// place and the line goes out in one write (the contract in the module
+/// docs) without a second copy. The dice are drawn over the frame body,
+/// newline excluded, so a given seed replays the same faults.
+pub fn write_frame(writer: &mut impl Write, frame: impl Into<Vec<u8>>) -> std::io::Result<()> {
+    let mut line = frame.into();
+    let body_len = line.len();
+    line.push(b'\n');
     if !enabled() {
-        writer.write_all(frame)?;
-        writer.write_all(b"\n")?;
+        writer.write_all(&line)?;
         return writer.flush();
     }
     let action = {
         let mut guard = PLAN.lock().expect("fault plan lock");
         match guard.as_mut() {
-            Some(state) => state.decide(frame.len()),
+            Some(state) => state.decide(body_len),
             None => Action::Deliver,
         }
     };
@@ -261,14 +276,9 @@ pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> std::io::Result<()>
         injected_counter().inc();
     }
     match action {
-        Action::Deliver => {
-            writer.write_all(frame)?;
-            writer.write_all(b"\n")?;
-            writer.flush()
-        }
+        Action::Deliver => {}
         Action::Corrupt(pos) => {
-            let mut bent = frame.to_vec();
-            if let Some(byte) = bent.get_mut(pos) {
+            if let Some(byte) = line[..body_len].get_mut(pos) {
                 let flipped = *byte ^ 0x55;
                 // Never fabricate a newline: that would *split* the
                 // frame instead of corrupting it.
@@ -278,36 +288,26 @@ pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> std::io::Result<()>
                     flipped
                 };
             }
-            writer.write_all(&bent)?;
-            writer.write_all(b"\n")?;
-            writer.flush()
         }
         Action::Truncate(pos) => {
-            writer.write_all(&frame[..pos])?;
+            writer.write_all(&line[..pos])?;
             let _ = writer.flush();
-            Err(std::io::Error::new(
+            return Err(std::io::Error::new(
                 std::io::ErrorKind::ConnectionReset,
                 "fault injection: frame truncated mid-write",
+            ));
+        }
+        Action::Reset => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                "fault injection: connection reset before write",
             ))
         }
-        Action::Reset => Err(std::io::Error::new(
-            std::io::ErrorKind::ConnectionReset,
-            "fault injection: connection reset before write",
-        )),
-        Action::Duplicate => {
-            writer.write_all(frame)?;
-            writer.write_all(b"\n")?;
-            writer.write_all(frame)?;
-            writer.write_all(b"\n")?;
-            writer.flush()
-        }
-        Action::Delay(pause) => {
-            std::thread::sleep(pause);
-            writer.write_all(frame)?;
-            writer.write_all(b"\n")?;
-            writer.flush()
-        }
+        Action::Duplicate => line.extend_from_within(..),
+        Action::Delay(pause) => std::thread::sleep(pause),
     }
+    writer.write_all(&line)?;
+    writer.flush()
 }
 
 #[cfg(test)]
@@ -444,6 +444,70 @@ mod tests {
         let mut out = Vec::new();
         write_frame(&mut out, b"{\"type\":\"heartbeat\"}").expect("duplicates deliver");
         assert_eq!(out, b"{\"type\":\"heartbeat\"}\n{\"type\":\"heartbeat\"}\n");
+    }
+
+    /// A writer that keeps every `write` call as its own chunk and takes
+    /// each buffer whole, so a `write_all` shows up as exactly one call.
+    #[derive(Default)]
+    struct CallRecorder(Vec<Vec<u8>>);
+    impl Write for CallRecorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_delivered_frame_is_one_write_call() {
+        let frame = b"{\"type\":\"result\",\"id\":42}";
+        let line = [&frame[..], b"\n"].concat();
+
+        // Holds the plan lock; the loop swaps plans (chaos off first).
+        let _guard = PlanGuard::install(FaultPlan::quiet(1));
+        let plans = [
+            ("off", None),
+            ("quiet", Some(FaultPlan::quiet(1))),
+            (
+                "corrupt",
+                Some(FaultPlan {
+                    corrupt: 1000,
+                    ..FaultPlan::quiet(1)
+                }),
+            ),
+            (
+                "dup",
+                Some(FaultPlan {
+                    dup: 1000,
+                    ..FaultPlan::quiet(1)
+                }),
+            ),
+            (
+                "delay",
+                Some(FaultPlan {
+                    delay: 1000,
+                    delay_ms: 1,
+                    ..FaultPlan::quiet(1)
+                }),
+            ),
+        ];
+        for (name, plan) in plans {
+            set_plan(plan);
+            let mut out = CallRecorder::default();
+            for _ in 0..8 {
+                write_frame(&mut out, frame).expect("delivering faults deliver");
+            }
+            assert_eq!(out.0.len(), 8, "{name}: one write call per frame");
+            for call in &out.0 {
+                let copies = if name == "dup" { 2 } else { 1 };
+                assert_eq!(call.len(), copies * line.len(), "{name}: whole lines");
+                assert!(call.ends_with(b"\n"), "{name}: call ends the line");
+                let newlines = call.iter().filter(|&&b| b == b'\n').count();
+                assert_eq!(newlines, copies, "{name}: no split, no merge");
+            }
+        }
     }
 
     #[test]

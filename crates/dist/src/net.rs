@@ -90,7 +90,10 @@ impl Listener {
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                Conn::tcp(stream)
+            }
         }
     }
 
@@ -128,8 +131,18 @@ impl Conn {
     pub fn connect(endpoint: &Endpoint) -> std::io::Result<Conn> {
         match endpoint {
             Endpoint::Unix(path) => UnixStream::connect(path).map(Conn::Unix),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
+            Endpoint::Tcp(addr) => Conn::tcp(TcpStream::connect(addr.as_str())?),
         }
+    }
+
+    /// Wraps a TCP stream with `TCP_NODELAY` set, dialed or accepted
+    /// alike. Every protocol here is request/reply over small frames, so
+    /// Nagle's algorithm only ever delays a frame's tail until the peer's
+    /// delayed ACK; this keeps a frame written in more than one call
+    /// from paying that stall.
+    fn tcp(stream: TcpStream) -> std::io::Result<Conn> {
+        stream.set_nodelay(true)?;
+        Ok(Conn::Tcp(stream))
     }
 
     /// A second handle onto the same socket (separate read/write halves).
@@ -307,6 +320,20 @@ mod tests {
         let real = std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone");
         assert!(!is_would_block(&real));
         assert!(!is_deadline(&real));
+    }
+
+    #[test]
+    fn tcp_conns_set_nodelay_whether_dialed_or_accepted() {
+        let (listener, endpoint) =
+            Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).expect("bind");
+        let dialed = Conn::connect(&endpoint).expect("dial");
+        let accepted = listener.accept().expect("accept");
+        for (side, conn) in [("dialed", &dialed), ("accepted", &accepted)] {
+            let Conn::Tcp(stream) = conn else {
+                panic!("{side} conn must be tcp");
+            };
+            assert!(stream.nodelay().expect("getsockopt"), "{side}: TCP_NODELAY");
+        }
     }
 
     #[test]

@@ -171,7 +171,9 @@ pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Vec<SpanRecord> {
 
 /// Writes one message as a single JSON line and flushes — flushing per
 /// message is what keeps a request/response protocol live across the
-/// socket's buffering. The actual byte write goes through the
+/// socket's buffering. The serialized string is handed over by value, so
+/// the line (newline included) reaches the socket in one write with no
+/// second copy of the frame. The actual byte write goes through the
 /// fault-injection choke point ([`crate::fault::write_frame`]): a no-op
 /// unless a chaos plan is installed, and the single place where every
 /// NDJSON protocol in the workspace can be subjected to line noise.
@@ -181,7 +183,7 @@ pub fn write_message<T: serde::Serialize>(
 ) -> std::io::Result<()> {
     let json = serde_json::to_string(message)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    crate::fault::write_frame(writer, json.as_bytes())
+    crate::fault::write_frame(writer, json)
 }
 
 /// Reads one message line with no length cap (trusted peers only).

@@ -339,6 +339,36 @@ fn tcp_endpoint_serves_the_same_protocol() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A TCP policy client's round trip must not wait on a delayed ACK: a
+/// request written in pieces behind Nagle's algorithm costs ~40 ms a
+/// ping on Linux, against well under a millisecond when each frame is
+/// one write on a `TCP_NODELAY` socket. Median, so one scheduler hiccup
+/// cannot fail the run.
+#[test]
+fn tcp_ping_median_is_under_5ms() {
+    let server = PolicyServer::spawn(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        options_with(None, Duration::from_secs(2)),
+    )
+    .expect("spawn on ephemeral port");
+    let mut client = PolicyClient::connect(server.endpoint()).expect("connect");
+    let mut samples: Vec<Duration> = (0..60)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            client.ping().expect("ping over tcp");
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median tcp ping {median:?} (a frame is waiting on a delayed ACK)"
+    );
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn in_band_shutdown_is_graceful_and_cleans_the_socket() {
     let dir = scratch("shutdown");

@@ -9,13 +9,19 @@
 //! imports through those interfaces. Cross-library calls are closed over
 //! with a worklist fixpoint (the paper orders the library DAG with a
 //! priority queue; the fixpoint computes the same closure and also
-//! tolerates dependency cycles).
+//! tolerates dependency cycles). The fixpoint depends only on the stored
+//! interfaces, so it too runs once per store: [`LibraryStore::closure`]
+//! memoizes it until the next [`LibraryStore::insert`].
 
 use crate::{AnalysisError, Analyzer};
 use bside_cfg::{Cfg, EdgeKind};
 use bside_elf::Elf;
 use bside_syscalls::SyscallSet;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::OnceLock;
+
+/// Per-export closed system call set and completeness flag.
+type Closure = BTreeMap<String, (SyscallSet, bool)>;
 
 /// Everything a consumer needs to know about one exported function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +88,8 @@ pub struct LibraryStore {
     libs: BTreeMap<String, SharedInterface>,
     /// export name → owning library (first wins, mirroring link order).
     by_export: HashMap<String, String>,
+    /// Memoized [`LibraryStore::closure`]; reset by every `insert`.
+    closure: OnceLock<Closure>,
 }
 
 impl LibraryStore {
@@ -98,6 +106,7 @@ impl LibraryStore {
                 .or_insert_with(|| interface.library.clone());
         }
         self.libs.insert(interface.library.clone(), interface);
+        self.closure = OnceLock::new();
     }
 
     /// `true` if `library` has been analyzed into the store.
@@ -144,22 +153,29 @@ impl LibraryStore {
         Ok(())
     }
 
-    /// Loads every `*.interface.json` under `dir` into a store.
+    /// Loads every `*.interface.json` under `dir` into a store, in file
+    /// name order, so an export-name collision resolves the same way on
+    /// every filesystem (the name-order first library wins).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors; malformed interface files are
     /// reported as `InvalidData`.
     pub fn load_from_dir(dir: &std::path::Path) -> std::io::Result<LibraryStore> {
-        let mut store = LibraryStore::new();
+        let mut paths = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if !name.ends_with(".interface.json") {
-                continue;
+            if path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.ends_with(".interface.json"))
+            {
+                paths.push(path);
             }
+        }
+        paths.sort_by(|a, b| a.file_name().cmp(&b.file_name()));
+        let mut store = LibraryStore::new();
+        for path in paths {
             let json = std::fs::read_to_string(&path)?;
             let interface = SharedInterface::from_json(&json).map_err(|e| {
                 std::io::Error::new(
@@ -177,12 +193,24 @@ impl LibraryStore {
     /// for every external `g` that `f` calls.
     ///
     /// Returns `(set, complete)` per export name. Unresolvable external
-    /// names mark the export incomplete.
-    pub fn closure(&self) -> BTreeMap<String, (SyscallSet, bool)> {
-        let mut state: BTreeMap<String, (SyscallSet, bool)> = BTreeMap::new();
+    /// names mark the export incomplete. A name exported by several
+    /// libraries takes its set and its calls from the first inserted one
+    /// (link order).
+    ///
+    /// The result depends only on the stored interfaces, so it is computed
+    /// once per store and borrowed by every later call — concurrent
+    /// callers included; [`LibraryStore::insert`] resets it.
+    pub fn closure(&self) -> &BTreeMap<String, (SyscallSet, bool)> {
+        self.closure.get_or_init(|| self.compute_closure())
+    }
+
+    fn compute_closure(&self) -> Closure {
+        let mut state = Closure::new();
         for lib in self.libs.values() {
             for (name, info) in &lib.exports {
-                state.insert(name.clone(), (info.syscalls, info.complete));
+                if self.by_export.get(name) == Some(&lib.library) {
+                    state.insert(name.clone(), (info.syscalls, info.complete));
+                }
             }
         }
         // Worklist fixpoint over the cross-library call graph.
@@ -567,11 +595,97 @@ mod tests {
         let mut store = LibraryStore::new();
         store.insert(lib("liba.so", vec![("f", export(&[wk::READ], &[]))]));
         store.insert(lib("libb.so", vec![("f", export(&[wk::WRITE], &[]))]));
-        // Resolution keyed by name uses liba's entry (link order).
-        let closure = store.closure();
-        // Both entries land in the state map keyed by name; the by_export
-        // index prefers liba.
-        assert!(closure["f"].0.contains(wk::READ) || closure["f"].0.contains(wk::WRITE));
+        // Resolution keyed by name uses liba's entry (link order), for
+        // both the owner index and the closed set.
         assert_eq!(store.by_export["f"], "liba.so");
+        assert_eq!(store.closure()["f"].0, [wk::READ].into_iter().collect());
+    }
+
+    #[test]
+    fn colliding_exports_resolve_from_one_library() {
+        // libb's `f` calls `g`; liba's `f` does not. The owner's set and
+        // calls must be used together.
+        let mut store = LibraryStore::new();
+        store.insert(lib("liba.so", vec![("f", export(&[wk::READ], &[]))]));
+        store.insert(lib(
+            "libb.so",
+            vec![("f", export(&[], &["g"])), ("g", export(&[wk::WRITE], &[]))],
+        ));
+        assert_eq!(
+            store.closure()["f"],
+            ([wk::READ].into_iter().collect(), true)
+        );
+    }
+
+    #[test]
+    fn load_from_dir_resolves_collisions_in_name_order() {
+        let dir =
+            std::env::temp_dir().join(format!("bside-store-collision-{}", std::process::id()));
+        let mut saved = LibraryStore::new();
+        // The saved store's own winner is libb (inserted first); the
+        // loaded store's must be liba, the name-order first file.
+        saved.insert(lib("libb.so", vec![("f", export(&[wk::WRITE], &[]))]));
+        saved.insert(lib("liba.so", vec![("f", export(&[wk::READ], &[]))]));
+        saved.save_to_dir(&dir).expect("saves");
+        let loaded = LibraryStore::load_from_dir(&dir).expect("loads");
+        std::fs::remove_dir_all(&dir).expect("cleans up");
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.by_export["f"], "liba.so");
+        assert_eq!(loaded.closure()["f"].0, [wk::READ].into_iter().collect());
+    }
+
+    #[test]
+    fn closure_is_memoized() {
+        let mut store = LibraryStore::new();
+        store.insert(lib("liba.so", vec![("a_fn", export(&[wk::READ], &[]))]));
+        assert!(std::ptr::eq(store.closure(), store.closure()));
+    }
+
+    #[test]
+    fn insert_invalidates_memoized_closure() {
+        let mut store = LibraryStore::new();
+        store.insert(lib(
+            "liba.so",
+            vec![("a_fn", export(&[wk::READ], &["b_fn"]))],
+        ));
+        assert!(!store.closure()["a_fn"].1, "b_fn not yet stored");
+        store.insert(lib("libb.so", vec![("b_fn", export(&[wk::WRITE], &[]))]));
+        let (set, complete) = &store.closure()["a_fn"];
+        assert!(complete);
+        assert_eq!(*set, [wk::READ, wk::WRITE].into_iter().collect());
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_closure() {
+        let mut store = LibraryStore::new();
+        store.insert(lib(
+            "liba.so",
+            vec![("a_fn", export(&[wk::READ], &["b_fn"]))],
+        ));
+        store.insert(lib("libb.so", vec![("b_fn", export(&[wk::WRITE], &[]))]));
+        let store = &store;
+        // All eight reach the still-empty cell together.
+        let start = std::sync::Barrier::new(8);
+        let closures: Vec<&Closure> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        store.closure()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        for closure in closures {
+            assert!(std::ptr::eq(closure, store.closure()));
+            assert_eq!(
+                closure["a_fn"].0,
+                [wk::READ, wk::WRITE].into_iter().collect()
+            );
+        }
     }
 }

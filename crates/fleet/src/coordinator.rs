@@ -398,11 +398,11 @@ impl FleetShared {
     /// Declares an agent dead, attributing the loss unless the
     /// coordinator is shutting down (goodbyes are not casualties).
     fn declare_dead(&self, agent: &AgentState, kind: FailureKind) {
-        self.count_loss(agent.mark_dead(kind));
+        agent.mark_dead(kind, || self.count_loss());
     }
 
-    fn count_loss(&self, severed: bool) {
-        if severed && !self.shutdown.load(Ordering::SeqCst) {
+    fn count_loss(&self) {
+        if !self.shutdown.load(Ordering::SeqCst) {
             self.registry.lost_total.fetch_add(1, Ordering::Relaxed);
             self.metrics.agents_lost.inc();
         }
@@ -494,7 +494,7 @@ fn reaper_loop(shared: &Arc<FleetShared>) {
             // A remote process cannot be killed from here; severing the
             // connection is the next best thing. Everything else the
             // agent held is failed as a lost attempt and requeued.
-            shared.count_loss(agent.expire_deadlines(now));
+            agent.expire_deadlines(now, || shared.count_loss());
         }
         // Parked rather than slept, so shutdown can wake the reaper
         // instead of waiting out the tick.

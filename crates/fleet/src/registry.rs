@@ -101,18 +101,20 @@ pub(crate) struct AgentState {
 
 impl AgentState {
     /// Declares the agent dead: severs the socket (unblocking its reader
-    /// thread wherever it is), fails every outstanding dispatch with
-    /// `kind`, and reports whether this call was the one that did it.
-    pub(crate) fn mark_dead(&self, kind: FailureKind) -> bool {
-        self.sever(|_| kind)
+    /// thread wherever it is) and fails every outstanding dispatch with
+    /// `kind`. `on_sever` runs only if this call was the one that did it,
+    /// before any dispatcher wakes.
+    pub(crate) fn mark_dead(&self, kind: FailureKind, on_sever: impl FnOnce()) {
+        self.sever(|_| kind, on_sever);
     }
 
     /// Severs the agent if any outstanding dispatch is past its
     /// deadline: those fail as [`FailureKind::Timeout`], everything else
-    /// it held as a lost attempt. Returns whether this call severed it.
+    /// it held as a lost attempt; `on_sever` runs as in
+    /// [`Self::mark_dead`].
     /// The agent is dead before any dispatcher wakes, so a requeued unit
     /// can never be shipped back to the agent that just hung on it.
-    pub(crate) fn expire_deadlines(&self, now: Instant) -> bool {
+    pub(crate) fn expire_deadlines(&self, now: Instant, on_sever: impl FnOnce()) {
         let expired = |p: &Pending| now >= p.deadline;
         let any = self
             .pending
@@ -120,19 +122,28 @@ impl AgentState {
             .expect("pending lock")
             .values()
             .any(expired);
-        any && self.sever(|p| {
-            if expired(p) {
-                FailureKind::Timeout
-            } else {
-                FailureKind::WorkerCrash
-            }
-        })
+        if any {
+            self.sever(
+                |p| {
+                    if expired(p) {
+                        FailureKind::Timeout
+                    } else {
+                        FailureKind::WorkerCrash
+                    }
+                },
+                on_sever,
+            );
+        }
     }
 
-    fn sever(&self, kind_of: impl Fn(&Pending) -> FailureKind) -> bool {
+    fn sever(&self, kind_of: impl Fn(&Pending) -> FailureKind, on_sever: impl FnOnce()) {
         if self.dead.swap(true, Ordering::SeqCst) {
-            return false;
+            return;
         }
+        // Before the drain below wakes dispatchers: a unit whose last
+        // attempt dies with this agent can end the run, and the loss must
+        // already be visible to whoever reads the stats then.
+        on_sever();
         let _ = self.conn.shutdown_both();
         let drained: Vec<Pending> = {
             let mut pending = self.pending.lock().expect("pending lock");
@@ -141,7 +152,6 @@ impl AgentState {
         for p in drained {
             p.reply.fill(SlotReply::Lost(kind_of(&p)));
         }
-        true
     }
 
     /// Registers an outstanding dispatch. Returns `false` when the agent

@@ -1069,7 +1069,7 @@ fn phases_json(t: &PipelineTimings, indent: &str) -> String {
 struct FilterReplayLeg {
     name: String,
     kind: &'static str,
-    gate_points: Option<usize>,
+    gate_pieces: Option<usize>,
     report: bside::filter::replay::ThroughputReport,
 }
 
@@ -1103,7 +1103,7 @@ fn run_filter_replay() -> Vec<FilterReplayLeg> {
         legs.push(FilterReplayLeg {
             name,
             kind: "flat",
-            gate_points: compiled.report.proof.as_ref().map(|p| p.points),
+            gate_pieces: compiled.report.proof.as_ref().map(|p| p.pieces()),
             report,
         });
     }
@@ -1125,7 +1125,7 @@ fn run_filter_replay() -> Vec<FilterReplayLeg> {
         legs.push(FilterReplayLeg {
             name: "lighttpd".to_string(),
             kind: "phased",
-            gate_points: None,
+            gate_pieces: None,
             report,
         });
     }
@@ -1137,10 +1137,10 @@ fn filter_replay_json(legs: &[FilterReplayLeg], indent: &str) -> String {
         .iter()
         .map(|l| {
             format!(
-                "{{\n{indent}    \"name\": \"{}\",\n{indent}    \"kind\": \"{}\",\n{indent}    \"gate_points\": {},\n{indent}    \"events\": {},\n{indent}    \"repeats\": {},\n{indent}    \"naive_len\": {},\n{indent}    \"optimized_len\": {},\n{indent}    \"naive_ns_per_eval\": {:.2},\n{indent}    \"optimized_ns_per_eval\": {:.2},\n{indent}    \"speedup\": {:.4}\n{indent}  }}",
+                "{{\n{indent}    \"name\": \"{}\",\n{indent}    \"kind\": \"{}\",\n{indent}    \"gate_pieces\": {},\n{indent}    \"events\": {},\n{indent}    \"repeats\": {},\n{indent}    \"naive_len\": {},\n{indent}    \"optimized_len\": {},\n{indent}    \"naive_ns_per_eval\": {:.2},\n{indent}    \"optimized_ns_per_eval\": {:.2},\n{indent}    \"speedup\": {:.4}\n{indent}  }}",
                 l.name,
                 l.kind,
-                l.gate_points
+                l.gate_pieces
                     .map_or("null".to_string(), |p| p.to_string()),
                 l.report.events,
                 l.report.repeats,

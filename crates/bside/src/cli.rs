@@ -1012,8 +1012,8 @@ fn cmd_replay(args: &[String]) -> CmdResult {
     if want_json {
         let gate = match (&report.proof, &report.fallback) {
             (Some(p), _) => format!(
-                "{{\"passed\":true,\"points\":{},\"arch_candidates\":{},\"nr_candidates\":{}}}",
-                p.points, p.arch_candidates, p.nr_candidates
+                "{{\"passed\":true,\"naive_pieces\":{},\"optimized_pieces\":{}}}",
+                p.left_pieces, p.right_pieces
             ),
             (None, Some(why)) => format!("{{\"passed\":false,\"fallback\":{why:?}}}"),
             (None, None) => "{\"passed\":false}".to_string(),
@@ -1059,7 +1059,7 @@ fn cmd_replay(args: &[String]) -> CmdResult {
             "# {name}: {} syscall(s) allowed, gate {}, {violations} violation(s) in trace",
             bundle.policy.allowed.len(),
             match (&report.proof, &report.fallback) {
-                (Some(p), _) => format!("passed ({} points)", p.points),
+                (Some(p), _) => format!("passed ({} pieces)", p.pieces()),
                 (None, Some(why)) => format!("FELL BACK ({why})"),
                 (None, None) => "not run".to_string(),
             }

@@ -1011,7 +1011,7 @@ mod tests {
                     compiled.report.optimized_len,
                     compiled.report.naive_len
                 );
-                assert!(compiled.report.proof.expect("proof").points > 0);
+                assert!(compiled.report.proof.expect("proof").pieces() > 0);
             }
         }
     }

@@ -15,13 +15,14 @@
 //! will ever signal. The leader's own connection still dies by panic
 //! (the worker pool's `catch_unwind` counts it), exactly as before.
 
-use crate::protocol::PolicyBundle;
+use crate::store::StoredBundle;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// What a flight resolves to: the shared bundle, or the in-band error
-/// message every follower relays.
-pub(crate) type FlightResult = Result<Arc<PolicyBundle>, String>;
+/// What a flight resolves to: the leader's store entry — bundle and
+/// encoded bytes, shared, so a follower's reply splices the same bytes
+/// as the leader's — or the in-band error message every follower relays.
+pub(crate) type FlightResult = Result<StoredBundle, String>;
 
 struct Flight {
     /// `None` while the leader is working; `Some` once published.
@@ -129,15 +130,16 @@ impl Drop for LeaderGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PolicyBundle;
     use bside_filter::bpf::BpfProgram;
     use bside_filter::{FilterPolicy, PhasePolicy};
     use bside_syscalls::SyscallSet;
 
-    fn bundle() -> Arc<PolicyBundle> {
+    fn bundle() -> StoredBundle {
         let allowed = SyscallSet::new();
         let policy = FilterPolicy::allow_only("t", allowed);
         let bpf = BpfProgram::from_policy(&policy);
-        Arc::new(PolicyBundle {
+        StoredBundle::encode(PolicyBundle {
             binary: "t".to_string(),
             policy,
             phases: PhasePolicy {
@@ -148,6 +150,7 @@ mod tests {
             },
             bpf,
         })
+        .expect("encodes")
     }
 
     #[test]
@@ -167,10 +170,17 @@ mod tests {
             .collect();
         // Give the followers time to block before publishing.
         std::thread::sleep(std::time::Duration::from_millis(50));
-        guard.complete(Ok(bundle()));
+        let entry = bundle();
+        guard.complete(Ok(entry.clone()));
         for follower in followers {
-            let result = follower.join().expect("follower thread");
-            assert_eq!(*result.expect("shared ok"), *bundle());
+            let shared = follower
+                .join()
+                .expect("follower thread")
+                .expect("shared ok");
+            assert!(
+                Arc::ptr_eq(&shared.json, &entry.json),
+                "followers share the leader's encoded bytes, not a copy"
+            );
         }
         assert_eq!(table.in_flight(), 0, "completed flight is retired");
     }

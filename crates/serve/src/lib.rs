@@ -21,9 +21,11 @@
 //!   fires only when *its* store entry is mutated;
 //! * a **readiness-loop server** ([`server`]): one event-loop thread
 //!   multiplexes every connection over the vendored `poll(2)` shim
-//!   (the `shims/poll` workspace crate), dispatching complete request lines
-//!   to a small worker pool — idle and watch-parked connections cost no
-//!   thread, so a two-thread daemon holds thousands of open watches —
+//!   (the `shims/poll` workspace crate), answers memory-resident store
+//!   hits and `watch` itself from bytes the store encoded once, and
+//!   dispatches the rest to a small worker pool — idle and
+//!   watch-parked connections cost no thread, so a two-thread daemon
+//!   holds thousands of open watches —
 //!   with graceful shutdown, per-connection panic isolation, and
 //!   **single-flight** analyze-on-miss (the `flight` table): N
 //!   concurrent cold requests for the same binary run exactly one

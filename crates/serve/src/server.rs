@@ -6,22 +6,40 @@
 //! vendored `poll(2)` shim (`shims/poll`, wrapped by `readiness`). The
 //! loop does all socket I/O — accepting, frame assembly into a per-
 //! connection read buffer, and draining write buffers when a socket
-//! backs up — but never executes a request: each complete NDJSON line
-//! is dispatched to one of [`ServeOptions::threads`] **worker threads**,
-//! so a slow analysis never blocks accepting, reading, or any other
-//! connection's replies. Workers hand serialized reply bytes back
-//! through a completion queue and ring a wake pipe; the loop writes
-//! them out. Per-connection isolation mirrors the dist coordinator's
-//! per-process isolation one level down: a panicking handler is caught,
-//! counted, and costs exactly its own connection — the daemon and every
-//! other client keep going.
+//! backs up — and parses each complete NDJSON request line once. It
+//! answers what memory alone can answer:
+//!
+//! * `policy_by_key` when the entry is in the store's memory;
+//! * `policy` when the path hits the `(len, mtime)` memo (one `stat`,
+//!   no read) and the memoized key's entry is in memory;
+//! * `watch` — validation, subscription and parking.
+//!
+//! A store hit's reply is spliced from the bytes the store encoded once
+//! at insert, so it costs neither a serialization nor a thread hand-off.
+//! Everything else — reading a binary, promoting a disk entry, analysis,
+//! invalidation, listing the store — goes to one of
+//! [`ServeOptions::threads`] **worker threads**, so a slow analysis
+//! never blocks accepting, reading, or any other connection's replies,
+//! store hits included. The rule that keeps the loop fast is no disk
+//! I/O on the loop beyond the memo's `stat`; it needs no size bound,
+//! since the loop copies every worker's reply into the write buffer
+//! anyway. Workers hand serialized reply bytes back through a completion
+//! queue and ring a wake pipe; the loop writes them out. Per-connection
+//! isolation mirrors the dist coordinator's per-process isolation one
+//! level down: a panicking handler, on a worker or on the loop, is
+//! caught, counted, and costs exactly its own connection — the daemon
+//! and every other client keep going.
 //!
 //! A connection is therefore in one of three phases: **idle** (the loop
-//! is assembling its next request line; an idle connection past
-//! [`ServeOptions::read_timeout`] with no progress is expired),
+//! is assembling and answering its request lines; an idle connection
+//! past [`ServeOptions::read_timeout`] with no progress is expired),
 //! **busy** (exactly one request executing on a worker; pipelined bytes
 //! accumulate in the read buffer, bounded by backpressure), or
-//! **parked** (a `watch` waiting for a store mutation — see below).
+//! **parked** (a `watch` waiting for a store mutation — see below). Both
+//! directions are bounded: the loop stops answering a connection whose
+//! unsent replies pass [`WBUF_HIGH_WATER`], and stops reading one whose
+//! read buffer is full, so a client that pipelines without reading is
+//! held by flow control instead of growing the daemon's buffers.
 //! Idle and parked connections cost no worker thread and no syscalls
 //! until their socket or subscription becomes ready, which is what lets
 //! a two-thread daemon hold thousands of open watches.
@@ -66,7 +84,7 @@ use crate::protocol::{
     write_message, Reply, Request, Source, StatsSnapshot, MAX_REQUEST_LINE_BYTES, PROTOCOL_VERSION,
 };
 use crate::readiness::{PollSet, WakePipe, Waker};
-use crate::store::{library_fingerprint, PolicyStore, Subscribed};
+use crate::store::{library_fingerprint, PolicyStore, StoredBundle, Subscribed};
 use crate::{binary_name, derive_bundle, derive_bundle_parsed, RemoteAnalyzer};
 use bside_core::{AnalyzerOptions, LibraryStore};
 use bside_obs as obs;
@@ -288,32 +306,22 @@ struct PathKey {
     key: String,
 }
 
-/// How one request resolves: an immediate reply, or (for a waiting
-/// `watch`) an instruction to park the connection on a store
-/// subscription.
-enum Answered {
-    Reply(Reply),
-    Park { seen: u64, key: Option<String> },
-}
-
 /// What the event loop does with a connection after a worker's reply
 /// bytes are written.
 enum After {
     /// Back to idle: assemble the next request.
     Resume,
-    /// Close once the reply drains (malformed framing, handler panic).
+    /// Close once the reply drains (handler panic).
     Close,
     /// The reply acknowledged an in-band `shutdown`.
     Shutdown,
-    /// Don't reply yet: subscribe this connection's `watch` (the loop
-    /// decides admission and subscription atomically on its own thread).
-    Park { seen: u64, key: Option<String> },
 }
 
-/// One request line dispatched to the worker pool.
+/// One parsed request the loop could not answer from memory, on its
+/// way to the worker pool.
 struct Job {
     conn_id: u64,
-    line: String,
+    request: Request,
 }
 
 /// A worker's result on its way back to the event loop.
@@ -426,20 +434,39 @@ impl Shared {
         Reply::Error { message }
     }
 
-    /// The one place a policy reply is built: bumps the counter the
-    /// source implies, so a future source variant cannot miss its
-    /// accounting. (`analyses` is counted where a derivation actually
-    /// runs — an `Analyzed` reply follows at most one of those.)
-    /// `generation` is the value to report: the landed generation for a
-    /// fresh insert, the current one otherwise.
+    /// [`Shared::error_reply`], encoded.
+    fn error_frame(&self, message: String) -> Vec<u8> {
+        encode_reply(&self.error_reply(message))
+    }
+
+    /// The refusal of a client-supplied key that is not canonical hex.
+    fn malformed_key(&self, key: &str) -> Reply {
+        self.error_reply(format!(
+            "malformed policy key {key:?} (expected 64 lowercase hex digits)"
+        ))
+    }
+
+    /// Records an answered request's latency under its endpoint.
+    fn record_request(&self, request: &Request, started: Instant) {
+        self.metrics.request_duration[endpoint_index(request)]
+            .record(started.elapsed().as_micros() as u64);
+    }
+
+    /// The one place a policy reply is built, on the loop or a worker:
+    /// bumps the counter the source implies, so a future source variant
+    /// cannot miss its accounting, and splices the entry's stored bytes
+    /// into the frame. (`analyses` is counted where a derivation
+    /// actually runs — an `Analyzed` reply follows at most one of
+    /// those.) `generation` is the value to report: the landed
+    /// generation for a fresh insert, the current one otherwise.
     fn policy_reply(
         &self,
-        key: String,
+        key: &str,
         source: Source,
         generation: u64,
-        bundle: crate::PolicyBundle,
+        stored: &StoredBundle,
         started: Instant,
-    ) -> Reply {
+    ) -> Vec<u8> {
         match source {
             Source::Store => {
                 self.metrics.store_hits.inc();
@@ -451,22 +478,42 @@ impl Shared {
         }
         self.metrics.policy_duration[source_index(source)]
             .record(started.elapsed().as_micros() as u64);
-        Reply::Policy {
-            key,
-            source,
-            generation,
-            bundle: Box::new(bundle),
-        }
+        policy_frame(key, source, generation, &stored.json)
     }
 
-    /// Answers one request. Never panics on malformed input — only the
-    /// test-only fault hook panics, deliberately. A `watch` answers
-    /// [`Answered::Park`] after validation: the *event loop* performs
-    /// the subscribe (admission, ahead/ready fast paths, parking) on its
-    /// own thread, so a fired subscription can never race ahead of the
-    /// park bookkeeping.
-    fn answer(&self, request: &Request) -> Answered {
-        Answered::Reply(match request {
+    /// A `Store`-sourced policy reply at the current generation.
+    fn store_hit(&self, key: &str, stored: &StoredBundle, started: Instant) -> Vec<u8> {
+        self.policy_reply(key, Source::Store, self.store.generation(), stored, started)
+    }
+
+    /// Answers a store hit from memory alone, or `None` when the request
+    /// needs a worker. Runs on the event loop, so it does no disk I/O
+    /// beyond the `stat` the path memo needs.
+    fn answer_from_memory(&self, request: &Request) -> Option<Vec<u8>> {
+        let started = Instant::now();
+        let frame = match request {
+            // A malformed key falls through to the worker, which refuses it.
+            Request::PolicyByKey { key } if is_store_key(key) => {
+                let stored = self.store.cached(key)?;
+                self.store_hit(key, &stored, started)
+            }
+            Request::Policy { path } => {
+                let meta = std::fs::metadata(path).ok()?;
+                let key = self.memoized_key(path, meta.len(), meta.modified().ok()?)?;
+                let stored = self.store.cached(&key)?;
+                self.store_hit(&key, &stored, started)
+            }
+            _ => return None,
+        };
+        self.record_request(request, started);
+        Some(frame)
+    }
+
+    /// Answers one request on a worker, as its encoded reply frame.
+    /// Never panics on malformed input — only the test-only fault hook
+    /// panics, deliberately.
+    fn answer(&self, request: &Request) -> Vec<u8> {
+        let reply = match request {
             Request::Ping => Reply::Pong,
             Request::Stats => Reply::Stats {
                 stats: self.snapshot(),
@@ -475,48 +522,11 @@ impl Shared {
                 text: self.metrics_text(),
             },
             Request::Shutdown => Reply::ShuttingDown,
-            Request::Watch { generation, key } => {
-                if let Some(key) = key.as_deref() {
-                    // Keyed watches share the store-key namespace with
-                    // fetches; refuse anything but canonical hex before
-                    // it becomes a subscription entry.
-                    if !is_store_key(key) {
-                        return Answered::Reply(self.error_reply(format!(
-                            "malformed policy key {key:?} (expected 64 lowercase hex digits)"
-                        )));
-                    }
-                }
-                return Answered::Park {
-                    seen: *generation,
-                    key: key.clone(),
-                };
-            }
-            Request::PolicyByKey { key } => {
-                let started = Instant::now();
-                // Client-supplied keys reach the store's filesystem
-                // layer; anything but the canonical SHA-256 hex form is
-                // refused before it can traverse out of the store dir.
-                if !is_store_key(key) {
-                    return Answered::Reply(self.error_reply(format!(
-                        "malformed policy key {key:?} (expected 64 lowercase hex digits)"
-                    )));
-                }
-                match self.store.load(key) {
-                    Some(bundle) => self.policy_reply(
-                        key.clone(),
-                        Source::Store,
-                        self.store.generation(),
-                        (*bundle).clone(),
-                        started,
-                    ),
-                    None => self.error_reply(format!("no stored policy under key {key}")),
-                }
-            }
+            Request::Watch { .. } => unreachable!("the event loop answers `watch` itself"),
+            Request::PolicyByKey { key } => return self.answer_by_key(key),
             Request::Invalidate { key } => {
                 if !is_store_key(key) {
-                    return Answered::Reply(self.error_reply(format!(
-                        "malformed policy key {key:?} (expected 64 lowercase hex digits)"
-                    )));
+                    return encode_reply(&self.malformed_key(key));
                 }
                 match self.store.invalidate(key) {
                     Some(generation) => {
@@ -534,8 +544,23 @@ impl Shared {
                     },
                 }
             }
-            Request::Policy { path } => self.answer_policy(path),
-        })
+            Request::Policy { path } => return self.answer_policy(path),
+        };
+        encode_reply(&reply)
+    }
+
+    fn answer_by_key(&self, key: &str) -> Vec<u8> {
+        let started = Instant::now();
+        // Client-supplied keys reach the store's filesystem layer;
+        // anything but the canonical SHA-256 hex form is refused before
+        // it can traverse out of the store dir.
+        if !is_store_key(key) {
+            return encode_reply(&self.malformed_key(key));
+        }
+        match self.store.load_stored(key) {
+            Some(stored) => self.store_hit(key, &stored, started),
+            None => self.error_frame(format!("no stored policy under key {key}")),
+        }
     }
 
     /// The `(len, mtime) → key` memo: the store key of an unchanged path
@@ -563,27 +588,22 @@ impl Shared {
         );
     }
 
-    fn answer_policy(&self, path: &str) -> Reply {
+    fn answer_policy(&self, path: &str) -> Vec<u8> {
         let started = Instant::now();
-        // Store-key resolution before payload read (the PR-4 reorder):
-        // stat the file, and if an unchanged `(len, mtime)` already has a
-        // memoized key that hits the store, answer without reading the
-        // binary at all — the hit path costs zero payload bytes.
+        // Store-key resolution before payload read: stat the file, and
+        // if an unchanged `(len, mtime)` already has a memoized key that
+        // hits the store, answer without reading the binary at all — the
+        // hit path costs zero payload bytes. The loop already tried this
+        // from memory; here the entry may still be promoted from disk.
         let meta = match std::fs::metadata(path) {
             Ok(meta) => meta,
-            Err(e) => return self.error_reply(format!("reading {path}: {e}")),
+            Err(e) => return self.error_frame(format!("reading {path}: {e}")),
         };
         let stamp = meta.modified().ok();
         if let Some(mtime) = stamp {
             if let Some(key) = self.memoized_key(path, meta.len(), mtime) {
-                if let Some(bundle) = self.store.load(&key) {
-                    return self.policy_reply(
-                        key,
-                        Source::Store,
-                        self.store.generation(),
-                        (*bundle).clone(),
-                        started,
-                    );
+                if let Some(stored) = self.store.load_stored(&key) {
+                    return self.store_hit(&key, &stored, started);
                 }
             }
         }
@@ -597,7 +617,7 @@ impl Shared {
         // against a pre-populated store stays parse-free.
         let bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
-            Err(e) => return self.error_reply(format!("reading {path}: {e}")),
+            Err(e) => return self.error_frame(format!("reading {path}: {e}")),
         };
         self.metrics.bytes_read.add(bytes.len() as u64);
         let name = binary_name(std::path::Path::new(path));
@@ -608,7 +628,7 @@ impl Shared {
                     let dynamic = !elf.needed_libraries().is_empty();
                     Some((elf, dynamic.then_some(fp)))
                 }
-                Err(e) => return self.error_reply(format!("parsing {name}: {e}")),
+                Err(e) => return self.error_frame(format!("parsing {name}: {e}")),
             },
         };
         let lib_fp = parsed.as_ref().and_then(|(_, fp)| *fp);
@@ -627,39 +647,24 @@ impl Shared {
                 self.memoize_key(path, after.len(), before, &key);
             }
         }
-        if let Some(bundle) = self.store.load(&key) {
-            return self.policy_reply(
-                key,
-                Source::Store,
-                self.store.generation(),
-                (*bundle).clone(),
-                started,
-            );
+        if let Some(stored) = self.store.load_stored(&key) {
+            return self.store_hit(&key, &stored, started);
         }
 
         // Store miss: join the single flight for this key.
         match self.flights.join(&key) {
-            Ticket::Follower(Ok(bundle)) => self.policy_reply(
-                key,
-                Source::Coalesced,
-                self.store.generation(),
-                (*bundle).clone(),
-                started,
-            ),
-            Ticket::Follower(Err(message)) => self.error_reply(message),
+            Ticket::Follower(Ok(stored)) => {
+                let generation = self.store.generation();
+                self.policy_reply(&key, Source::Coalesced, generation, &stored, started)
+            }
+            Ticket::Follower(Err(message)) => self.error_frame(message),
             Ticket::Leader(guard) => {
                 // Double-check the store under leadership: a previous
                 // flight may have landed between our store miss and the
                 // join — serve it instead of re-analyzing.
-                if let Some(bundle) = self.store.load(&key) {
-                    guard.complete(Ok(Arc::clone(&bundle)));
-                    return self.policy_reply(
-                        key,
-                        Source::Store,
-                        self.store.generation(),
-                        (*bundle).clone(),
-                        started,
-                    );
+                if let Some(stored) = self.store.load_stored(&key) {
+                    guard.complete(Ok(stored.clone()));
+                    return self.store_hit(&key, &stored, started);
                 }
                 if let Some(delay) = self.options.analysis_delay {
                     std::thread::sleep(delay);
@@ -735,33 +740,32 @@ impl Shared {
                     }
                     _ => derive_locally(),
                 };
-                match derived {
-                    Ok(bundle) => {
+                // The bundle is encoded once, here: the store writes these
+                // bytes to disk and keeps them, and this reply, every
+                // follower's and every later hit splice them.
+                let encoded = derived
+                    .and_then(|bundle| StoredBundle::encode(bundle).map_err(|e| e.to_string()));
+                match encoded {
+                    Ok(stored) => {
                         self.metrics.analyses.inc();
-                        let (bundle, generation) =
-                            match self.store.insert_with_libs(&key, bundle.clone(), lib_fp) {
-                                Ok(landed) => landed,
+                        let generation =
+                            match self.store.insert_stored(&key, stored.clone(), lib_fp) {
+                                Ok(generation) => generation,
                                 Err(e) => {
                                     // A store write failure degrades durability,
                                     // not service: the freshly derived bundle
                                     // still answers this request and its
                                     // followers.
                                     eprintln!("bside-serve: storing policy {key}: {e}");
-                                    (Arc::new(bundle), self.store.generation())
+                                    self.store.generation()
                                 }
                             };
-                        guard.complete(Ok(Arc::clone(&bundle)));
-                        self.policy_reply(
-                            key,
-                            Source::Analyzed,
-                            generation,
-                            (*bundle).clone(),
-                            started,
-                        )
+                        guard.complete(Ok(stored.clone()));
+                        self.policy_reply(&key, Source::Analyzed, generation, &stored, started)
                     }
                     Err(message) => {
                         guard.complete(Err(message.clone()));
-                        self.error_reply(message)
+                        self.error_frame(message)
                     }
                 }
             }
@@ -777,34 +781,38 @@ fn encode_reply(reply: &Reply) -> Vec<u8> {
     bytes
 }
 
-/// Executes one parsed-or-not request line. Runs on a worker thread;
-/// everything socket-shaped already happened on the event loop.
-fn process_job(shared: &Shared, line: &str) -> (Vec<u8>, After) {
-    let request: Request = match serde_json::from_str(line) {
-        Ok(request) => request,
-        Err(e) => {
-            // Framing is no longer trustworthy: answer once, close.
-            let reply = shared.error_reply(format!("malformed request: {e}"));
-            return (encode_reply(&reply), After::Close);
-        }
-    };
-    shared.metrics.requests.inc();
+/// A policy reply's wire frame, spliced from the entry's encoded bundle:
+/// byte for byte what [`encode_reply`] writes for the same
+/// [`Reply::Policy`], without serializing the bundle again. It goes out
+/// through the same fault-injection choke point.
+fn policy_frame(key: &str, source: Source, generation: u64, bundle_json: &str) -> Vec<u8> {
+    let key = serde_json::to_string(key).expect("a string serializes");
+    let source = serde_json::to_string(&source).expect("a unit variant serializes");
+    let mut body = format!(
+        "{{\"type\":\"policy\",\"key\":{key},\"source\":{source},\"generation\":{generation},\"bundle\":"
+    );
+    // The bundle, the closing brace, and the newline `write_frame` adds.
+    body.reserve_exact(bundle_json.len() + 2);
+    body.push_str(bundle_json);
+    body.push('}');
+    let mut frame = Vec::new();
+    let _ = bside_dist::fault::write_frame(&mut frame, body);
+    frame
+}
+
+/// Executes one request the loop could not answer from memory. Runs on
+/// a worker thread; everything socket-shaped already happened on the
+/// event loop.
+fn process_job(shared: &Shared, request: &Request) -> (Vec<u8>, After) {
     let started = Instant::now();
-    match shared.answer(&request) {
-        Answered::Reply(reply) => {
-            shared.metrics.request_duration[endpoint_index(&request)]
-                .record(started.elapsed().as_micros() as u64);
-            let after = if matches!(request, Request::Shutdown) {
-                After::Shutdown
-            } else {
-                After::Resume
-            };
-            (encode_reply(&reply), after)
-        }
-        // A parked watch hasn't been answered yet; its latency would
-        // only measure the park, so it is not recorded.
-        Answered::Park { seen, key } => (Vec::new(), After::Park { seen, key }),
-    }
+    let frame = shared.answer(request);
+    shared.record_request(request, started);
+    let after = if matches!(request, Request::Shutdown) {
+        After::Shutdown
+    } else {
+        After::Resume
+    };
+    (frame, after)
 }
 
 fn worker_loop(
@@ -822,7 +830,7 @@ fn worker_loop(
         // analysis or a deliberate fault injection) loses its own
         // connection only — the empty-bytes Close makes the event loop
         // drop the socket, so the client sees EOF.
-        let result = catch_unwind(AssertUnwindSafe(|| process_job(shared, &job.line)));
+        let result = catch_unwind(AssertUnwindSafe(|| process_job(shared, &job.request)));
         let (bytes, after) = result.unwrap_or_else(|_| {
             shared.metrics.panics.inc();
             (Vec::new(), After::Close)
@@ -871,6 +879,21 @@ struct Connection {
     last_progress: Instant,
 }
 
+impl Connection {
+    /// Reply bytes queued but not yet accepted by the socket.
+    fn unsent(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// A full read buffer stops reading until its lines are consumed — by
+    /// the busy worker's completion, or by the loop once the connection's
+    /// output drains below [`WBUF_HIGH_WATER`]. A parked watch keeps
+    /// reading: its only inbound bytes are a hangup or a breach.
+    fn read_backpressured(&self) -> bool {
+        self.phase != Phase::Parked && self.rbuf.len() >= RBUF_HIGH_WATER
+    }
+}
+
 /// How much the loop reads per `read` call while draining a socket.
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -878,11 +901,18 @@ const READ_CHUNK: usize = 16 * 1024;
 /// residual at least this large can never become a valid line.
 const LINE_CAP: usize = MAX_REQUEST_LINE_BYTES as usize;
 
-/// Backpressure bound on a busy connection's read buffer: one maximal
-/// in-flight line plus one maximal pipelined line. Past it the loop
-/// simply stops reading until the in-flight request completes — TCP/Unix
-/// flow control pushes back on the client.
+/// Backpressure bound on a connection's read buffer: two maximal
+/// pipelined lines. Past it the loop simply stops reading until lines
+/// are consumed — TCP/Unix flow control pushes back on the client.
 const RBUF_HIGH_WATER: usize = 2 * LINE_CAP;
+
+/// Backpressure bound on a connection's unsent replies. Past it the loop
+/// stops answering the connection's pipelined requests until
+/// [`EventLoop::drain_write`] sees the socket take the excess, so a
+/// client that pipelines without reading holds at most this much (plus
+/// one reply, queued whole) instead of growing `wbuf` without bound. A
+/// client that reads its replies never reaches it.
+const WBUF_HIGH_WATER: usize = 64 * 1024;
 
 /// How long the loop backs off accepting after a failed `accept` (EMFILE,
 /// aborted handshake) — applied as a poll deadline, never a sleep, so
@@ -968,9 +998,8 @@ impl EventLoop {
             let Some(conn) = self.conns.get(&id) else {
                 continue;
             };
-            let backpressured = conn.phase == Phase::Busy && conn.rbuf.len() >= RBUF_HIGH_WATER;
-            let want_read = !conn.eof && !backpressured;
-            let want_write = conn.wpos < conn.wbuf.len();
+            let want_read = !conn.eof && !conn.read_backpressured();
+            let want_write = conn.unsent() > 0;
             if !want_read && !want_write {
                 continue; // a completion or fire will wake us for it
             }
@@ -1081,7 +1110,7 @@ impl EventLoop {
                         },
                     );
                     self.hot.insert(id);
-                    self.drain_write(id);
+                    self.write_out(id);
                 }
                 Err(e) if is_would_block(&e) => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1098,8 +1127,16 @@ impl EventLoop {
         }
     }
 
-    /// Writes as much pending output as the socket accepts right now.
+    /// Writes what the socket accepts, then resumes framing: a
+    /// connection held back by [`WBUF_HIGH_WATER`] continues as its
+    /// output drains.
     fn drain_write(&mut self, id: u64) {
+        self.write_out(id);
+        self.pump(id);
+    }
+
+    /// Writes as much pending output as the socket accepts right now.
+    fn write_out(&mut self, id: u64) {
         let mut dead = false;
         let mut drained_to_close = false;
         if let Some(conn) = self.conns.get_mut(&id) {
@@ -1146,8 +1183,8 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(&id) {
             let mut chunk = [0u8; READ_CHUNK];
             loop {
-                if conn.phase == Phase::Busy && conn.rbuf.len() >= RBUF_HIGH_WATER {
-                    break; // backpressure: resume reading after completion
+                if conn.read_backpressured() {
+                    break; // resume reading once lines are consumed
                 }
                 match conn.conn.read(&mut chunk) {
                     Ok(0) => {
@@ -1186,14 +1223,16 @@ impl EventLoop {
         self.pump(id);
     }
 
-    /// Advances an idle connection's framing: extract the next request
-    /// line and dispatch it, enforce the line cap on newline-less
-    /// residue, and finish off an exhausted (EOF) connection.
+    /// Advances an idle connection's framing: parse each complete
+    /// request line and answer it — on the loop when memory suffices,
+    /// else by dispatching it to a worker — enforce the line cap on
+    /// newline-less residue, and finish off an exhausted (EOF)
+    /// connection. Holds off while the connection's unsent output is
+    /// above [`WBUF_HIGH_WATER`].
     fn pump(&mut self, id: u64) {
         enum Step {
-            Dispatch(String),
-            BadUtf8,
-            Oversize,
+            Request(Request),
+            Malformed(String),
             Exhausted,
             Wait,
         }
@@ -1202,56 +1241,48 @@ impl EventLoop {
                 let Some(conn) = self.conns.get_mut(&id) else {
                     return;
                 };
-                if conn.phase != Phase::Idle || conn.close_after_write {
+                if conn.phase != Phase::Idle
+                    || conn.close_after_write
+                    || conn.unsent() > WBUF_HIGH_WATER
+                {
                     return;
                 }
                 match conn.rbuf.iter().position(|&b| b == b'\n') {
                     Some(pos) => {
-                        let raw: Vec<u8> = conn.rbuf.drain(..=pos).collect();
-                        match std::str::from_utf8(&raw) {
-                            Ok(text) => {
-                                let line = text.trim();
-                                if line.is_empty() {
-                                    continue; // blank lines are skipped, per the codec
-                                }
-                                Step::Dispatch(line.to_string())
-                            }
-                            Err(_) => Step::BadUtf8,
+                        let step = match std::str::from_utf8(&conn.rbuf[..pos]).map(str::trim) {
+                            // Blank lines are skipped, per the codec.
+                            Ok("") => None,
+                            Ok(line) => Some(match serde_json::from_str(line) {
+                                Ok(request) => Step::Request(request),
+                                Err(e) => Step::Malformed(e.to_string()),
+                            }),
+                            // Mirrors the blocking codec: read_line would
+                            // have failed with InvalidData before JSON
+                            // parsing.
+                            Err(_) => Some(Step::Malformed(
+                                "stream did not contain valid UTF-8".to_string(),
+                            )),
+                        };
+                        conn.rbuf.drain(..=pos);
+                        match step {
+                            Some(step) => step,
+                            None => continue,
                         }
                     }
-                    None if conn.rbuf.len() >= LINE_CAP => Step::Oversize,
+                    None if conn.rbuf.len() >= LINE_CAP => Step::Malformed(format!(
+                        "message line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+                    )),
                     None if conn.eof => Step::Exhausted,
                     None => Step::Wait,
                 }
             };
             match step {
-                Step::Dispatch(line) => {
-                    let Some(tx) = &self.jobs_tx else {
-                        self.close(id);
-                        return;
-                    };
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.phase = Phase::Busy;
-                    }
-                    if tx.send(Job { conn_id: id, line }).is_err() {
-                        self.close(id);
-                    }
-                    return;
-                }
-                Step::BadUtf8 => {
-                    // Mirrors the blocking codec: read_line would have
-                    // failed with InvalidData before JSON parsing.
-                    let reply = self.shared.error_reply(
-                        "malformed request: stream did not contain valid UTF-8".to_string(),
-                    );
-                    self.queue_reply_and_finish(id, &reply);
-                    return;
-                }
-                Step::Oversize => {
-                    let cap = MAX_REQUEST_LINE_BYTES;
-                    let reply = self.shared.error_reply(format!(
-                        "malformed request: message line exceeds {cap} bytes"
-                    ));
+                Step::Request(request) => self.dispatch(id, request),
+                Step::Malformed(cause) => {
+                    // Framing is no longer trustworthy: answer once, close.
+                    let reply = self
+                        .shared
+                        .error_reply(format!("malformed request: {cause}"));
                     self.queue_reply_and_finish(id, &reply);
                     return;
                 }
@@ -1267,6 +1298,65 @@ impl EventLoop {
         }
     }
 
+    /// Answers one parsed request: `watch` and memory-resident store hits
+    /// here on the loop, everything else by handing it to a worker (the
+    /// connection is busy until the completion arrives).
+    fn dispatch(&mut self, id: u64, request: Request) {
+        self.shared.metrics.requests.inc();
+        if let Request::Watch { generation, key } = &request {
+            let started = Instant::now();
+            match key.as_deref().filter(|key| !is_store_key(key)) {
+                // Keyed watches share the store-key namespace with
+                // fetches; refuse anything but canonical hex before it
+                // becomes a subscription entry.
+                Some(bad) => {
+                    let reply = self.shared.malformed_key(bad);
+                    self.shared.record_request(&request, started);
+                    self.push(id, &encode_reply(&reply));
+                }
+                None => self.watch(id, *generation, key.clone()),
+            }
+            return;
+        }
+        // The same isolation a worker gives its requests: a panic costs
+        // this connection only.
+        let shared = &self.shared;
+        match catch_unwind(AssertUnwindSafe(|| shared.answer_from_memory(&request))) {
+            Ok(Some(frame)) => self.push(id, &frame),
+            Ok(None) => {
+                let Some(tx) = &self.jobs_tx else {
+                    self.close(id);
+                    return;
+                };
+                if let Some(conn) = self.conns.get_mut(&id) {
+                    conn.phase = Phase::Busy;
+                }
+                if tx
+                    .send(Job {
+                        conn_id: id,
+                        request,
+                    })
+                    .is_err()
+                {
+                    self.close(id);
+                }
+            }
+            Err(_) => {
+                self.shared.metrics.panics.inc();
+                self.finish(id);
+            }
+        }
+    }
+
+    /// Queues reply bytes and writes what the socket takes, leaving the
+    /// framing to the caller.
+    fn push(&mut self, id: u64, bytes: &[u8]) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.wbuf.extend_from_slice(bytes);
+        }
+        self.write_out(id);
+    }
+
     /// Queues a reply and returns the connection to idle framing.
     fn queue_reply(&mut self, id: u64, reply: &Reply) {
         let bytes = encode_reply(reply);
@@ -1275,7 +1365,6 @@ impl EventLoop {
             conn.phase = Phase::Idle;
         }
         self.drain_write(id);
-        self.pump(id);
     }
 
     /// Queues a reply, then closes once it drains.
@@ -1299,7 +1388,7 @@ impl EventLoop {
         if close_now {
             self.close(id);
         } else {
-            self.drain_write(id);
+            self.write_out(id);
         }
     }
 
@@ -1312,36 +1401,24 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&id) else {
             return; // the connection died while its request executed
         };
+        conn.wbuf.extend_from_slice(&bytes);
+        conn.phase = Phase::Idle;
         match after {
-            After::Resume => {
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.phase = Phase::Idle;
-                self.drain_write(id);
-                self.pump(id);
-            }
-            After::Close => {
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.phase = Phase::Idle;
-                self.finish(id);
-            }
+            After::Resume => self.drain_write(id),
+            After::Close => self.finish(id),
             After::Shutdown => {
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.phase = Phase::Idle;
                 self.finish(id);
                 self.shared.begin_shutdown();
-            }
-            After::Park { seen, key } => {
-                conn.phase = Phase::Idle;
-                self.apply_park(id, seen, key);
             }
         }
     }
 
-    /// The loop-side half of a `watch`: admission, the ahead/ready fast
-    /// paths, and parking — all on the loop thread, so a subscription
-    /// can only fire after the connection is actually in `Parked` phase
-    /// (no fired-before-parked race is possible).
-    fn apply_park(&mut self, id: u64, seen: u64, key: Option<String>) {
+    /// A validated `watch`: admission, the ahead/ready fast paths, and
+    /// parking — all on the loop thread, so a subscription can only fire
+    /// after the connection is actually in `Parked` phase (no
+    /// fired-before-parked race is possible). A parked watch's latency
+    /// would only measure the park, so it is not recorded.
+    fn watch(&mut self, id: u64, seen: u64, key: Option<String>) {
         {
             let Some(conn) = self.conns.get(&id) else {
                 return;
@@ -1354,13 +1431,6 @@ impl EventLoop {
                 return;
             }
         }
-        if self.draining {
-            let reply = self
-                .shared
-                .error_reply("server shutting down; watch aborted".to_string());
-            self.queue_reply_and_finish(id, &reply);
-            return;
-        }
         match self.shared.store.subscribe(id, key.as_deref(), seen) {
             Subscribed::Ahead { current } => {
                 // Only this process issues generations, so an anchor
@@ -1371,17 +1441,15 @@ impl EventLoop {
                     "watch generation {seen} is ahead of the store (current {current}); \
                      re-anchor from a fresh hello or fetch"
                 ));
-                self.queue_reply(id, &reply);
+                self.push(id, &encode_reply(&reply));
             }
             Subscribed::Ready { current } => {
                 // Already satisfied: push semantics degrade gracefully
                 // to an immediate answer, no parking round-trip.
-                self.queue_reply(
-                    id,
-                    &Reply::Generation {
-                        generation: current,
-                    },
-                );
+                let reply = Reply::Generation {
+                    generation: current,
+                };
+                self.push(id, &encode_reply(&reply));
             }
             Subscribed::Parked => {
                 let admitted = self
@@ -1406,7 +1474,7 @@ impl EventLoop {
                         "too many concurrent watch requests (limit {MAX_PARKED_WATCHES}); \
                          retry later"
                     ));
-                    self.queue_reply(id, &reply);
+                    self.push(id, &encode_reply(&reply));
                 }
             }
         }
@@ -1668,5 +1736,99 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shared.begin_shutdown();
         self.join_threads();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::PolicyBundle;
+    use bside_filter::bpf::BpfProgram;
+    use bside_filter::{FilterPolicy, PhasePolicy};
+    use bside_syscalls::{SyscallSet, Sysno};
+
+    fn bundle(name: &str) -> PolicyBundle {
+        let allowed: SyscallSet = ["read", "write", "openat", "exit_group"]
+            .iter()
+            .filter_map(|n| Sysno::from_name(n))
+            .collect();
+        let policy = FilterPolicy::allow_only(name, allowed);
+        let bpf = BpfProgram::from_policy(&policy);
+        PolicyBundle {
+            // Quotes and a backslash: escaping must survive the splice.
+            binary: name.to_string(),
+            policy,
+            phases: PhasePolicy {
+                binary: name.to_string(),
+                phases: vec![allowed, SyscallSet::new()],
+                transitions: vec![
+                    vec![(Sysno::from_name("execve").expect("execve"), 1)],
+                    vec![],
+                ],
+                initial: 0,
+            },
+            bpf,
+        }
+    }
+
+    /// The spliced frame against the canonical encoder, for one entry.
+    fn assert_wire_equal(key: &str, source: Source, generation: u64, stored: &StoredBundle) {
+        let canonical = encode_reply(&Reply::Policy {
+            key: key.to_string(),
+            source,
+            generation,
+            bundle: Box::new((*stored.bundle).clone()),
+        });
+        let spliced = policy_frame(key, source, generation, &stored.json);
+        assert_eq!(
+            String::from_utf8_lossy(&spliced),
+            String::from_utf8_lossy(&canonical),
+            "{source:?} at generation {generation}"
+        );
+    }
+
+    #[test]
+    fn spliced_frames_match_the_encoder_for_every_source_and_generation() {
+        let stored = StoredBundle::encode(bundle("we\"ird\\name")).expect("encodes");
+        let key = "ab".repeat(32);
+        for source in [Source::Store, Source::Analyzed, Source::Coalesced] {
+            for generation in [0, 1, 7, 4096, u64::MAX] {
+                assert_wire_equal(&key, source, generation, &stored);
+            }
+        }
+    }
+
+    #[test]
+    fn a_promoted_pretty_disk_entry_is_spliced_as_compact_json() {
+        let dir = std::env::temp_dir().join(format!("bside_frame_pretty_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = "cd".repeat(32);
+        {
+            let store = PolicyStore::open(Some(&dir)).expect("open");
+            store.insert(&key, bundle("pretty")).expect("insert");
+        }
+        // Rewrite the entry by hand, pretty-printed; a fresh store
+        // promotes it from disk.
+        let pretty = serde_json::to_string_pretty(&bundle("pretty")).expect("pretty");
+        std::fs::write(dir.join(format!("{key}.policy.json")), &pretty).expect("rewrite");
+        let store = PolicyStore::open(Some(&dir)).expect("reopen");
+        assert!(
+            store.cached(&key).is_none(),
+            "not in memory before promotion"
+        );
+        let stored = store.load_stored(&key).expect("promoted");
+        assert!(
+            !stored.json.contains('\n'),
+            "the disk formatting never reaches the wire"
+        );
+        assert_wire_equal(&key, Source::Store, 3, &stored);
+        assert!(
+            Arc::ptr_eq(
+                &store.cached(&key).expect("now in memory").json,
+                &stored.json
+            ),
+            "promotion encodes once; later hits share the bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

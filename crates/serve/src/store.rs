@@ -12,8 +12,12 @@
 //!
 //! Two layers:
 //!
-//! * an **in-memory map** of `Arc<PolicyBundle>` — the hot path a loaded
-//!   daemon answers from without touching disk or re-parsing JSON;
+//! * an **in-memory map** of entries, each an `Arc<PolicyBundle>` next to
+//!   the bundle's compact JSON, encoded once — at insert, or when a disk
+//!   entry is promoted. A bundle is immutable under its content address,
+//!   so those bytes stay valid for the entry's lifetime: the daemon
+//!   splices them into every policy reply instead of re-encoding, and a
+//!   loaded daemon answers without touching disk or re-parsing JSON;
 //! * an optional **directory** of `<key>.policy.json` entries written
 //!   atomically (temp file + rename), shared safely between concurrent
 //!   daemons and surviving restarts. A corrupt or truncated entry reads
@@ -59,7 +63,7 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct PolicyStore {
     dir: Option<PathBuf>,
-    mem: Mutex<HashMap<String, Arc<PolicyBundle>>>,
+    mem: Mutex<HashMap<String, StoredBundle>>,
     /// Generation counter plus the subscription registry; one mutex so a
     /// bump, its per-key index update, and the waiter hand-off are a
     /// single atomic step (no subscribe/mutate race can lose a wakeup).
@@ -126,6 +130,30 @@ pub enum Subscribed {
     /// Parked: the token is registered and will appear in
     /// [`PolicyStore::take_fired`] once the condition fires.
     Parked,
+}
+
+/// One store entry: the bundle and its compact JSON, encoded once. Cheap
+/// to clone (two reference counts), so single-flight followers share
+/// the leader's entry rather than a copy.
+#[derive(Debug, Clone)]
+pub(crate) struct StoredBundle {
+    /// The decoded bundle.
+    pub(crate) bundle: Arc<PolicyBundle>,
+    /// `serde_json::to_string(&*bundle)`: the bytes a policy reply
+    /// splices in, and the bytes a directory-backed store writes.
+    pub(crate) json: Arc<str>,
+}
+
+impl StoredBundle {
+    /// Encodes `bundle` — the one serialization the entry ever gets.
+    pub(crate) fn encode(bundle: PolicyBundle) -> std::io::Result<StoredBundle> {
+        let json = serde_json::to_string(&bundle)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        Ok(StoredBundle {
+            bundle: Arc::new(bundle),
+            json: Arc::from(json),
+        })
+    }
 }
 
 /// Distinguishes concurrent writers' temp files within one process (the
@@ -364,6 +392,21 @@ impl PolicyStore {
 
     /// Loads the bundle under `key`: memory first, then disk (promoting
     /// a disk hit into memory). Corrupt entries are a miss.
+    pub fn load(&self, key: &str) -> Option<Arc<PolicyBundle>> {
+        self.load_stored(key).map(|stored| stored.bundle)
+    }
+
+    /// The in-memory entry under `key`, if any — never touches disk. The
+    /// serve loop answers from this alone; anything it misses goes to a
+    /// worker and [`PolicyStore::load_stored`].
+    pub(crate) fn cached(&self, key: &str) -> Option<StoredBundle> {
+        self.mem.lock().expect("store lock").get(key).cloned()
+    }
+
+    /// [`PolicyStore::load`] with the entry's encoded bytes. A promoted
+    /// disk entry is re-encoded, so whatever formatting the file has
+    /// (pretty-printed by hand, written by an older daemon) never
+    /// reaches the wire.
     ///
     /// The disk promotion happens *under the memory lock*: releasing it
     /// between the disk read and the memory insert would let a
@@ -375,17 +418,17 @@ impl PolicyStore {
     /// file is gone, this is a miss) or it runs after (and removes the
     /// freshly promoted entry). Promotion is once per key per process,
     /// so the lock is not held across disk I/O on any steady-state path.
-    pub fn load(&self, key: &str) -> Option<Arc<PolicyBundle>> {
+    pub(crate) fn load_stored(&self, key: &str) -> Option<StoredBundle> {
         let mut mem = self.mem.lock().expect("store lock");
         if let Some(hit) = mem.get(key) {
-            return Some(Arc::clone(hit));
+            return Some(hit.clone());
         }
         let path = self.entry_path(key)?;
         let text = std::fs::read_to_string(path).ok()?;
         let bundle: PolicyBundle = serde_json::from_str(&text).ok()?;
-        let bundle = Arc::new(bundle);
-        mem.insert(key.to_string(), Arc::clone(&bundle));
-        Some(bundle)
+        let stored = StoredBundle::encode(bundle).ok()?;
+        mem.insert(key.to_string(), stored.clone());
+        Some(stored)
     }
 
     /// Stores `bundle` under `key` in memory and (when directory-backed)
@@ -412,19 +455,28 @@ impl PolicyStore {
         bundle: PolicyBundle,
         lib_fingerprint: Option<&str>,
     ) -> std::io::Result<(Arc<PolicyBundle>, u64)> {
-        let bundle = Arc::new(bundle);
-        // Serialization and the temp-file write happen before the lock —
-        // they are private to this writer. Only the rename (the publish)
-        // and the memory insert run under the lock, so they are atomic
-        // relative to a concurrent `invalidate`: either order leaves
-        // memory and disk agreeing, and hot-path loads never stall
-        // behind bundle serialization or a slow disk.
+        let stored = StoredBundle::encode(bundle)?;
+        let generation = self.insert_stored(key, stored.clone(), lib_fingerprint)?;
+        Ok((stored.bundle, generation))
+    }
+
+    /// [`PolicyStore::insert_with_libs`] of an already encoded entry: the
+    /// disk write reuses its bytes. Returns the generation the insert
+    /// landed at.
+    pub(crate) fn insert_stored(
+        &self,
+        key: &str,
+        stored: StoredBundle,
+        lib_fingerprint: Option<&str>,
+    ) -> std::io::Result<u64> {
+        // The temp-file write happens before the lock — it is private to
+        // this writer. Only the rename (the publish) and the memory
+        // insert run under the lock, so they are atomic relative to a
+        // concurrent `invalidate`: either order leaves memory and disk
+        // agreeing, and hot-path loads never stall behind a slow disk.
         let staged = match self.entry_path(key) {
             Some(path) => {
                 let dir = self.dir.as_ref().expect("entry path implies dir");
-                let json = serde_json::to_string(&*bundle).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
                 let tmp = dir.join(format!(
                     "{key}.tmp.{}.{}",
                     std::process::id(),
@@ -432,7 +484,7 @@ impl PolicyStore {
                 ));
                 {
                     let mut file = std::fs::File::create(&tmp)?;
-                    file.write_all(json.as_bytes())?;
+                    file.write_all(stored.json.as_bytes())?;
                 }
                 Some((tmp, path))
             }
@@ -453,9 +505,9 @@ impl PolicyStore {
                     let _ = std::fs::write(sidecar, fp);
                 }
             }
-            mem.insert(key.to_string(), Arc::clone(&bundle));
+            mem.insert(key.to_string(), stored);
         }
-        Ok((bundle, self.bump_keys(&[key])))
+        Ok(self.bump_keys(&[key]))
     }
 
     /// Removes the entry under `key` from memory and disk. Returns the

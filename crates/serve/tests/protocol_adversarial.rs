@@ -283,3 +283,47 @@ fn tcp_transport_handles_garbage_identically() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A line of 200k `[`s is 200 KB — under the line cap — and deep enough
+/// to overflow the stack of a parser that recurses without limit, which
+/// aborts the whole process where no `catch_unwind` can help. The daemon
+/// must answer it in band and go on serving the next connection.
+#[test]
+fn a_deeply_nested_line_draws_an_error_not_an_abort() {
+    let dir = scratch("deep");
+    let socket = dir.join("bside.sock");
+    let server = PolicyServer::spawn(
+        &Endpoint::Unix(socket.clone()),
+        ServeOptions {
+            threads: 2,
+            read_timeout: Duration::from_secs(5),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("spawn");
+    let payload = "[".repeat(200_000) + "\n";
+    assert!((payload.len() as u64) < MAX_REQUEST_LINE_BYTES);
+
+    let mut conn = UnixStream::connect(&socket).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    conn.write_all(payload.as_bytes())
+        .expect("write the deep line");
+    line.clear();
+    reader.read_line(&mut line).expect("an in-band reply");
+    assert!(
+        line.contains("\"error\"") && line.contains("nesting"),
+        "got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("eof"), 0, "then a close");
+
+    let mut client = PolicyClient::connect(server.endpoint()).expect("next connection");
+    client.ping().expect("still serving");
+    assert_eq!(client.stats().expect("stats").panics, 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

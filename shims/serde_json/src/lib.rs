@@ -49,6 +49,13 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// How deeply arrays and objects may nest in parsed text — real
+/// `serde_json`'s default recursion limit. The parser recurses once per
+/// level, so without a cap one line of `[`s overflows the stack, which
+/// aborts the process (`catch_unwind` cannot catch it); past the cap
+/// parsing fails like any other malformed input.
+const MAX_DEPTH: usize = 128;
+
 /// Deserializes a value from JSON text.
 pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
     let mut parser = Parser::new(text);
@@ -158,6 +165,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -166,6 +175,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -194,8 +204,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -207,6 +217,20 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error::new("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, one level deeper than its parent.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -422,6 +446,31 @@ mod tests {
         assert!(from_str::<Vec<u32>>("[1,").is_err());
         assert!(from_str::<Vec<u32>>("[1] x").is_err());
         assert!(from_str::<bool>("maybe").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let deepest = from_str::<serde::Value>(&nest(MAX_DEPTH));
+        assert!(deepest.is_ok(), "{MAX_DEPTH} levels parse");
+        let mixed = "{\"a\":".repeat(MAX_DEPTH / 2) + &"[".repeat(MAX_DEPTH / 2) + "1";
+        let mixed = mixed + &"]".repeat(MAX_DEPTH / 2) + &"}".repeat(MAX_DEPTH / 2);
+        assert!(
+            from_str::<serde::Value>(&mixed).is_ok(),
+            "objects count too"
+        );
+        let err = from_str::<serde::Value>(&nest(MAX_DEPTH + 1)).expect_err("one level past");
+        assert!(err.to_string().contains("nesting"), "got: {err}");
+        // Deep enough to overflow a 2 MiB thread stack without the cap;
+        // parsed on such a thread, it must come back as an error.
+        let line = "[".repeat(200_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || from_str::<serde::Value>(&line).is_err())
+            .expect("spawn")
+            .join()
+            .expect("the parser must not overflow the stack");
+        assert!(parsed, "unterminated deep nesting is an error");
     }
 
     #[test]

@@ -925,6 +925,207 @@ mod tests {
         }
     }
 
+    /// Analyzer options in their exact wire form.
+    const OPTIONS: &str = concat!(
+        r#"{"cfg":{"indirect":"ActiveAddressTaken"},"limits":{"max_backward_nodes":4096,"#,
+        r#""max_forward_paths":4096,"max_path_blocks":512,"max_total_blocks":200000,"#,
+        r#""undirected":false},"detect_wrappers":true,"conservative_fallback":true,"#,
+        r#""parallelism":1}"#
+    );
+
+    /// A small analysis in its exact wire form: one site, one wrapper.
+    const ANALYSIS: &str = concat!(
+        r#"{"syscalls":[0,1],"sites":[{"site":4096,"function":"main","syscalls":[0,1],"#,
+        r#""outcome":"ViaWrapper"}],"wrappers":[{"entry":8192,"name":"sc","sites":[8200],"#,
+        r#""param":{"StackSlot":8}}],"precise":true,"stats":{"timings":{"#,
+        r#""cfg_recovery":{"secs":0,"nanos":1},"wrapper_identification":{"secs":0,"nanos":2},"#,
+        r#""syscall_identification":{"secs":0,"nanos":3},"total":{"secs":1,"nanos":4}},"#,
+        r#""cfg":{"blocks":5,"instructions":6,"ataken_iterations":7,"addresses_taken":8},"#,
+        r#""sites":1,"blocks_explored":9,"peak_rss_bytes":null}}"#
+    );
+
+    /// A minimal policy bundle in its exact wire form.
+    const BUNDLE: &str = concat!(
+        r#"{"binary":"demo","policy":{"binary":"demo","allowed":[0,1]},"#,
+        r#""phases":{"binary":"demo","phases":[[0,1]],"transitions":[[]],"initial":0},"#,
+        r#""bpf":{"insns":[{"code":6,"jt":0,"jf":0,"k":2147418112}]}}"#
+    );
+
+    const TRACE: &str = r#""trace_run":21,"trace_unit":9,"trace_span":33"#;
+
+    const SPANS: &str = concat!(
+        r#""spans":[{"name":"analyze","id":21,"parent":13,"run_id":11,"unit_id":7,"#,
+        r#""start_us":100,"dur_us":50,"tid":1}]"#
+    );
+
+    /// Every frame's exact bytes, in both directions. The round-trip
+    /// tests above would pass even if a codec reordered or renamed
+    /// fields; these literals pin the wire itself. Neither frame type
+    /// implements `PartialEq`, so each golden line is checked by
+    /// encoding the value and by re-encoding what the line decodes to.
+    #[test]
+    fn every_variant_encodes_to_its_golden_bytes() {
+        let trace = Some(TraceContext {
+            run_id: 21,
+            unit_id: 9,
+            span_id: 33,
+        });
+        let spans = vec![SpanRecord {
+            name: "analyze".to_string(),
+            id: 21,
+            parent: 13,
+            run_id: 11,
+            unit_id: 7,
+            start_us: 100,
+            dur_us: 50,
+            tid: 1,
+        }];
+        let options: AnalyzerOptions = serde_json::from_str(OPTIONS).unwrap();
+        let unit = |trace| ToAgent::Unit {
+            id: 9,
+            name: "grep_9".to_string(),
+            path: "/c/9.elf".to_string(),
+            want: Want::Bundle,
+            elf: b"\x7fELF".to_vec(),
+            options: options.clone(),
+            trace,
+        };
+        let down = [
+            (
+                ToAgent::Challenge {
+                    nonce: "9f2c".to_string(),
+                },
+                r#"{"type":"challenge","nonce":"9f2c"}"#.to_string(),
+            ),
+            (
+                ToAgent::Welcome {
+                    version: 2,
+                    heartbeat_interval_ms: 250,
+                    sealed: true,
+                },
+                r#"{"type":"welcome","version":2,"heartbeat_interval_ms":250,"sealed":true}"#
+                    .to_string(),
+            ),
+            (
+                ToAgent::Reject {
+                    message: "bad".to_string(),
+                },
+                r#"{"type":"reject","message":"bad"}"#.to_string(),
+            ),
+            (
+                unit(None),
+                format!(
+                    r#"{{"type":"unit","id":9,"name":"grep_9","path":"/c/9.elf","want":"Bundle","elf":"f0VMRg==","options":{OPTIONS}}}"#
+                ),
+            ),
+            (
+                unit(trace),
+                format!(
+                    r#"{{"type":"unit","id":9,"name":"grep_9","path":"/c/9.elf","want":"Bundle","elf":"f0VMRg==","options":{OPTIONS},{TRACE}}}"#
+                ),
+            ),
+            (ToAgent::Shutdown, r#"{"type":"shutdown"}"#.to_string()),
+            (
+                ToAgent::Sealed {
+                    seq: 3,
+                    mac: "5bdc".to_string(),
+                    body: r#"{"type":"shutdown"}"#.to_string(),
+                },
+                r#"{"type":"sealed","seq":3,"mac":"5bdc","body":"{\"type\":\"shutdown\"}"}"#
+                    .to_string(),
+            ),
+        ];
+        for (msg, golden) in down {
+            assert_eq!(serde_json::to_string(&msg).unwrap(), golden);
+            let back: ToAgent = serde_json::from_str(&golden).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), golden);
+        }
+
+        let analysis = || Box::new(serde_json::from_str::<BinaryAnalysis>(ANALYSIS).unwrap());
+        let bundle: PolicyBundle = serde_json::from_str(BUNDLE).unwrap();
+        let up = [
+            (
+                FromAgent::Hello {
+                    version: 2,
+                    slots: 4,
+                    cache_format: 2,
+                    auth: None,
+                },
+                r#"{"type":"hello","version":2,"slots":4,"cache_format":2}"#.to_string(),
+            ),
+            (
+                FromAgent::Hello {
+                    version: 2,
+                    slots: 4,
+                    cache_format: 2,
+                    auth: Some("b034".to_string()),
+                },
+                r#"{"type":"hello","version":2,"slots":4,"cache_format":2,"auth":"b034"}"#
+                    .to_string(),
+            ),
+            (FromAgent::Heartbeat, r#"{"type":"heartbeat"}"#.to_string()),
+            (
+                FromAgent::Result {
+                    id: 7,
+                    analysis: analysis(),
+                    trace: None,
+                    spans: Vec::new(),
+                },
+                format!(r#"{{"type":"result","id":7,"analysis":{ANALYSIS}}}"#),
+            ),
+            (
+                FromAgent::Result {
+                    id: 7,
+                    analysis: analysis(),
+                    trace,
+                    spans: spans.clone(),
+                },
+                format!(r#"{{"type":"result","id":7,"analysis":{ANALYSIS},{TRACE},{SPANS}}}"#),
+            ),
+            (
+                FromAgent::Bundle {
+                    id: 8,
+                    bundle: Box::new(bundle),
+                    trace,
+                    spans: Vec::new(),
+                },
+                format!(r#"{{"type":"bundle","id":8,"bundle":{BUNDLE},{TRACE}}}"#),
+            ),
+            (
+                FromAgent::Error {
+                    id: 9,
+                    message: "boom".to_string(),
+                    trace: None,
+                    spans,
+                },
+                format!(r#"{{"type":"error","id":9,"message":"boom",{SPANS}}}"#),
+            ),
+            (
+                FromAgent::Sealed {
+                    seq: 4,
+                    mac: "5bdc".to_string(),
+                    body: r#"{"type":"heartbeat"}"#.to_string(),
+                },
+                r#"{"type":"sealed","seq":4,"mac":"5bdc","body":"{\"type\":\"heartbeat\"}"}"#
+                    .to_string(),
+            ),
+        ];
+        for (msg, golden) in up {
+            assert_eq!(serde_json::to_string(&msg).unwrap(), golden);
+            let back: FromAgent = serde_json::from_str(&golden).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), golden);
+        }
+
+        // Legacy input: a welcome without `sealed` is an unsealed one.
+        let old: ToAgent =
+            serde_json::from_str(r#"{"type":"welcome","version":2,"heartbeat_interval_ms":250}"#)
+                .unwrap();
+        assert_eq!(
+            serde_json::to_string(&old).unwrap(),
+            r#"{"type":"welcome","version":2,"heartbeat_interval_ms":250,"sealed":false}"#
+        );
+    }
+
     #[test]
     fn unknown_tags_and_garbage_are_errors() {
         assert!(serde_json::from_str::<FromAgent>("{\"type\":\"gimme\"}").is_err());

@@ -655,6 +655,152 @@ mod tests {
         );
     }
 
+    /// A minimal policy bundle in its exact wire form.
+    const BUNDLE: &str = concat!(
+        r#"{"binary":"demo","policy":{"binary":"demo","allowed":[0,1]},"#,
+        r#""phases":{"binary":"demo","phases":[[0,1]],"transitions":[[]],"initial":0},"#,
+        r#""bpf":{"insns":[{"code":6,"jt":0,"jf":0,"k":2147418112}]}}"#
+    );
+
+    /// Every message's exact bytes. The round-trip tests above would
+    /// pass even if a codec reordered or renamed fields; this pins the
+    /// wire itself, in both directions.
+    #[test]
+    fn every_variant_encodes_to_its_golden_bytes() {
+        let bundle: PolicyBundle = serde_json::from_str(BUNDLE).expect("golden bundle parses");
+        let requests = [
+            (
+                Request::Policy {
+                    path: "/c/a.elf".to_string(),
+                },
+                r#"{"type":"policy","path":"/c/a.elf"}"#.to_string(),
+            ),
+            (
+                Request::PolicyByKey {
+                    key: "ab".to_string(),
+                },
+                r#"{"type":"policy_by_key","key":"ab"}"#.to_string(),
+            ),
+            (
+                Request::Invalidate {
+                    key: "ab".to_string(),
+                },
+                r#"{"type":"invalidate","key":"ab"}"#.to_string(),
+            ),
+            (
+                Request::Watch {
+                    generation: 7,
+                    key: None,
+                },
+                r#"{"type":"watch","generation":7}"#.to_string(),
+            ),
+            (
+                Request::Watch {
+                    generation: 7,
+                    key: Some("ab".to_string()),
+                },
+                r#"{"type":"watch","generation":7,"key":"ab"}"#.to_string(),
+            ),
+            (Request::Stats, r#"{"type":"stats"}"#.to_string()),
+            (Request::Metrics, r#"{"type":"metrics"}"#.to_string()),
+            (Request::Ping, r#"{"type":"ping"}"#.to_string()),
+            (Request::Shutdown, r#"{"type":"shutdown"}"#.to_string()),
+        ];
+        for (msg, golden) in requests {
+            assert_eq!(serde_json::to_string(&msg).unwrap(), golden);
+            assert_eq!(serde_json::from_str::<Request>(&golden).unwrap(), msg);
+        }
+
+        let replies = [
+            (
+                Reply::Hello {
+                    version: 5,
+                    generation: 12,
+                },
+                r#"{"type":"hello","version":5,"generation":12}"#.to_string(),
+            ),
+            (
+                Reply::Policy {
+                    key: "ab".to_string(),
+                    source: Source::Coalesced,
+                    generation: 3,
+                    bundle: Box::new(bundle),
+                },
+                format!(
+                    r#"{{"type":"policy","key":"ab","source":"Coalesced","generation":3,"bundle":{BUNDLE}}}"#
+                ),
+            ),
+            (
+                Reply::Invalidated {
+                    key: "ab".to_string(),
+                    removed: true,
+                    generation: 4,
+                },
+                r#"{"type":"invalidated","key":"ab","removed":true,"generation":4}"#.to_string(),
+            ),
+            (
+                Reply::Generation { generation: 5 },
+                r#"{"type":"generation","generation":5}"#.to_string(),
+            ),
+            (
+                Reply::Stats {
+                    stats: StatsSnapshot {
+                        connections: 1,
+                        requests: 2,
+                        store_hits: 3,
+                        analyses: 4,
+                        coalesced: 5,
+                        invalidations: 6,
+                        bytes_read: 7,
+                        errors: 8,
+                        panics: 9,
+                        store_entries: 10,
+                        generation: 11,
+                        degraded: 12,
+                        breaker_state: 1,
+                    },
+                },
+                concat!(
+                    r#"{"type":"stats","stats":{"connections":1,"requests":2,"store_hits":3,"#,
+                    r#""analyses":4,"coalesced":5,"invalidations":6,"bytes_read":7,"errors":8,"#,
+                    r#""panics":9,"store_entries":10,"generation":11,"degraded":12,"#,
+                    r#""breaker_state":1}}"#
+                )
+                .to_string(),
+            ),
+            (
+                Reply::Metrics {
+                    text: "up 1\n".to_string(),
+                },
+                r#"{"type":"metrics","text":"up 1\n"}"#.to_string(),
+            ),
+            (Reply::Pong, r#"{"type":"pong"}"#.to_string()),
+            (
+                Reply::ShuttingDown,
+                r#"{"type":"shutting_down"}"#.to_string(),
+            ),
+            (
+                Reply::Error {
+                    message: "no such key".to_string(),
+                },
+                r#"{"type":"error","message":"no such key"}"#.to_string(),
+            ),
+        ];
+        for (msg, golden) in replies {
+            assert_eq!(serde_json::to_string(&msg).unwrap(), golden);
+            assert_eq!(serde_json::from_str::<Reply>(&golden).unwrap(), msg);
+        }
+
+        // Legacy input: a v1 hello has no generation.
+        assert_eq!(
+            serde_json::from_str::<Reply>(r#"{"type":"hello","version":1}"#).unwrap(),
+            Reply::Hello {
+                version: 1,
+                generation: 0
+            }
+        );
+    }
+
     #[test]
     fn capped_reader_accepts_normal_lines_and_rejects_oversized_ones() {
         let mut buf = Vec::new();

@@ -3,14 +3,14 @@
 //! Every observable of a [`BinaryAnalysis`] — identified sets, per-site
 //! reports, wrappers, cost counters, phase timings — (de)serializes
 //! through `serde`, which is what lets results cross process boundaries:
-//! the `bside-dist` coordinator/worker protocol and its content-addressed
+//! the fleet's coordinator/agent protocol and the content-addressed
 //! result cache both speak exactly this format.
 //!
 //! One deliberate exception: the recovered [`Cfg`](bside_cfg::Cfg) is
 //! **not** part of the wire format. The graph is an intermediate artifact
 //! (orders of magnitude larger than the report, and rebuildable from the
-//! binary), so serialization drops it and deserialization restores an
-//! empty graph. The canonical report — the determinism contract across
+//! binary), so serialization skips it and deserialization restores an
+//! empty graph (`Cfg::default()`). The canonical report — the determinism contract across
 //! thread counts *and* deployment modes — never looks at the graph, so
 //! round-tripping preserves it byte-for-byte. Phase detection, which does
 //! walk the graph, must run where the analysis ran.
@@ -112,43 +112,13 @@ serde::impl_serde_struct!(AnalyzerOptions {
     parallelism,
 });
 
-impl serde::Serialize for BinaryAnalysis {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Object(vec![
-            ("syscalls".to_string(), to_value(&self.syscalls)),
-            ("sites".to_string(), to_value(&self.sites)),
-            ("wrappers".to_string(), to_value(&self.wrappers)),
-            ("precise".to_string(), Value::Bool(self.precise)),
-            ("stats".to_string(), to_value(&self.stats)),
-        ]))
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for BinaryAnalysis {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.into_value()?;
-        let Value::Object(mut entries) = value else {
-            return Err(de::Error::custom("expected object for BinaryAnalysis"));
-        };
-        let mut take = |name: &str| -> Result<Value, D::Error> {
-            let pos = entries
-                .iter()
-                .position(|(k, _)| k == name)
-                .ok_or_else(|| de::Error::custom(format!("missing field `{name}`")))?;
-            Ok(entries.remove(pos).1)
-        };
-        let field_err =
-            |name: &str, e: de::ValueError| de::Error::custom(format!("field `{name}`: {e}"));
-        Ok(BinaryAnalysis {
-            syscalls: serde::from_value(take("syscalls")?).map_err(|e| field_err("syscalls", e))?,
-            sites: serde::from_value(take("sites")?).map_err(|e| field_err("sites", e))?,
-            wrappers: serde::from_value(take("wrappers")?).map_err(|e| field_err("wrappers", e))?,
-            precise: serde::from_value(take("precise")?).map_err(|e| field_err("precise", e))?,
-            stats: serde::from_value(take("stats")?).map_err(|e| field_err("stats", e))?,
-            cfg: bside_cfg::Cfg::default(),
-        })
-    }
-}
+serde::impl_serde_struct!(BinaryAnalysis {
+    syscalls,
+    sites,
+    wrappers,
+    precise,
+    stats,
+} skip { cfg });
 
 #[cfg(test)]
 mod tests {

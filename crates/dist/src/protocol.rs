@@ -3,7 +3,8 @@
 //! One message per line, each a single JSON object tagged by a `"type"`
 //! field. The fleet's agent protocol and the serve daemon's policy
 //! protocol both frame through [`write_message`] / [`read_message_capped`]
-//! and build their tagged objects with the field helpers below, so
+//! and declare their messages with `serde::impl_serde_tagged_enum!`; the
+//! trace and span fields below are that macro's custom field codecs, so
 //! framing errors, the line cap, trace propagation and shipped spans
 //! behave identically on every link.
 //!
@@ -15,50 +16,6 @@
 use bside_obs::{SpanRecord, TraceContext};
 use serde::{de, Value};
 use std::io::{BufRead, Write};
-
-/// Unwraps a tagged-message [`Value`] into its field list, naming `what`
-/// in the error.
-pub fn obj_fields(value: Value, what: &str) -> Result<Vec<(String, Value)>, de::ValueError> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        other => Err(de::Error::custom(format!(
-            "expected {what} object, found {other:?}"
-        ))),
-    }
-}
-
-/// Removes and returns a named field from a message's field list,
-/// erroring when absent.
-pub fn take_field(entries: &mut Vec<(String, Value)>, name: &str) -> Result<Value, de::ValueError> {
-    let pos = entries
-        .iter()
-        .position(|(k, _)| k == name)
-        .ok_or_else(|| de::Error::custom(format!("missing field `{name}`")))?;
-    Ok(entries.remove(pos).1)
-}
-
-/// Removes a named unsigned-integer field.
-pub fn take_u64(entries: &mut Vec<(String, Value)>, name: &str) -> Result<u64, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::UInt(n) => Ok(n),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be an unsigned integer, found {other:?}"
-        ))),
-    }
-}
-
-/// Removes a named string field.
-pub fn take_string(
-    entries: &mut Vec<(String, Value)>,
-    name: &str,
-) -> Result<String, de::ValueError> {
-    match take_field(entries, name)? {
-        Value::Str(s) => Ok(s),
-        other => Err(de::Error::custom(format!(
-            "field `{name}` must be a string, found {other:?}"
-        ))),
-    }
-}
 
 /// Appends a trace context's run/unit/span ids to a message's field
 /// list; a no-op for `None`, so frames without telemetry are
@@ -84,20 +41,32 @@ fn take_u64_lenient(entries: &mut Vec<(String, Value)>, name: &str) -> Option<u6
 /// Deliberately lenient, unlike every other field in these protocols:
 /// absent, partial, malformed, or all-zero ids yield `None` — the
 /// receiver's spans become orphans, but the frame still parses.
-/// Telemetry corruption must never sever a working link.
-pub fn take_trace(entries: &mut Vec<(String, Value)>) -> Option<TraceContext> {
-    let run_id = take_u64_lenient(entries, "trace_run");
-    let unit_id = take_u64_lenient(entries, "trace_unit");
-    let span_id = take_u64_lenient(entries, "trace_span");
-    let ctx = TraceContext {
-        run_id: run_id?,
-        unit_id: unit_id?,
-        span_id: span_id?,
+/// Telemetry corruption must never sever a working link, so this never
+/// returns an error.
+pub fn take_trace(
+    entries: &mut Vec<(String, Value)>,
+) -> Result<Option<TraceContext>, de::ValueError> {
+    let (Some(run_id), Some(unit_id), Some(span_id)) = (
+        take_u64_lenient(entries, "trace_run"),
+        take_u64_lenient(entries, "trace_unit"),
+        take_u64_lenient(entries, "trace_span"),
+    ) else {
+        return Ok(None);
     };
-    if ctx == TraceContext::default() {
-        None
-    } else {
-        Some(ctx)
+    let ctx = TraceContext {
+        run_id,
+        unit_id,
+        span_id,
+    };
+    Ok((ctx != TraceContext::default()).then_some(ctx))
+}
+
+/// Appends the `spans` field only when there is something to ship, so a
+/// telemetry-disabled peer's frames stay byte-identical to pre-trace
+/// revisions.
+pub fn push_spans(entries: &mut Vec<(String, Value)>, spans: &[SpanRecord]) {
+    if !spans.is_empty() {
+        entries.push(("spans".to_string(), spans_to_value(spans)));
     }
 }
 
@@ -123,17 +92,15 @@ pub fn spans_to_value(spans: &[SpanRecord]) -> Value {
     )
 }
 
-/// Removes and parses a `spans` field shipped by [`spans_to_value`],
-/// with the same leniency as [`take_trace`]: an absent field or a
-/// malformed entry yields fewer spans, never a parse error.
-pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Vec<SpanRecord> {
-    let pos = match entries.iter().position(|(k, _)| k == "spans") {
-        Some(pos) => pos,
-        None => return Vec::new(),
+/// Removes and parses a `spans` field shipped by [`push_spans`], with
+/// the same leniency as [`take_trace`]: an absent field or a malformed
+/// entry yields fewer spans, never an error.
+pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Result<Vec<SpanRecord>, de::ValueError> {
+    let Some(pos) = entries.iter().position(|(k, _)| k == "spans") else {
+        return Ok(Vec::new());
     };
-    let items = match entries.remove(pos).1 {
-        Value::Seq(items) => items,
-        _ => return Vec::new(),
+    let Value::Seq(items) = entries.remove(pos).1 else {
+        return Ok(Vec::new());
     };
     let mut spans = Vec::with_capacity(items.len());
     for item in items {
@@ -166,7 +133,7 @@ pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Vec<SpanRecord> {
             tid: num("tid").unwrap_or(0),
         });
     }
-    spans
+    Ok(spans)
 }
 
 /// Writes one message as a single JSON line and flushes — flushing per
@@ -234,7 +201,7 @@ mod tests {
     use super::*;
 
     fn fields(json: &str) -> Vec<(String, Value)> {
-        obj_fields(serde_json::from_str(json).unwrap(), "test").unwrap()
+        serde::object_entries(serde_json::from_str(json).unwrap()).unwrap()
     }
 
     #[test]
@@ -246,21 +213,24 @@ mod tests {
         };
         let mut entries = vec![("type".to_string(), Value::Str("error".to_string()))];
         push_trace(&mut entries, &Some(ctx));
-        assert_eq!(take_trace(&mut entries), Some(ctx));
+        assert_eq!(take_trace(&mut entries), Ok(Some(ctx)));
         assert_eq!(entries.len(), 1, "trace fields consumed");
 
         // A frame from a pre-telemetry peer: no trace fields.
-        assert_eq!(take_trace(&mut fields(r#"{"type":"error","id":3}"#)), None);
+        assert_eq!(
+            take_trace(&mut fields(r#"{"type":"error","id":3}"#)),
+            Ok(None)
+        );
         // Corrupted: the span id is a string. Only the context is
         // dropped (orphan span downstream); the frame's other fields
         // are untouched.
         let mut bad =
             fields(r#"{"type":"error","id":3,"trace_run":5,"trace_unit":3,"trace_span":"xx"}"#);
-        assert_eq!(take_trace(&mut bad), None);
-        assert!(take_field(&mut bad, "id").is_ok());
+        assert_eq!(take_trace(&mut bad), Ok(None));
+        assert!(serde::take_required::<u64>(&mut bad, "id").is_ok());
         // All-zero means "no context", same as absent.
         let mut zero = fields(r#"{"type":"error","trace_run":0,"trace_unit":0,"trace_span":0}"#);
-        assert_eq!(take_trace(&mut zero), None);
+        assert_eq!(take_trace(&mut zero), Ok(None));
     }
 
     #[test]
@@ -276,7 +246,7 @@ mod tests {
             tid: 1,
         }];
         let mut fields = vec![("spans".to_string(), spans_to_value(&spans))];
-        assert_eq!(take_spans(&mut fields), spans);
+        assert_eq!(take_spans(&mut fields), Ok(spans.clone()));
         assert!(fields.is_empty(), "field consumed");
 
         // One malformed entry in a shipped batch drops that entry, not
@@ -290,8 +260,8 @@ mod tests {
             Value::Seq(vec![Value::Str("garbage".to_string()), good]),
         )];
         let parsed = take_spans(&mut fields);
-        assert_eq!(parsed, spans);
-        assert!(take_spans(&mut Vec::new()).is_empty());
+        assert_eq!(parsed, Ok(spans));
+        assert_eq!(take_spans(&mut Vec::new()), Ok(Vec::new()));
     }
 
     #[test]

@@ -639,7 +639,7 @@ const REJECT_THRESHOLD: u32 = 3;
 /// decorrelated-jitter backoff that resets after every healthy session,
 /// while an in-band goodbye ends service cleanly and a fatal handshake
 /// verdict surfaces as the error it is — immediately for a protocol
-/// downgrade, after [`REJECT_THRESHOLD`] consecutive tries for a
+/// downgrade, after `REJECT_THRESHOLD` (3) consecutive tries for a
 /// reject. In-flight units lost with a link are abandoned idempotently
 /// — the coordinator's reaper requeues them onto live agents, so an
 /// at-most-once answer per unit is preserved across reconnects.

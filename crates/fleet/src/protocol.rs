@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! coordinator → agent   {"type":"challenge","nonce":"9f2c…"}
-//! agent → coordinator   {"type":"hello","version":2,"slots":2,"cache_format":1,
+//! agent → coordinator   {"type":"hello","version":2,"slots":2,"cache_format":2,
 //!                        "auth":"b034…"}           (auth present only on secured fleets)
 //! coordinator → agent   {"type":"welcome","version":2,"heartbeat_interval_ms":1000,
 //!                        "sealed":true}            (sealed only on secured fleets)
@@ -67,12 +67,9 @@
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
 use bside_dist::PolicyBundle;
 use bside_obs::{SpanRecord, TraceContext};
-use serde::{de, to_value, Value};
+use serde::{de, Value};
 
-use bside_dist::protocol::{
-    obj_fields, push_trace, spans_to_value, take_field, take_spans, take_string, take_trace,
-    take_u64,
-};
+use bside_dist::protocol::{push_spans, push_trace, take_spans, take_trace};
 
 pub use bside_dist::cache::CACHE_FORMAT_VERSION;
 pub use bside_dist::protocol::{read_message_capped, write_message};
@@ -246,279 +243,64 @@ pub enum FromAgent {
     },
 }
 
-impl serde::Serialize for ToAgent {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            ToAgent::Challenge { nonce } => Value::Object(vec![
-                ("type".to_string(), Value::Str("challenge".to_string())),
-                ("nonce".to_string(), Value::Str(nonce.clone())),
-            ]),
-            ToAgent::Welcome {
-                version,
-                heartbeat_interval_ms,
-                sealed,
-            } => Value::Object(vec![
-                ("type".to_string(), Value::Str("welcome".to_string())),
-                ("version".to_string(), Value::UInt(*version as u64)),
-                (
-                    "heartbeat_interval_ms".to_string(),
-                    Value::UInt(*heartbeat_interval_ms),
-                ),
-                ("sealed".to_string(), Value::Bool(*sealed)),
-            ]),
-            ToAgent::Reject { message } => Value::Object(vec![
-                ("type".to_string(), Value::Str("reject".to_string())),
-                ("message".to_string(), Value::Str(message.clone())),
-            ]),
-            ToAgent::Unit {
-                id,
-                name,
-                path,
-                want,
-                elf,
-                options,
-                trace,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("unit".to_string())),
-                    ("id".to_string(), Value::UInt(*id)),
-                    ("name".to_string(), Value::Str(name.clone())),
-                    ("path".to_string(), Value::Str(path.clone())),
-                    ("want".to_string(), to_value(want)),
-                    ("elf".to_string(), Value::Str(base64_encode(elf))),
-                    ("options".to_string(), to_value(options)),
-                ];
-                push_trace(&mut fields, trace);
-                Value::Object(fields)
-            }
-            ToAgent::Shutdown => Value::Object(vec![(
-                "type".to_string(),
-                Value::Str("shutdown".to_string()),
-            )]),
-            ToAgent::Sealed { seq, mac, body } => Value::Object(vec![
-                ("type".to_string(), Value::Str("sealed".to_string())),
-                ("seq".to_string(), Value::UInt(*seq)),
-                ("mac".to_string(), Value::Str(mac.clone())),
-                ("body".to_string(), Value::Str(body.clone())),
-            ]),
-        };
-        serializer.serialize_value(value)
-    }
+serde::impl_serde_tagged_enum!(ToAgent, tag = "type" {
+    Challenge = "challenge" { nonce },
+    // `sealed` is absent from v1 welcomes: an unsealed session.
+    Welcome = "welcome" { version, heartbeat_interval_ms, sealed = false },
+    Reject = "reject" { message },
+    Unit = "unit" {
+        id,
+        name,
+        path,
+        want,
+        elf with (push_elf, take_elf),
+        options,
+        trace with (push_trace, take_trace),
+    },
+    Shutdown = "shutdown",
+    Sealed = "sealed" { seq, mac, body },
+});
+
+serde::impl_serde_tagged_enum!(FromAgent, tag = "type" {
+    // `auth` is left out on open fleets.
+    Hello = "hello" { version, slots, cache_format, auth? },
+    Heartbeat = "heartbeat",
+    Result = "result" {
+        id,
+        analysis,
+        trace with (push_trace, take_trace),
+        spans with (push_spans, take_spans),
+    },
+    Bundle = "bundle" {
+        id,
+        bundle,
+        trace with (push_trace, take_trace),
+        spans with (push_spans, take_spans),
+    },
+    Error = "error" {
+        id,
+        message,
+        trace with (push_trace, take_trace),
+        spans with (push_spans, take_spans),
+    },
+    Sealed = "sealed" { seq, mac, body },
+});
+
+/// A unit's ELF image travels as one base64 string.
+fn push_elf(entries: &mut Vec<(String, Value)>, elf: &[u8]) {
+    entries.push(("elf".to_string(), Value::Str(base64_encode(elf))));
 }
 
-impl serde::Serialize for FromAgent {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            FromAgent::Hello {
-                version,
-                slots,
-                cache_format,
-                auth,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("hello".to_string())),
-                    ("version".to_string(), Value::UInt(*version as u64)),
-                    ("slots".to_string(), Value::UInt(*slots as u64)),
-                    (
-                        "cache_format".to_string(),
-                        Value::UInt(*cache_format as u64),
-                    ),
-                ];
-                if let Some(mac) = auth {
-                    fields.push(("auth".to_string(), Value::Str(mac.clone())));
-                }
-                Value::Object(fields)
-            }
-            FromAgent::Heartbeat => Value::Object(vec![(
-                "type".to_string(),
-                Value::Str("heartbeat".to_string()),
-            )]),
-            FromAgent::Result {
-                id,
-                analysis,
-                trace,
-                spans,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("result".to_string())),
-                    ("id".to_string(), Value::UInt(*id)),
-                    ("analysis".to_string(), to_value(analysis)),
-                ];
-                push_trace(&mut fields, trace);
-                push_spans(&mut fields, spans);
-                Value::Object(fields)
-            }
-            FromAgent::Bundle {
-                id,
-                bundle,
-                trace,
-                spans,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("bundle".to_string())),
-                    ("id".to_string(), Value::UInt(*id)),
-                    ("bundle".to_string(), to_value(bundle)),
-                ];
-                push_trace(&mut fields, trace);
-                push_spans(&mut fields, spans);
-                Value::Object(fields)
-            }
-            FromAgent::Error {
-                id,
-                message,
-                trace,
-                spans,
-            } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("error".to_string())),
-                    ("id".to_string(), Value::UInt(*id)),
-                    ("message".to_string(), Value::Str(message.clone())),
-                ];
-                push_trace(&mut fields, trace);
-                push_spans(&mut fields, spans);
-                Value::Object(fields)
-            }
-            FromAgent::Sealed { seq, mac, body } => Value::Object(vec![
-                ("type".to_string(), Value::Str("sealed".to_string())),
-                ("seq".to_string(), Value::UInt(*seq)),
-                ("mac".to_string(), Value::Str(mac.clone())),
-                ("body".to_string(), Value::Str(body.clone())),
-            ]),
-        };
-        serializer.serialize_value(value)
-    }
-}
-
-/// Appends the `spans` field only when there is something to ship, so a
-/// telemetry-disabled agent's frames stay byte-identical to pre-trace
-/// revisions.
-fn push_spans(entries: &mut Vec<(String, Value)>, spans: &[SpanRecord]) {
-    if !spans.is_empty() {
-        entries.push(("spans".to_string(), spans_to_value(spans)));
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for ToAgent {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "ToAgent").map_err(de::Error::custom)?;
-        let tag = take_string(&mut entries, "type").map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "challenge" => Ok(ToAgent::Challenge {
-                nonce: take_string(&mut entries, "nonce").map_err(de::Error::custom)?,
-            }),
-            "welcome" => Ok(ToAgent::Welcome {
-                version: take_u64(&mut entries, "version").map_err(de::Error::custom)? as u32,
-                heartbeat_interval_ms: take_u64(&mut entries, "heartbeat_interval_ms")
-                    .map_err(de::Error::custom)?,
-                sealed: if entries.iter().any(|(name, _)| name == "sealed") {
-                    match take_field(&mut entries, "sealed").map_err(de::Error::custom)? {
-                        Value::Bool(b) => b,
-                        other => {
-                            return Err(de::Error::custom(format!(
-                                "field `sealed` must be a boolean, found {other:?}"
-                            )))
-                        }
-                    }
-                } else {
-                    false
-                },
-            }),
-            "reject" => Ok(ToAgent::Reject {
-                message: take_string(&mut entries, "message").map_err(de::Error::custom)?,
-            }),
-            "unit" => Ok(ToAgent::Unit {
-                id: take_u64(&mut entries, "id").map_err(de::Error::custom)?,
-                name: take_string(&mut entries, "name").map_err(de::Error::custom)?,
-                path: take_string(&mut entries, "path").map_err(de::Error::custom)?,
-                want: serde::from_value(
-                    take_field(&mut entries, "want").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                elf: {
-                    let encoded = take_string(&mut entries, "elf").map_err(de::Error::custom)?;
-                    base64_decode(&encoded).map_err(de::Error::custom)?
-                },
-                options: serde::from_value(
-                    take_field(&mut entries, "options").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-            }),
-            "shutdown" => Ok(ToAgent::Shutdown),
-            "sealed" => Ok(ToAgent::Sealed {
-                seq: take_u64(&mut entries, "seq").map_err(de::Error::custom)?,
-                mac: take_string(&mut entries, "mac").map_err(de::Error::custom)?,
-                body: take_string(&mut entries, "body").map_err(de::Error::custom)?,
-            }),
-            other => Err(de::Error::custom(format!(
-                "unknown coordinator message type `{other}`"
-            ))),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for FromAgent {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "FromAgent").map_err(de::Error::custom)?;
-        let tag = take_string(&mut entries, "type").map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "hello" => Ok(FromAgent::Hello {
-                version: take_u64(&mut entries, "version").map_err(de::Error::custom)? as u32,
-                slots: take_u64(&mut entries, "slots").map_err(de::Error::custom)? as usize,
-                cache_format: take_u64(&mut entries, "cache_format").map_err(de::Error::custom)?
-                    as u32,
-                auth: if entries.iter().any(|(name, _)| name == "auth") {
-                    Some(take_string(&mut entries, "auth").map_err(de::Error::custom)?)
-                } else {
-                    None
-                },
-            }),
-            "heartbeat" => Ok(FromAgent::Heartbeat),
-            "result" => Ok(FromAgent::Result {
-                id: take_u64(&mut entries, "id").map_err(de::Error::custom)?,
-                analysis: serde::from_value(
-                    take_field(&mut entries, "analysis").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-                spans: take_spans(&mut entries),
-            }),
-            "bundle" => Ok(FromAgent::Bundle {
-                id: take_u64(&mut entries, "id").map_err(de::Error::custom)?,
-                bundle: serde::from_value(
-                    take_field(&mut entries, "bundle").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-                spans: take_spans(&mut entries),
-            }),
-            "error" => Ok(FromAgent::Error {
-                id: take_u64(&mut entries, "id").map_err(de::Error::custom)?,
-                message: take_string(&mut entries, "message").map_err(de::Error::custom)?,
-                trace: take_trace(&mut entries),
-                spans: take_spans(&mut entries),
-            }),
-            "sealed" => Ok(FromAgent::Sealed {
-                seq: take_u64(&mut entries, "seq").map_err(de::Error::custom)?,
-                mac: take_string(&mut entries, "mac").map_err(de::Error::custom)?,
-                body: take_string(&mut entries, "body").map_err(de::Error::custom)?,
-            }),
-            other => Err(de::Error::custom(format!(
-                "unknown agent message type `{other}`"
-            ))),
-        }
-    }
+fn take_elf(entries: &mut Vec<(String, Value)>) -> Result<Vec<u8>, de::ValueError> {
+    let encoded: String = serde::take_required(entries, "elf")?;
+    base64_decode(&encoded).map_err(|e| de::Error::custom(format!("field `elf`: {e}")))
 }
 
 /// Seals an agent frame for a secured session: serializes it, MACs the
 /// serialization under the session key at `seq`, and wraps both in a
 /// [`FromAgent::Sealed`] envelope.
 pub fn seal(session_key: &[u8], seq: u64, frame: &FromAgent) -> std::io::Result<FromAgent> {
-    let body = serde_json::to_string(frame)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mac = crate::auth::frame_mac(session_key, seq, &body);
+    let (mac, body) = seal_body(session_key, seq, frame)?;
     Ok(FromAgent::Sealed { seq, mac, body })
 }
 
@@ -527,11 +309,7 @@ pub fn seal(session_key: &[u8], seq: u64, frame: &FromAgent) -> std::io::Result<
 /// only answers "was this body really sealed at this number under this
 /// key".
 pub fn unseal(session_key: &[u8], seq: u64, mac: &str, body: &str) -> Result<FromAgent, String> {
-    let expected = crate::auth::frame_mac(session_key, seq, body);
-    if expected != mac {
-        return Err("sealed frame failed MAC verification".to_string());
-    }
-    serde_json::from_str(body).map_err(|e| format!("sealed frame body did not parse: {e}"))
+    unseal_body(session_key, seq, mac, body)
 }
 
 /// [`seal`] for the downlink: wraps a coordinator frame in a
@@ -540,17 +318,35 @@ pub fn unseal(session_key: &[u8], seq: u64, mac: &str, body: &str) -> Result<Fro
 /// link is inert because the two frame namespaces are disjoint — a
 /// reflected body fails to parse as the other direction's type.
 pub fn seal_down(session_key: &[u8], seq: u64, frame: &ToAgent) -> std::io::Result<ToAgent> {
-    let body = serde_json::to_string(frame)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mac = crate::auth::frame_mac(session_key, seq, &body);
+    let (mac, body) = seal_body(session_key, seq, frame)?;
     Ok(ToAgent::Sealed { seq, mac, body })
 }
 
 /// [`unseal`] for the downlink: verifies and unwraps a
 /// [`ToAgent::Sealed`] envelope.
 pub fn unseal_down(session_key: &[u8], seq: u64, mac: &str, body: &str) -> Result<ToAgent, String> {
-    let expected = crate::auth::frame_mac(session_key, seq, body);
-    if expected != mac {
+    unseal_body(session_key, seq, mac, body)
+}
+
+/// A frame's serialization and its MAC at `seq` — the `(mac, body)` of
+/// either direction's `Sealed` envelope.
+fn seal_body<T: serde::Serialize>(
+    session_key: &[u8],
+    seq: u64,
+    frame: &T,
+) -> std::io::Result<(String, String)> {
+    let body = serde_json::to_string(frame)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    Ok((crate::auth::frame_mac(session_key, seq, &body), body))
+}
+
+fn unseal_body<T: for<'de> serde::Deserialize<'de>>(
+    session_key: &[u8],
+    seq: u64,
+    mac: &str,
+    body: &str,
+) -> Result<T, String> {
+    if crate::auth::frame_mac(session_key, seq, body) != mac {
         return Err("sealed frame failed MAC verification".to_string());
     }
     serde_json::from_str(body).map_err(|e| format!("sealed frame body did not parse: {e}"))
@@ -1124,6 +920,18 @@ mod tests {
             serde_json::to_string(&old).unwrap(),
             r#"{"type":"welcome","version":2,"heartbeat_interval_ms":250,"sealed":false}"#
         );
+    }
+
+    /// 2^32 + 2 must not wrap to 2: a wrapped version and cache format
+    /// would pass both handshake gates on an open fleet.
+    #[test]
+    fn out_of_range_handshake_integers_are_rejected_not_truncated() {
+        let hello = r#"{"type":"hello","version":4294967298,"slots":1,"cache_format":4294967298}"#;
+        assert!(serde_json::from_str::<FromAgent>(hello).is_err());
+        let hello = r#"{"type":"hello","version":2,"slots":1,"cache_format":4294967298}"#;
+        assert!(serde_json::from_str::<FromAgent>(hello).is_err());
+        let welcome = r#"{"type":"welcome","version":4294967298,"heartbeat_interval_ms":250}"#;
+        assert!(serde_json::from_str::<ToAgent>(welcome).is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! truth about the fleet: the reaper walks it to enforce unit deadlines,
 //! shutdown walks it to say goodbye, and operators read it through
 //! [`AgentSnapshot`]s. Death is one-way and idempotent —
-//! [`AgentState::mark_dead`] severs the socket, fails every in-flight
+//! `AgentState::mark_dead` severs the socket, fails every in-flight
 //! dispatch, and flips the liveness flag exactly once, no matter how
 //! many observers (reader EOF, heartbeat silence, deadline reaper,
 //! shutdown) race to report it.

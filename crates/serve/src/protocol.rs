@@ -1,34 +1,38 @@
 //! The client ↔ server wire protocol.
 //!
 //! Newline-delimited JSON, one message per line, each a single JSON
-//! object tagged by a `"type"` field — the same framing the `bside-dist`
-//! coordinator/worker protocol uses (and the same line codec:
-//! [`read_message`]/[`write_message`] are re-exported from there). The
-//! policy payloads are the `bside_filter::wire` serde format, so what a
-//! client receives is exactly what a local derivation would serialize.
+//! object tagged by a `"type"` field — the framing the fleet's
+//! coordinator/agent protocol uses too, through the same line codec
+//! ([`read_message`]/[`write_message`] are re-exported from
+//! `bside_dist::protocol`). Both message enums are declared once with
+//! `serde::impl_serde_tagged_enum!`, which writes each variant's fields
+//! in the listed order. The policy payloads are the `bside_filter::wire`
+//! serde format, so what a client receives is exactly what a local
+//! derivation would serialize.
 //!
 //! ```text
-//! server → client   {"type":"hello","version":3,"generation":7}           (once, on connect)
+//! server → client   {"type":"hello","version":5,"generation":7}           (once, on connect)
 //! client → server   {"type":"policy","path":"/corpus/000_redis.elf"}
 //!                   {"type":"policy_by_key","key":"9f2c…"}
 //!                   {"type":"invalidate","key":"9f2c…"}
 //!                   {"type":"watch","generation":7}
 //!                   {"type":"watch","generation":7,"key":"9f2c…"}
-//!                   {"type":"stats"} | {"type":"ping"} | {"type":"shutdown"}
+//!                   {"type":"stats"} | {"type":"metrics"} | {"type":"ping"} | {"type":"shutdown"}
 //! server → client   {"type":"policy","key":"9f2c…","source":"Store","generation":7,"bundle":{…}}
 //!                   {"type":"invalidated","key":"9f2c…","removed":true,"generation":8}
 //!                   {"type":"generation","generation":9}                  (watch fires)
-//!                   {"type":"stats","stats":{…}} | {"type":"pong"} | {"type":"shutting_down"}
+//!                   {"type":"stats","stats":{…}} | {"type":"metrics","text":"# TYPE …"}
+//!                   {"type":"pong"} | {"type":"shutting_down"}
 //!                   {"type":"error","message":"reading /x: No such file…"}
 //! ```
 //!
 //! **Versioning.** The server opens every connection with a `hello`
 //! carrying its [`PROTOCOL_VERSION`]; clients refuse a mismatched server
-//! instead of mis-parsing replies, exactly as the dist coordinator
-//! refuses mismatched workers. v2 added the generation counter,
+//! instead of mis-parsing replies, exactly as the fleet coordinator
+//! refuses mismatched agents. v2 added the generation counter,
 //! `invalidate`/`watch`, and the `Coalesced` source; v3 added the
 //! degraded-mode fields (`degraded`, `breaker_state`) to the stats
-//! snapshot.
+//! snapshot; v4 the `metrics` pair; v5 the optional watch `key`.
 //!
 //! **Error replies.** A request that cannot be answered (unreadable
 //! file, unknown key, analysis failure) produces a `{"type":"error"}`
@@ -57,10 +61,6 @@
 //! a v5 client's keyless watch is exactly the v2 request, and a v4
 //! server ignores the unknown `key` field, degrading a keyed watch to a
 //! whole-store one (spurious wakes, never missed ones).
-
-use serde::{de, to_value, Value};
-
-use bside_dist::protocol::{obj_fields, take_field, take_string, take_u64};
 
 pub use bside_dist::protocol::{read_message, read_message_capped, write_message};
 pub use bside_dist::PolicyBundle;
@@ -267,202 +267,32 @@ pub enum Reply {
     },
 }
 
-impl serde::Serialize for Request {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            Request::Policy { path } => Value::Object(vec![
-                ("type".to_string(), Value::Str("policy".to_string())),
-                ("path".to_string(), Value::Str(path.clone())),
-            ]),
-            Request::PolicyByKey { key } => Value::Object(vec![
-                ("type".to_string(), Value::Str("policy_by_key".to_string())),
-                ("key".to_string(), Value::Str(key.clone())),
-            ]),
-            Request::Invalidate { key } => Value::Object(vec![
-                ("type".to_string(), Value::Str("invalidate".to_string())),
-                ("key".to_string(), Value::Str(key.clone())),
-            ]),
-            Request::Watch { generation, key } => {
-                let mut fields = vec![
-                    ("type".to_string(), Value::Str("watch".to_string())),
-                    ("generation".to_string(), Value::UInt(*generation)),
-                ];
-                // Serialized only when present, so a keyless v5 watch is
-                // byte-identical to the v2 request.
-                if let Some(key) = key {
-                    fields.push(("key".to_string(), Value::Str(key.clone())));
-                }
-                Value::Object(fields)
-            }
-            Request::Stats => tag_only("stats"),
-            Request::Metrics => tag_only("metrics"),
-            Request::Ping => tag_only("ping"),
-            Request::Shutdown => tag_only("shutdown"),
-        };
-        serializer.serialize_value(value)
-    }
-}
+serde::impl_serde_tagged_enum!(Request, tag = "type" {
+    Policy = "policy" { path },
+    PolicyByKey = "policy_by_key" { key },
+    Invalidate = "invalidate" { key },
+    // `key` is left out when `None`, so a keyless v5 watch is
+    // byte-identical to the v2 request.
+    Watch = "watch" { generation, key? },
+    Stats = "stats",
+    Metrics = "metrics",
+    Ping = "ping",
+    Shutdown = "shutdown",
+});
 
-impl serde::Serialize for Reply {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            Reply::Hello {
-                version,
-                generation,
-            } => Value::Object(vec![
-                ("type".to_string(), Value::Str("hello".to_string())),
-                ("version".to_string(), Value::UInt(*version as u64)),
-                ("generation".to_string(), Value::UInt(*generation)),
-            ]),
-            Reply::Policy {
-                key,
-                source,
-                generation,
-                bundle,
-            } => Value::Object(vec![
-                ("type".to_string(), Value::Str("policy".to_string())),
-                ("key".to_string(), Value::Str(key.clone())),
-                ("source".to_string(), to_value(source)),
-                ("generation".to_string(), Value::UInt(*generation)),
-                ("bundle".to_string(), to_value(bundle)),
-            ]),
-            Reply::Invalidated {
-                key,
-                removed,
-                generation,
-            } => Value::Object(vec![
-                ("type".to_string(), Value::Str("invalidated".to_string())),
-                ("key".to_string(), Value::Str(key.clone())),
-                ("removed".to_string(), Value::Bool(*removed)),
-                ("generation".to_string(), Value::UInt(*generation)),
-            ]),
-            Reply::Generation { generation } => Value::Object(vec![
-                ("type".to_string(), Value::Str("generation".to_string())),
-                ("generation".to_string(), Value::UInt(*generation)),
-            ]),
-            Reply::Stats { stats } => Value::Object(vec![
-                ("type".to_string(), Value::Str("stats".to_string())),
-                ("stats".to_string(), to_value(stats)),
-            ]),
-            Reply::Metrics { text } => Value::Object(vec![
-                ("type".to_string(), Value::Str("metrics".to_string())),
-                ("text".to_string(), Value::Str(text.clone())),
-            ]),
-            Reply::Pong => tag_only("pong"),
-            Reply::ShuttingDown => tag_only("shutting_down"),
-            Reply::Error { message } => Value::Object(vec![
-                ("type".to_string(), Value::Str("error".to_string())),
-                ("message".to_string(), Value::Str(message.clone())),
-            ]),
-        };
-        serializer.serialize_value(value)
-    }
-}
-
-fn tag_only(tag: &str) -> Value {
-    Value::Object(vec![("type".to_string(), Value::Str(tag.to_string()))])
-}
-
-impl<'de> serde::Deserialize<'de> for Request {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "Request").map_err(de::Error::custom)?;
-        let tag = take_string(&mut entries, "type").map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "policy" => Ok(Request::Policy {
-                path: take_string(&mut entries, "path").map_err(de::Error::custom)?,
-            }),
-            "policy_by_key" => Ok(Request::PolicyByKey {
-                key: take_string(&mut entries, "key").map_err(de::Error::custom)?,
-            }),
-            "invalidate" => Ok(Request::Invalidate {
-                key: take_string(&mut entries, "key").map_err(de::Error::custom)?,
-            }),
-            "watch" => Ok(Request::Watch {
-                generation: take_u64(&mut entries, "generation").map_err(de::Error::custom)?,
-                // Absent from pre-v5 clients: a keyless (whole-store)
-                // watch. Present-but-malformed is still a protocol error.
-                key: if entries.iter().any(|(name, _)| name == "key") {
-                    Some(take_string(&mut entries, "key").map_err(de::Error::custom)?)
-                } else {
-                    None
-                },
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(de::Error::custom(format!("unknown request type `{other}`"))),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Reply {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let mut entries =
-            obj_fields(deserializer.into_value()?, "Reply").map_err(de::Error::custom)?;
-        let tag = take_string(&mut entries, "type").map_err(de::Error::custom)?;
-        match tag.as_str() {
-            "hello" => Ok(Reply::Hello {
-                version: serde::from_value(
-                    take_field(&mut entries, "version").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                // Absent from v1 hellos; default *only* then, so the
-                // version check can produce its helpful mismatch message
-                // when talking to an old daemon — a present-but-malformed
-                // value is still a protocol error, not a silent zero.
-                generation: if entries.iter().any(|(name, _)| name == "generation") {
-                    take_u64(&mut entries, "generation").map_err(de::Error::custom)?
-                } else {
-                    0
-                },
-            }),
-            "policy" => Ok(Reply::Policy {
-                key: take_string(&mut entries, "key").map_err(de::Error::custom)?,
-                source: serde::from_value(
-                    take_field(&mut entries, "source").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-                generation: take_u64(&mut entries, "generation").map_err(de::Error::custom)?,
-                bundle: serde::from_value(
-                    take_field(&mut entries, "bundle").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-            }),
-            "invalidated" => Ok(Reply::Invalidated {
-                key: take_string(&mut entries, "key").map_err(de::Error::custom)?,
-                removed: match take_field(&mut entries, "removed").map_err(de::Error::custom)? {
-                    Value::Bool(b) => b,
-                    other => {
-                        return Err(de::Error::custom(format!(
-                            "field `removed` must be a bool, found {other:?}"
-                        )))
-                    }
-                },
-                generation: take_u64(&mut entries, "generation").map_err(de::Error::custom)?,
-            }),
-            "generation" => Ok(Reply::Generation {
-                generation: take_u64(&mut entries, "generation").map_err(de::Error::custom)?,
-            }),
-            "stats" => Ok(Reply::Stats {
-                stats: serde::from_value(
-                    take_field(&mut entries, "stats").map_err(de::Error::custom)?,
-                )
-                .map_err(de::Error::custom)?,
-            }),
-            "metrics" => Ok(Reply::Metrics {
-                text: take_string(&mut entries, "text").map_err(de::Error::custom)?,
-            }),
-            "pong" => Ok(Reply::Pong),
-            "shutting_down" => Ok(Reply::ShuttingDown),
-            "error" => Ok(Reply::Error {
-                message: take_string(&mut entries, "message").map_err(de::Error::custom)?,
-            }),
-            other => Err(de::Error::custom(format!("unknown reply type `{other}`"))),
-        }
-    }
-}
+serde::impl_serde_tagged_enum!(Reply, tag = "type" {
+    // `generation` is absent from v1 hellos; defaulting only then lets
+    // the client print its version-mismatch message to an old daemon.
+    Hello = "hello" { version, generation = 0 },
+    Policy = "policy" { key, source, generation, bundle },
+    Invalidated = "invalidated" { key, removed, generation },
+    Generation = "generation" { generation },
+    Stats = "stats" { stats },
+    Metrics = "metrics" { text },
+    Pong = "pong",
+    ShuttingDown = "shutting_down",
+    Error = "error" { message },
+});
 
 #[cfg(test)]
 mod tests {

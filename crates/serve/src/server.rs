@@ -37,9 +37,10 @@
 //! accumulate in the read buffer, bounded by backpressure), or
 //! **parked** (a `watch` waiting for a store mutation — see below). Both
 //! directions are bounded: the loop stops answering a connection whose
-//! unsent replies pass [`WBUF_HIGH_WATER`], and stops reading one whose
-//! read buffer is full, so a client that pipelines without reading is
-//! held by flow control instead of growing the daemon's buffers.
+//! unsent replies pass `WBUF_HIGH_WATER` (64 KiB), and stops reading
+//! one whose read buffer is full, so a client that pipelines without
+//! reading is held by flow control instead of growing the daemon's
+//! buffers.
 //! Idle and parked connections cost no worker thread and no syscalls
 //! until their socket or subscription becomes ready, which is what lets
 //! a two-thread daemon hold thousands of open watches.

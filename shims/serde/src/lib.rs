@@ -13,8 +13,10 @@
 //!
 //! Instead of derive macros (which would require a proc-macro crate and
 //! its ecosystem), struct and enum impls are generated by the declarative
-//! macros [`impl_serde_struct!`], [`impl_serde_unit_enum!`] and
-//! [`impl_serde_transparent!`].
+//! macros [`impl_serde_struct!`], [`impl_serde_unit_enum!`],
+//! [`impl_serde_tagged_enum!`] and [`impl_serde_transparent!`]; hand-written
+//! codecs take objects apart with [`object_entries`], [`take_optional`]
+//! and [`take_required`].
 
 #![forbid(unsafe_code)]
 
@@ -84,7 +86,7 @@ pub mod de {
     }
 
     /// A plain message error; the `D::Error` of [`crate::ValueDeserializer`].
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct ValueError(pub String);
 
     impl fmt::Display for ValueError {
@@ -455,12 +457,48 @@ impl<'de, A: for<'a> Deserialize<'a>, B: for<'a> Deserialize<'a>> Deserialize<'d
 // Impl-generating macros (the shim's replacement for #[derive(...)]).
 // ---------------------------------------------------------------------------
 
+/// The entries of an object [`Value`], in wire order — the field list
+/// [`take_optional`] and [`take_required`] consume.
+pub fn object_entries(value: Value) -> Result<Vec<(String, Value)>, de::ValueError> {
+    match value {
+        Value::Object(entries) => Ok(entries),
+        other => Err(type_err("object", &other)),
+    }
+}
+
+/// Removes the first entry named `name` from an object's field list and
+/// parses it as `T`: `Ok(None)` when absent, an error naming the field
+/// when present but not a `T`.
+pub fn take_optional<T: for<'de> Deserialize<'de>>(
+    entries: &mut Vec<(String, Value)>,
+    name: &str,
+) -> Result<Option<T>, de::ValueError> {
+    let Some(pos) = entries.iter().position(|(k, _)| k == name) else {
+        return Ok(None);
+    };
+    from_value(entries.remove(pos).1)
+        .map(Some)
+        .map_err(|e| de::Error::custom(format!("field `{name}`: {e}")))
+}
+
+/// [`take_optional`] for a field that must be present.
+pub fn take_required<T: for<'de> Deserialize<'de>>(
+    entries: &mut Vec<(String, Value)>,
+    name: &str,
+) -> Result<T, de::ValueError> {
+    take_optional(entries, name)?
+        .ok_or_else(|| de::Error::custom(format!("missing field `{name}`")))
+}
+
 /// Implements `Serialize`/`Deserialize` for a struct with named fields,
 /// mapping it to a JSON object keyed by field name (what
 /// `#[derive(Serialize, Deserialize)]` produces for such structs).
+/// Fields in a trailing `skip { .. }` list are never written and are
+/// rebuilt with `Default::default()` on read (serde's `#[serde(skip)]`).
+/// Unknown fields are ignored on read.
 #[macro_export]
 macro_rules! impl_serde_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident),+ $(,)? } $(skip { $($skip:ident),+ $(,)? })?) => {
         impl $crate::Serialize for $ty {
             fn serialize<S: $crate::Serializer>(
                 &self,
@@ -477,43 +515,170 @@ macro_rules! impl_serde_struct {
             fn deserialize<D: $crate::Deserializer<'de>>(
                 deserializer: D,
             ) -> Result<Self, D::Error> {
-                let value = deserializer.into_value()?;
-                let mut entries = match value {
-                    $crate::Value::Object(entries) => entries,
-                    other => {
-                        return Err(<D::Error as $crate::de::Error>::custom(format!(
-                            "expected object for {}, found {:?}",
-                            stringify!($ty),
-                            other
-                        )))
-                    }
+                let parse = |value| -> Result<Self, $crate::de::ValueError> {
+                    let mut entries = $crate::object_entries(value)?;
+                    Ok($ty {
+                        $( $field: $crate::take_required(&mut entries, stringify!($field))?, )+
+                        $($( $skip: Default::default(), )+)?
+                    })
                 };
-                $(
-                    let $field = {
-                        let pos = entries
-                            .iter()
-                            .position(|(k, _)| k == stringify!($field))
-                            .ok_or_else(|| {
-                                <D::Error as $crate::de::Error>::custom(format!(
-                                    "missing field `{}` in {}",
-                                    stringify!($field),
-                                    stringify!($ty)
-                                ))
-                            })?;
-                        let (_, v) = entries.remove(pos);
-                        $crate::from_value(v).map_err(|e| {
-                            <D::Error as $crate::de::Error>::custom(format!(
-                                "field `{}` of {}: {}",
-                                stringify!($field),
-                                stringify!($ty),
-                                e
-                            ))
-                        })?
-                    };
-                )+
-                Ok($ty { $($field),+ })
+                parse(deserializer.into_value()?).map_err(|e| {
+                    <D::Error as $crate::de::Error>::custom(format!("{}: {e}", stringify!($ty)))
+                })
             }
         }
+    };
+}
+
+/// Implements `Serialize`/`Deserialize` for an internally tagged enum
+/// with named-field and unit variants — serde's `#[serde(tag = "..")]`
+/// with a `#[serde(rename = "..")]` on every variant. Each variant is one
+/// JSON object: the `tag` field holding the variant's wire name first,
+/// then its fields in the order listed, each keyed by its name. A field
+/// is written in one of four modes:
+///
+/// * `field` — required, through [`to_value`]/[`from_value`] (so
+///   integers are range-checked against the field's type);
+/// * `field?` — an `Option<T>` left out when `None`; absent parses as
+///   `None`, and a present value must parse as `T` (`null` is an error);
+/// * `field = default` — always written; absent parses as `default`, and
+///   a present value must parse;
+/// * `field with (push, take)` — a custom codec over the object's field
+///   list: `push(&mut entries, &value)` appends any number of fields and
+///   `take(&mut entries) -> Result<T, de::ValueError>` removes and parses
+///   them (flattened, lenient, or re-encoded fields).
+///
+/// Unknown fields are ignored on read, so a peer may add optional
+/// fields without breaking older readers. Errors name the variant and
+/// the field.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Get { key: String, limit: Option<u64>, fresh: bool },
+/// }
+/// serde::impl_serde_tagged_enum!(Msg, tag = "type" {
+///     Ping = "ping",
+///     Get = "get" { key, limit?, fresh = false },
+/// });
+/// let msg = Msg::Get { key: "k".into(), limit: None, fresh: true };
+/// let value = serde::to_value(&msg);
+/// assert_eq!(
+///     value,
+///     serde::Value::Object(vec![
+///         ("type".into(), serde::Value::Str("get".into())),
+///         ("key".into(), serde::Value::Str("k".into())),
+///         ("fresh".into(), serde::Value::Bool(true)),
+///     ])
+/// );
+/// assert_eq!(serde::from_value::<Msg>(value).unwrap(), msg);
+/// ```
+#[macro_export]
+macro_rules! impl_serde_tagged_enum {
+    ($ty:ident, tag = $tag:literal {
+        $( $variant:ident = $name:literal $({ $($fields:tt)* })? ),+ $(,)?
+    }) => {
+        impl $crate::Serialize for $ty {
+            fn serialize<S: $crate::Serializer>(
+                &self,
+                serializer: S,
+            ) -> Result<S::Ok, S::Error> {
+                let mut entries = Vec::new();
+                match self {
+                    $( $crate::__tagged_fields!(@bind $variant [] $($($fields)*)?) => {
+                        entries.push(($tag.to_string(), $crate::Value::Str($name.to_string())));
+                        $crate::__tagged_fields!(@push entries $($($fields)*)?);
+                    } )+
+                }
+                serializer.serialize_value($crate::Value::Object(entries))
+            }
+        }
+
+        impl<'de> $crate::Deserialize<'de> for $ty {
+            fn deserialize<D: $crate::Deserializer<'de>>(
+                deserializer: D,
+            ) -> Result<Self, D::Error> {
+                use $crate::de::{Error, ValueError};
+                #[allow(clippy::redundant_closure_call)]
+                let parse = |value| -> Result<Self, ValueError> {
+                    let mut entries = $crate::object_entries(value)?;
+                    let tag: String = $crate::take_required(&mut entries, $tag)?;
+                    match tag.as_str() {
+                        $( $name => (|| -> Result<Self, ValueError> {
+                            $crate::__tagged_fields!(@take entries $($($fields)*)?);
+                            Ok($crate::__tagged_fields!(@bind $variant [] $($($fields)*)?))
+                        })()
+                        .map_err(|e| Error::custom(format!("{}: {e}", stringify!($variant)))), )+
+                        other => Err(Error::custom(format!("unknown {} `{other}`", $tag))),
+                    }
+                };
+                parse(deserializer.into_value()?)
+                    .map_err(|e| D::Error::custom(format!("{}: {e}", stringify!($ty))))
+            }
+        }
+    };
+}
+
+/// The per-field half of [`impl_serde_tagged_enum!`]: munches one
+/// variant's field list, one field mode at a time.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __tagged_fields {
+    // The variant's pattern (serialize) and constructor (deserialize).
+    (@bind $variant:ident []) => { Self::$variant };
+    (@bind $variant:ident [$($acc:ident)+]) => { Self::$variant { $($acc),+ } };
+    (@bind $variant:ident [$($acc:ident)*] $f:ident ? $(, $($rest:tt)*)?) => {
+        $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
+    };
+    (@bind $variant:ident [$($acc:ident)*] $f:ident = $default:expr $(, $($rest:tt)*)?) => {
+        $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
+    };
+    (@bind $variant:ident [$($acc:ident)*] $f:ident with ($push:path, $take:path)
+        $(, $($rest:tt)*)?) => {
+        $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
+    };
+    (@bind $variant:ident [$($acc:ident)*] $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
+    };
+
+    // Serialize: append each bound field to `$out`.
+    (@push $out:ident) => {};
+    (@push $out:ident $f:ident ? $(, $($rest:tt)*)?) => {
+        if let Some(value) = $f {
+            $out.push((stringify!($f).to_string(), $crate::to_value(value)));
+        }
+        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+    };
+    (@push $out:ident $f:ident = $default:expr $(, $($rest:tt)*)?) => {
+        $crate::__tagged_fields!(@push $out $f $(, $($rest)*)?);
+    };
+    (@push $out:ident $f:ident with ($push:path, $take:path) $(, $($rest:tt)*)?) => {
+        $push(&mut $out, $f);
+        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+    };
+    (@push $out:ident $f:ident $(, $($rest:tt)*)?) => {
+        $out.push((stringify!($f).to_string(), $crate::to_value($f)));
+        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+    };
+
+    // Deserialize: bind each field, taken out of `$in`.
+    (@take $in:ident) => {};
+    (@take $in:ident $f:ident ? $(, $($rest:tt)*)?) => {
+        let $f = $crate::take_optional(&mut $in, stringify!($f))?;
+        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    };
+    (@take $in:ident $f:ident = $default:expr $(, $($rest:tt)*)?) => {
+        let $f = $crate::take_optional(&mut $in, stringify!($f))?.unwrap_or($default);
+        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    };
+    (@take $in:ident $f:ident with ($push:path, $take:path) $(, $($rest:tt)*)?) => {
+        let $f = $take(&mut $in)?;
+        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    };
+    (@take $in:ident $f:ident $(, $($rest:tt)*)?) => {
+        let $f = $crate::take_required(&mut $in, stringify!($f))?;
+        $crate::__tagged_fields!(@take $in $($($rest)*)?);
     };
 }
 
@@ -628,6 +793,171 @@ mod tests {
         Beta,
     }
     impl_serde_unit_enum!(Kind { Alpha, Beta });
+
+    #[derive(Debug, PartialEq)]
+    enum Msg {
+        Ping,
+        Get {
+            key: String,
+            limit: Option<u32>,
+            fresh: bool,
+            span: (u64, u64),
+        },
+    }
+    impl_serde_tagged_enum!(Msg, tag = "type" {
+        Ping = "ping",
+        Get = "get" { key, limit?, fresh = true, span with (push_span, take_span) },
+    });
+
+    /// A custom codec: the pair travels flattened as two fields, and an
+    /// absent or malformed pair reads as `(0, 0)`.
+    fn push_span(entries: &mut Vec<(String, Value)>, span: &(u64, u64)) {
+        entries.push(("lo".into(), Value::UInt(span.0)));
+        entries.push(("hi".into(), Value::UInt(span.1)));
+    }
+
+    fn take_span(entries: &mut Vec<(String, Value)>) -> Result<(u64, u64), de::ValueError> {
+        let lo = take_optional(entries, "lo").unwrap_or(None);
+        let hi = take_optional(entries, "hi").unwrap_or(None);
+        Ok((lo.unwrap_or(0), hi.unwrap_or(0)))
+    }
+
+    fn obj(fields: &[(&str, Value)]) -> Value {
+        Value::Object(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
+
+    fn get(fields: &[(&str, Value)]) -> Result<Msg, de::ValueError> {
+        let mut all = vec![("type", Value::Str("get".into()))];
+        all.extend_from_slice(fields);
+        from_value(obj(&all))
+    }
+
+    fn key() -> (&'static str, Value) {
+        ("key", Value::Str("k".into()))
+    }
+
+    #[test]
+    fn tagged_enum_writes_the_tag_then_fields_in_listed_order() {
+        let msg = Msg::Get {
+            key: "k".into(),
+            limit: Some(3),
+            fresh: false,
+            span: (1, 2),
+        };
+        let value = to_value(&msg);
+        assert_eq!(
+            value,
+            obj(&[
+                ("type", Value::Str("get".into())),
+                key(),
+                ("limit", Value::UInt(3)),
+                ("fresh", Value::Bool(false)),
+                ("lo", Value::UInt(1)),
+                ("hi", Value::UInt(2)),
+            ])
+        );
+        assert_eq!(from_value::<Msg>(value).unwrap(), msg);
+        assert_eq!(
+            to_value(&Msg::Ping),
+            obj(&[("type", Value::Str("ping".into()))])
+        );
+        assert_eq!(from_value::<Msg>(to_value(&Msg::Ping)).unwrap(), Msg::Ping);
+    }
+
+    #[test]
+    fn tagged_enum_missing_required_field_names_variant_and_field() {
+        let err = get(&[]).unwrap_err().to_string();
+        assert!(err.contains("Msg") && err.contains("Get"), "{err}");
+        assert!(err.contains("missing field `key`"), "{err}");
+    }
+
+    #[test]
+    fn tagged_enum_required_integers_are_range_checked() {
+        let err = get(&[key(), ("limit", Value::UInt(u32::MAX as u64 + 2))]).unwrap_err();
+        assert!(err.to_string().contains("`limit`"), "{err}");
+    }
+
+    #[test]
+    fn tagged_enum_optional_field_contract() {
+        // Absent parses as None, and None is left out on write.
+        let msg = get(&[key()]).unwrap();
+        assert!(matches!(msg, Msg::Get { limit: None, .. }));
+        let Value::Object(fields) = to_value(&msg) else {
+            panic!("an object");
+        };
+        assert!(fields.iter().all(|(k, _)| k != "limit"), "{fields:?}");
+        // Present must parse as the inner type: `null` is not absent.
+        assert!(get(&[key(), ("limit", Value::Null)]).is_err());
+        assert!(get(&[key(), ("limit", Value::Str("5".into()))]).is_err());
+    }
+
+    #[test]
+    fn tagged_enum_default_field_contract() {
+        assert!(matches!(
+            get(&[key()]).unwrap(),
+            Msg::Get { fresh: true, .. }
+        ));
+        assert!(matches!(
+            get(&[key(), ("fresh", Value::Bool(false))]).unwrap(),
+            Msg::Get { fresh: false, .. }
+        ));
+        let err = get(&[key(), ("fresh", Value::UInt(0))]).unwrap_err();
+        assert!(err.to_string().contains("`fresh`"), "{err}");
+    }
+
+    #[test]
+    fn tagged_enum_rejects_bad_tags_and_non_objects() {
+        let err = from_value::<Msg>(obj(&[("type", Value::Str("pong".into()))])).unwrap_err();
+        assert!(err.to_string().contains("`pong`"), "{err}");
+        assert!(from_value::<Msg>(obj(&[("type", Value::UInt(1))])).is_err());
+        assert!(from_value::<Msg>(obj(&[])).is_err(), "missing tag");
+        assert!(from_value::<Msg>(Value::Str("ping".into())).is_err());
+        assert!(from_value::<Msg>(Value::Seq(Vec::new())).is_err());
+    }
+
+    #[test]
+    fn tagged_enum_ignores_unknown_fields() {
+        let msg = get(&[("v9", Value::Bool(true)), key(), ("lo", Value::UInt(4))]).unwrap();
+        assert_eq!(
+            msg,
+            Msg::Get {
+                key: "k".into(),
+                limit: None,
+                fresh: true,
+                span: (4, 0),
+            }
+        );
+        let ping = obj(&[("type", Value::Str("ping".into())), ("x", Value::Null)]);
+        assert_eq!(from_value::<Msg>(ping).unwrap(), Msg::Ping);
+    }
+
+    #[derive(Debug, PartialEq, Default)]
+    struct WithCache {
+        name: String,
+        cache: Vec<u8>,
+    }
+    impl_serde_struct!(WithCache { name } skip { cache });
+
+    #[test]
+    fn skipped_struct_fields_are_not_written_and_read_as_default() {
+        let value = to_value(&WithCache {
+            name: "x".into(),
+            cache: vec![1, 2],
+        });
+        assert_eq!(value, obj(&[("name", Value::Str("x".into()))]));
+        assert_eq!(
+            from_value::<WithCache>(value).unwrap(),
+            WithCache {
+                name: "x".into(),
+                cache: Vec::new(),
+            }
+        );
+    }
 
     #[test]
     fn struct_round_trip() {

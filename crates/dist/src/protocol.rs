@@ -72,7 +72,7 @@ pub fn push_spans(entries: &mut Vec<(String, Value)>, spans: &[SpanRecord]) {
 
 /// Renders shipped spans as a JSON array for a result frame's `spans`
 /// field — one object per span, field names matching [`take_spans`].
-pub fn spans_to_value(spans: &[SpanRecord]) -> Value {
+fn spans_to_value(spans: &[SpanRecord]) -> Value {
     Value::Seq(
         spans
             .iter()

@@ -6,7 +6,9 @@
 //! framing the serve protocol uses, through the same shared codec
 //! ([`read_message_capped`]/[`write_message`] re-exported from
 //! `bside_dist::protocol`), so framing errors and the line cap behave
-//! identically in both.
+//! identically in both. Both frame enums are declared once with
+//! `serde::impl_serde_tagged_enum!`; only the base64 `elf` field and the
+//! lenient trace and span fields bring their own field codecs.
 //!
 //! ```text
 //! coordinator → agent   {"type":"challenge","nonce":"9f2c…"}

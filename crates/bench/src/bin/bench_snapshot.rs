@@ -1,1465 +1,1245 @@
-//! Perf-trajectory snapshot: times the full analysis pipeline over the
-//! multi-binary profile corpus — sequentially (`parallelism = 1`), with
-//! every available core (thread fan-out), and distributed across local
-//! agent **processes** (`bside-fleet`) — and emits `BENCH_pipeline.json` so
-//! future PRs have a recorded baseline to beat.
+//! Perf-trajectory snapshot: times the analysis pipeline, the corpus
+//! engines, the policy daemon, the fleet under faults and the compiled
+//! filters over one multi-binary corpus, and writes `BENCH_pipeline.json`
+//! as the baseline later changes compare against.
 //!
 //! ```text
 //! cargo run --release -p bside-bench --bin bench_snapshot [-- <out.json>]
 //! ```
 //!
-//! The JSON records, per configuration: end-to-end wall clock over the
-//! corpus (best of `REPEATS` runs), per-phase totals aggregated across
-//! binaries (`bside::core::PipelineTimings`), and the resulting
-//! speedups. Phase totals are *CPU-side* sums across workers, so they
-//! exceed wall clock under parallelism — wall clock is the speedup
-//! metric. The distributed wall clock additionally pays process spawn +
-//! JSON marshalling, so on tiny corpora it trails the thread engine;
-//! its value is fault isolation and the path past one machine.
+//! Each of the ten configurations runs [`REPEATS`] times through one
+//! measurement core ([`repeat`], [`Sample`]). A timed figure (`*_us`,
+//! `*_ns_per_eval`, `overhead_pct`) is the median over the runs, with
+//! `<key>_range` = `[min, max]` next to it. A rate or per-run ratio is
+//! the median of the per-run values; a ratio of two separately run
+//! figures (`speedup`, `throughput_ratio`) is the ratio of their medians.
+//! A counter (retries, timeouts, analyses, ...) is the largest any run
+//! saw, so a 0 holds in every run. Phase totals are CPU-side sums across
+//! workers, so they exceed wall clock under parallelism.
 //!
-//! The distributed configuration needs the `bside-agent` binary next to
-//! this one (`cargo build --release --all-targets`); when it is missing
-//! the snapshot records `"distributed": null` and keeps the rest.
-//!
-//! A fourth configuration measures the **policy service** (`bside-serve`)
-//! as a load generator would: spawn the daemon on a Unix socket, warm its
-//! content-addressed store, then hammer it with concurrent clients and
-//! record request throughput and latency percentiles — the serving-path
-//! trajectory (requests per second at the enforcement point), distinct
-//! from the analysis-path trajectories above it.
+//! A failed configuration fails the binary, except that `distributed` is
+//! `null` (stderr says why) when `bside-agent` is not built next to this
+//! binary. stderr gets one progress line per configuration; the output
+//! file and stdout get the full record.
 
-use bside::core::{Analyzer, AnalyzerOptions, PipelineTimings};
+use bside::core::{Analyzer, AnalyzerOptions, BinaryAnalysis, PipelineTimings};
+use bside::dist::fault::{set_plan, FaultPlan};
+use bside::dist::RunStats;
+use bside::elf::Elf;
+use bside::filter::replay::{self, ThroughputReport};
+use bside::fleet::{analyze_corpus_fleet, run_agent_loop, AgentOptions, AgentReport};
+use bside::fleet::{FleetCoordinator, FleetHandle, FleetOptions};
 use bside::gen::corpus::{corpus_with_size, DEFAULT_SEED};
 use bside::gen::profiles::all_profiles;
-use bside::serve::{Endpoint, PolicyClient, PolicyServer, ServeOptions, Source};
+use bside::serve::{Endpoint, PolicyClient, PolicyServer, RemoteAnalyzer, Request, ServeOptions};
+use bside::serve::{ServerHandle as Server, Source, StatsSnapshot};
+use serde::{impl_serde_struct, Value};
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-const REPEATS: usize = 3;
+/// Runs per configuration.
+const REPEATS: usize = 5;
 
-struct ConfigResult {
-    parallelism: usize,
-    wall: Duration,
-    phases: PipelineTimings,
-    syscall_counts: Vec<(String, usize)>,
+/// A step's outcome; the error says which step failed and why.
+type Res<T> = Result<T, String>;
+
+/// `(name, image bytes)` of corpus binaries.
+type Images = [(String, Vec<u8>)];
+
+/// Labels an error with the step that raised it.
+fn ctx<E: std::fmt::Display>(step: &'static str) -> impl FnOnce(E) -> String {
+    move |e| format!("{step}: {e}")
 }
 
-fn run_config(parallelism: usize, binaries: &[(String, bside::elf::Elf)]) -> ConfigResult {
+/// `Err(what())` unless `ok`.
+fn ensure(ok: bool, what: impl FnOnce() -> String) -> Res<()> {
+    ok.then_some(()).ok_or_else(what)
+}
+
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    (f(), t0.elapsed())
+}
+
+fn us(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
+/// `count` events per second of `wall`.
+fn per_s(count: usize, wall: Duration) -> f64 {
+    count as f64 / wall.as_secs_f64().max(1e-9)
+}
+
+fn round(x: f64, places: i32) -> f64 {
+    (x * 10f64.powi(places)).round() / 10f64.powi(places)
+}
+
+/// One figure over the runs of a configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Sample {
+    median: f64,
+    min: f64,
+    max: f64,
+    runs: usize,
+}
+
+impl Sample {
+    /// The sample of per-run values (at least one).
+    fn of(values: impl IntoIterator<Item = f64>) -> Sample {
+        let mut v: Vec<f64> = values.into_iter().collect();
+        assert!(!v.is_empty(), "a sample needs at least one run");
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        Sample {
+            median: (v[(n - 1) / 2] + v[n / 2]) / 2.0,
+            min: v[0],
+            max: v[n - 1],
+            runs: n,
+        }
+    }
+
+    /// `(median, (min, max))` rounded to whole units.
+    fn whole(self) -> (u64, Range<u64>) {
+        let r = |x: f64| x.round() as u64;
+        (r(self.median), (r(self.min), r(self.max)))
+    }
+
+    /// `(median, (min, max))` rounded to `places` decimals.
+    fn places(self, places: i32) -> (f64, Range<f64>) {
+        let r = |x| round(x, places);
+        (r(self.median), (r(self.min), r(self.max)))
+    }
+}
+
+/// What each run of a configuration returned.
+struct Runs<T>(Vec<T>);
+
+impl<T> Runs<T> {
+    fn sample(&self, figure: impl Fn(&T) -> f64) -> Sample {
+        Sample::of(self.0.iter().map(figure))
+    }
+
+    /// The largest value of a counter over the runs.
+    fn max(&self, counter: impl Fn(&T) -> u64) -> u64 {
+        self.0.iter().map(counter).max().unwrap_or(0)
+    }
+}
+
+/// Runs `run` [`REPEATS`] times; the first failed run fails the
+/// configuration.
+fn repeat<T>(mut run: impl FnMut() -> Res<T>) -> Res<Runs<T>> {
+    (0..REPEATS).map(|_| run()).collect::<Res<_>>().map(Runs)
+}
+
+/// [`repeat`] with telemetry recording on, then off, in every round: a
+/// second block would run on warmed caches, which dwarfs recording costs.
+fn interleaved<T>(mut run: impl FnMut() -> Res<T>) -> Res<(Runs<T>, Runs<T>)> {
+    let pairs = repeat(|| {
+        bside_obs::set_enabled(true);
+        let on = run()?;
+        bside_obs::set_enabled(false);
+        Ok((on, run()?))
+    });
+    bside_obs::set_enabled(true);
+    let (on, off) = pairs?.0.into_iter().unzip();
+    Ok((Runs(on), Runs(off)))
+}
+
+/// Per-pair `(on - off) / off` of interleaved walls, in percent.
+fn overhead_pct<T>(on: &Runs<T>, off: &Runs<T>, wall: impl Fn(&T) -> Duration) -> Sample {
+    let pct = |(a, b): (&T, &T)| (us(wall(a)) - us(wall(b))) / us(wall(b)).max(1e-9) * 100.0;
+    Sample::of(on.0.iter().zip(&off.0).map(pct))
+}
+
+/// Runs `task(0..n)` on `n` scoped threads; the first failure wins.
+fn in_parallel<T: Send>(n: usize, task: impl Fn(usize) -> Res<T> + Sync) -> Res<Vec<T>> {
+    std::thread::scope(|scope| {
+        let task = &task;
+        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || task(i))).collect();
+        let joined = handles.into_iter().map(|h| h.join().expect("task thread"));
+        joined.collect()
+    })
+}
+
+/// The `p` quantile (0..=1) of sorted values; 0 when empty.
+fn percentile(sorted: &[u64], p: f64) -> f64 {
+    let rank = (sorted.len().saturating_sub(1) as f64 * p).round() as usize;
+    sorted.get(rank).map_or(0.0, |&v| v as f64)
+}
+
+/// A scratch directory under the system temp dir, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Res<Scratch> {
+        let dir = std::env::temp_dir().join(format!("bside_bench_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).map_err(ctx("scratch dir"))?;
+        Ok(Scratch(dir))
+    }
+
+    /// Writes each image as `{i:04}_{name}.elf`; returns `(name, path)`.
+    fn materialize(&self, images: &Images) -> Res<Vec<(String, PathBuf)>> {
+        let write = |(i, (name, bytes)): (usize, &(String, Vec<u8>))| {
+            let path = self.0.join(format!("{i:04}_{name}.elf"));
+            std::fs::write(&path, bytes).map_err(ctx("write corpus"))?;
+            Ok((name.clone(), path))
+        };
+        images.iter().enumerate().map(write).collect()
+    }
+
+    /// [`Scratch::materialize`] as the path strings serve clients send.
+    fn paths(&self, images: &Images) -> Res<Vec<String>> {
+        let units = self.materialize(images)?.into_iter();
+        Ok(units.map(|(_, p)| p.to_string_lossy().into()).collect())
+    }
+
+    /// A policy daemon with `threads` workers on a socket here, its
+    /// store here when `store`, offloading misses to `remote`.
+    fn daemon(&self, threads: usize, store: bool, remote: Option<RemoteAnalyzer>) -> Res<Server> {
+        let options = ServeOptions {
+            threads,
+            store_dir: store.then(|| self.0.join("store")),
+            remote_analyzer: remote,
+            read_timeout: Duration::from_secs(60),
+            ..ServeOptions::default()
+        };
+        let endpoint = Endpoint::Unix(self.0.join("bside.sock"));
+        PolicyServer::spawn(&endpoint, options).map_err(ctx("serve spawn"))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One pass over the corpus.
+struct Pass {
+    wall: Duration,
+    phases: PipelineTimings,
+    counts: Vec<(String, usize)>,
+}
+
+impl Pass {
+    fn new<'a, E: std::fmt::Display + 'a>(
+        wall: Duration,
+        results: impl Iterator<Item = (&'a str, Result<&'a BinaryAnalysis, E>)>,
+    ) -> Res<Pass> {
+        let mut phases = PipelineTimings::new();
+        let mut counts = Vec::new();
+        for (name, result) in results {
+            let analysis = result.map_err(|e| format!("{name} failed to analyze: {e}"))?;
+            phases.record(&analysis.stats.timings);
+            counts.push((name.to_string(), analysis.syscalls.len()));
+        }
+        Ok(Pass {
+            wall,
+            phases,
+            counts,
+        })
+    }
+}
+
+fn run_in_process(parallelism: usize, binaries: &[(String, Elf)]) -> Res<Runs<Pass>> {
     let analyzer = Analyzer::new(AnalyzerOptions {
         parallelism,
         ..AnalyzerOptions::default()
     });
-    let binaries: Vec<(&str, &bside::elf::Elf)> = binaries
-        .iter()
-        .map(|(name, elf)| (name.as_str(), elf))
-        .collect();
-
-    let mut best_wall = Duration::MAX;
-    let mut phases = PipelineTimings::new();
-    let mut syscall_counts = Vec::new();
-    for _ in 0..REPEATS {
-        let t0 = Instant::now();
-        let results = analyzer.analyze_corpus(&binaries);
-        let wall = t0.elapsed();
-        if wall < best_wall {
-            best_wall = wall;
-            phases = PipelineTimings::new();
-            syscall_counts.clear();
-            for (name, result) in &results {
-                let analysis = result
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{name} failed to analyze: {e}"));
-                phases.record(&analysis.stats.timings);
-                syscall_counts.push((name.clone(), analysis.syscalls.len()));
-            }
-        }
-    }
-    ConfigResult {
-        parallelism,
-        wall: best_wall,
-        phases,
-        syscall_counts,
-    }
+    let binaries: Vec<(&str, &Elf)> = binaries.iter().map(|(n, e)| (n.as_str(), e)).collect();
+    repeat(|| {
+        let (results, wall) = timed(|| analyzer.analyze_corpus(&binaries));
+        Pass::new(wall, results.iter().map(|(n, r)| (n.as_str(), r.as_ref())))
+    })
 }
 
-/// Times a local run (`workers` agent processes) over the corpus,
-/// materialized to a scratch directory the coordinator reads from.
-/// `None` when the `bside-agent` binary is not built or a unit fails.
-fn run_distributed(workers: usize, images: &[(String, Vec<u8>)]) -> Option<ConfigResult> {
-    bside::fleet::resolve_agent_bin(None).ok()?;
-    let dir = std::env::temp_dir().join(format!("bside_bench_dist_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_distributed_in(workers, images, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_distributed_in(
-    workers: usize,
-    images: &[(String, Vec<u8>)],
-    dir: &std::path::Path,
-) -> Option<ConfigResult> {
-    let mut units: Vec<(String, std::path::PathBuf)> = Vec::with_capacity(images.len());
-    for (i, (name, bytes)) in images.iter().enumerate() {
-        let path = dir.join(format!("{i:04}_{name}.elf"));
-        std::fs::write(&path, bytes).ok()?;
-        units.push((name.clone(), path));
+/// `None` when the `bside-agent` binary is not built.
+fn run_distributed(workers: usize, images: &Images) -> Res<Option<ConfigReport>> {
+    if let Err(e) = bside::fleet::resolve_agent_bin(None) {
+        eprintln!("  distributed: null, bside-agent is not built ({e})");
+        return Ok(None);
     }
+    let scratch = Scratch::new("dist")?;
+    let units = scratch.materialize(images)?;
     let agents = bside::fleet::LocalAgents {
         workers,
         ..bside::fleet::LocalAgents::default()
     };
+    let run = || bside::fleet::analyze_corpus_local(&units, FleetOptions::default(), &agents);
+    let runs = repeat(|| {
+        let (run, wall) = timed(run);
+        let results = run.map_err(ctx("distributed run"))?.results;
+        let rows = results.iter().map(|u| (u.name.as_str(), u.result.as_ref()));
+        Pass::new(wall, rows)
+    })?;
+    let report = ConfigReport::of(workers, &runs)?;
+    progress("distributed", &report);
+    Ok(Some(report))
+}
 
-    let mut best_wall = Duration::MAX;
-    let mut phases = PipelineTimings::new();
-    let mut syscall_counts = Vec::new();
-    for _ in 0..REPEATS {
-        let t0 = Instant::now();
-        let run = match bside::fleet::analyze_corpus_local(
-            &units,
-            bside::fleet::FleetOptions::default(),
-            &agents,
-        ) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("  distributed config failed: {e}");
-                return None;
-            }
+/// Agents in every fleet rig.
+const FLEET_AGENTS: usize = 2;
+
+/// A loopback TCP coordinator with [`FLEET_AGENTS`] in-thread agents
+/// under the reconnect supervisor. The retry budget (64 attempts, 30 s
+/// per unit) and the fast redial only come into play under faults.
+struct FleetRig {
+    handle: FleetHandle,
+    agents: Vec<std::thread::JoinHandle<std::io::Result<AgentReport>>>,
+}
+
+/// One timed pass of the corpus through a fleet.
+struct FleetPass {
+    wall: Duration,
+    stats: RunStats,
+}
+
+impl FleetRig {
+    fn start(slots: usize, secret: Option<&str>) -> Res<FleetRig> {
+        let secret = secret.map(str::to_string);
+        let options = FleetOptions {
+            unit_timeout: Duration::from_secs(30),
+            max_attempts: 64,
+            secret: secret.clone(),
+            ..FleetOptions::default()
         };
-        let wall = t0.elapsed();
-        if run.stats.failures > 0 {
-            if let Some(unit) = run.results.iter().find(|u| u.result.is_err()) {
-                eprintln!(
-                    "  distributed config failed: unit {} -> {}",
-                    unit.name,
-                    unit.result.as_ref().expect_err("failed unit")
-                );
-            }
-            return None;
-        }
-        if wall < best_wall {
-            best_wall = wall;
-            phases = PipelineTimings::new();
-            syscall_counts.clear();
-            for unit in &run.results {
-                let analysis = unit.result.as_ref().expect("no failures");
-                phases.record(&analysis.stats.timings);
-                syscall_counts.push((unit.name.clone(), analysis.syscalls.len()));
-            }
+        let handle = FleetCoordinator::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), options)
+            .map_err(ctx("fleet bind"))?;
+        let spawn = |i: u64| {
+            let endpoint = handle.endpoint().clone();
+            let options = AgentOptions {
+                slots,
+                secret: secret.clone(),
+                backoff_base: Duration::from_millis(5),
+                backoff_cap: Duration::from_millis(50),
+                backoff_seed: Some(21 + i),
+                ..AgentOptions::default()
+            };
+            std::thread::spawn(move || run_agent_loop(&endpoint, &options))
+        };
+        let agents = (0..FLEET_AGENTS as u64).map(spawn).collect();
+        let rig = FleetRig { handle, agents };
+        rig.full(Duration::from_secs(30))?;
+        Ok(rig)
+    }
+
+    /// Waits until every agent is connected.
+    fn full(&self, timeout: Duration) -> Res<()> {
+        let full = self.handle.wait_for_agents(FLEET_AGENTS, timeout);
+        ensure(full, || "fleet agents failed to register".to_string())
+    }
+
+    /// Pushes the units through once, starting from a full fleet.
+    fn run(&self, units: &[(String, PathBuf)]) -> Res<FleetPass> {
+        self.full(Duration::from_secs(10))?;
+        let (run, wall) = timed(|| analyze_corpus_fleet(units, &self.handle));
+        let stats = run.map_err(ctx("fleet run"))?.stats;
+        ensure(stats.failures == 0, || format!("fleet: {stats:?}"))?;
+        Ok(FleetPass { wall, stats })
+    }
+
+    /// Says goodbye to the agents once all are back, and joins them.
+    fn stop(self) {
+        let _ = self.full(Duration::from_secs(10));
+        self.handle.shutdown();
+        for agent in self.agents {
+            let _ = agent.join();
         }
     }
-    Some(ConfigResult {
-        parallelism: workers,
-        wall: best_wall,
-        phases,
-        syscall_counts,
+}
+
+fn chaos_plan() -> FaultPlan {
+    let spec = "seed=11,corrupt=30,truncate=10,reset=10,dup=30,delay=20,delay_ms=1";
+    FaultPlan::parse(spec).expect("a valid fault plan")
+}
+
+/// One pass against a fresh daemon: the timed part's wall clock, its
+/// sorted request latencies (µs) and the daemon's counters after it.
+struct DaemonPass {
+    wall: Duration,
+    latencies: Vec<u64>,
+    stats: StatsSnapshot,
+}
+
+/// Runs `drive` against a fresh daemon with an empty store and the
+/// images on disk; `drive` returns the timed wall clock and latencies.
+fn daemon_pass(
+    images: &Images,
+    (threads, remote): (usize, Option<RemoteAnalyzer>),
+    drive: impl FnOnce(&Server, &[String]) -> Res<(Duration, Vec<u64>)>,
+) -> Res<DaemonPass> {
+    let scratch = Scratch::new("daemon")?;
+    let paths = scratch.paths(images)?;
+    let server = scratch.daemon(threads, true, remote)?;
+    let (wall, mut latencies) = drive(&server, &paths)?;
+    latencies.sort_unstable();
+    let stats = server.stats();
+    server.shutdown();
+    Ok(DaemonPass {
+        wall,
+        latencies,
+        stats,
     })
 }
 
-/// The fleet measurement: the corpus shipped in band over loopback TCP
-/// to in-process agents — what the multi-machine path costs per unit
-/// (JSON marshalling + base64 + socket hops) relative to threads.
-struct FleetBenchResult {
+/// `clients` connections, all connected before any fetch, then
+/// `requests` fetches each (client `c`'s `r`-th of `paths[(c + r) % len]`,
+/// a store hit if `hits`). Returns the wall clock and latencies (µs).
+fn hammer(
+    server: &Server,
+    paths: &[String],
+    (clients, requests): (usize, usize),
+    hits: bool,
+) -> Res<(Duration, Vec<u64>)> {
+    let barrier = std::sync::Barrier::new(clients);
+    let client = |c: usize| -> Res<Vec<u64>> {
+        // Connect before the barrier but fail only after it: a thread
+        // bailing out early would strand the others.
+        let client = PolicyClient::connect(server.endpoint());
+        barrier.wait();
+        let mut client = client.map_err(ctx("connect"))?;
+        let fetch = |r: usize| {
+            let (fetch, took) = timed(|| client.fetch_path(&paths[(c + r) % paths.len()]));
+            let source = fetch.map_err(ctx("fetch"))?.source;
+            let hit = !hits || source == Source::Store;
+            ensure(hit, || format!("expected a store hit, got {source:?}"))?;
+            Ok(took.as_micros() as u64)
+        };
+        (0..requests).map(fetch).collect()
+    };
+    let (per_client, wall) = timed(|| in_parallel(clients, client));
+    Ok((wall, per_client?.concat()))
+}
+
+/// A sequential warm pass that analyzes every binary once, then the
+/// timed store-hit [`hammer`].
+fn serve_pass(clients: usize, requests: usize, images: &Images) -> Res<DaemonPass> {
+    daemon_pass(images, (clients, None), |server, paths| {
+        hammer(server, paths, (1, paths.len()), false)?;
+        hammer(server, paths, (clients, requests), true)
+    })
+}
+
+/// `clients` concurrent fetches of one cold binary; the single-flight
+/// table should run one analysis.
+fn storm_pass(clients: usize, image: &(String, Vec<u8>)) -> Res<DaemonPass> {
+    let storm = |server: &Server, paths: &[String]| hammer(server, paths, (clients, 1), false);
+    daemon_pass(std::slice::from_ref(image), (clients + 2, None), storm)
+}
+
+/// Degraded mode: the fleet offload has no agents and a 300 ms budget, so
+/// each miss waits out the budget (until the breaker opens) and falls
+/// back to a local derivation. One client fetches every binary cold.
+fn degraded_pass(images: &Images) -> Res<DaemonPass> {
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let fleet = FleetCoordinator::bind(&endpoint, FleetOptions::default());
+    let fleet = fleet.map_err(ctx("fleet bind"))?;
+    let offload = bside::fleet::serve_offload(fleet.submitter(), Duration::from_millis(300));
+    let cold = |server: &Server, paths: &[String]| hammer(server, paths, (1, paths.len()), false);
+    let pass = daemon_pass(images, (4, Some(offload)), cold)?;
+    fleet.shutdown();
+    let degraded = pass.stats.degraded > 0;
+    ensure(degraded, || "no request took the degraded path".to_string())?;
+    Ok(pass)
+}
+
+/// An idle keyed watcher: a raw socket past the daemon's hello.
+fn idler(socket: &std::path::Path) -> Res<BufReader<UnixStream>> {
+    let stream = UnixStream::connect(socket).map_err(ctx("idler connect"))?;
+    let timeout = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    timeout.map_err(ctx("idler read timeout"))?;
+    let mut reader = BufReader::new(stream);
+    let hello = reader.read_line(&mut String::new());
+    hello.map_err(ctx("idler hello"))?;
+    Ok(reader)
+}
+
+/// C10k on a two-thread daemon: store-hit hammer runs without watchers,
+/// then per run: park `idlers` keyed watches (one socket each, as idle
+/// enforcement agents), hammer, and time one invalidate waking them all.
+fn run_c10k(
+    idlers: usize,
+    clients: usize,
+    requests: usize,
+    image: &(String, Vec<u8>),
+) -> Res<(Runs<Duration>, Runs<[Duration; 2]>)> {
+    let scratch = Scratch::new("c10k")?;
+    let paths = scratch.paths(std::slice::from_ref(image))?;
+    let server = scratch.daemon(2, false, None)?;
+    let mut control = PolicyClient::connect(server.endpoint()).map_err(ctx("connect"))?;
+    control.fetch_path(&paths[0]).map_err(ctx("fetch"))?;
+    hammer(&server, &paths, (clients, requests / 4 + 1), true)?;
+    let baseline = repeat(|| Ok(hammer(&server, &paths, (clients, requests), true)?.0))?;
+
+    let socket = scratch.0.join("bside.sock");
+    let mut watchers: Vec<_> = (0..idlers).map(|_| idler(&socket)).collect::<Res<_>>()?;
+    let loaded = repeat(|| {
+        // The previous run's invalidate dropped the key; fetching it
+        // again makes the hammer store hits again.
+        let fetch = control.fetch_path(&paths[0]).map_err(ctx("fetch"))?;
+        let watch = Request::Watch {
+            generation: fetch.generation,
+            key: Some(fetch.key.clone()),
+        };
+        let frame = serde_json::to_string(&watch).map_err(ctx("encode watch"))? + "\n";
+        for watcher in &mut watchers {
+            let park = watcher.get_mut().write_all(frame.as_bytes());
+            park.map_err(ctx("park"))?;
+        }
+        let parked_by = Instant::now() + Duration::from_secs(30);
+        while server.parked_watches() < idlers as u64 && Instant::now() < parked_by {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let parked = server.parked_watches();
+        let all_parked = parked >= idlers as u64;
+        ensure(all_parked, || format!("only {parked} of {idlers} parked"))?;
+        let (with_idlers, _) = hammer(&server, &paths, (clients, requests), true)?;
+        let t0 = Instant::now();
+        let (removed, _) = control.invalidate(&fetch.key).map_err(ctx("invalidate"))?;
+        ensure(removed, || "invalidate removed nothing".to_string())?;
+        for watcher in &mut watchers {
+            let mut line = String::new();
+            watcher.read_line(&mut line).map_err(ctx("wake"))?;
+            let woke = line.contains("\"generation\"");
+            ensure(woke, || format!("a watcher woke with {line}"))?;
+        }
+        Ok([with_idlers, t0.elapsed()])
+    })?;
+    server.shutdown();
+    Ok((baseline, loaded))
+}
+
+/// Flat legs for the fattest application profile and the adversarial
+/// BST worst case, a phased leg for lighttpd's automaton (sizes summed
+/// over its phase programs); each run replays the trace once.
+fn run_filter_replay() -> Res<Vec<FilterLeg>> {
+    use bside::filter::{bpf::BpfProgram, compile, FilterPolicy};
+    const EVENTS: usize = 200_000;
+    const SEED: u64 = 0xB51DE;
+    let profiles = all_profiles();
+    let fattest = profiles.iter().max_by_key(|p| p.truth().len());
+    let fattest = fattest.expect("non-empty profile set");
+    let worst = bside::gen::profiles::bst_worstcase();
+    let mut legs = Vec::new();
+    for (name, set) in [(fattest.name, fattest.truth()), (worst.name, worst.truth())] {
+        let policy = FilterPolicy::allow_only(name.to_string(), set);
+        let naive = BpfProgram::from_policy(&policy);
+        let compiled = compile::compile(&policy);
+        let report = &compiled.report;
+        ensure(report.used_optimized, || {
+            format!("{name}: {:?}", report.fallback)
+        })?;
+        let trace = replay::synthesize_flat_trace(&policy, EVENTS, SEED);
+        let replay = || replay::measure_throughput(&naive, &compiled.program, &trace, 1);
+        let runs = repeat(|| replay().map_err(ctx("replay")))?;
+        let pieces = report.proof.as_ref().map(|p| p.pieces());
+        legs.push(FilterLeg::of(name, "flat", pieces, &runs));
+    }
+
+    let lighttpd = bside::gen::profiles::lighttpd();
+    let options = AnalyzerOptions::default();
+    let bundle = bside::serve::derive_bundle("lighttpd", &lighttpd.program.image, &options, None)
+        .map_err(ctx("derive lighttpd"))?;
+    if !bundle.phases.phases.is_empty() {
+        let replay = || replay::measure_phased_throughput(&bundle.phases, EVENTS, SEED, 1);
+        let runs = repeat(|| replay().map_err(ctx("phased replay")))?;
+        legs.push(FilterLeg::of("lighttpd", "phased", None, &runs));
+    }
+    Ok(legs)
+}
+
+/// Declares a report struct and its serde impls from one field list, so
+/// the struct and its JSON keys cannot drift apart.
+macro_rules! report {
+    ($(#[$meta:meta])* $name:ident { $($(#[$doc:meta])* $field:ident: $ty:ty),+ $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        struct $name { $($(#[$doc])* $field: $ty),+ }
+        impl_serde_struct!($name { $($field),+ });
+    };
+}
+
+/// `[min, max]` of a timed figure, written next to its median.
+type Range<T> = (T, T);
+
+/// A nested JSON object of a report, built key by key.
+#[derive(Default)]
+struct Obj(Vec<(String, Value)>);
+
+impl Obj {
+    fn put(mut self, key: &str, value: impl serde::Serialize) -> Obj {
+        self.0.push((key.to_string(), serde::to_value(&value)));
+        self
+    }
+
+    /// A timed figure: `key` (the median) and `key_range`.
+    fn timed<T: serde::Serialize>(self, key: &str, (median, range): (T, Range<T>)) -> Obj {
+        self.put(key, median).put(&format!("{key}_range"), range)
+    }
+}
+
+/// `latency_us` of daemon passes: mean, p50 and p99.
+fn latency_us(runs: &Runs<DaemonPass>) -> Value {
+    let mean = |l: &[u64]| l.iter().sum::<u64>() as f64 / l.len().max(1) as f64;
+    let pct = |p: f64| runs.sample(|r| percentile(&r.latencies, p)).whole();
+    let obj = Obj::default().timed("mean", runs.sample(|r| mean(&r.latencies)).whole());
+    Value::Object(obj.timed("p50", pct(0.50)).timed("p99", pct(0.99)).0)
+}
+
+report!(ConfigReport {
+    parallelism: usize,
+    wall_us: u64,
+    wall_us_range: Range<u64>,
+    phase_totals: Value,
+    identified_syscalls: Value,
+});
+
+impl ConfigReport {
+    /// Fails when the runs disagree on any binary's syscall count: the
+    /// engines are deterministic, so a disagreement is a bug.
+    fn of(parallelism: usize, runs: &Runs<Pass>) -> Res<ConfigReport> {
+        let first = &runs.0[0];
+        let agree = runs.0.iter().all(|r| r.counts == first.counts);
+        ensure(agree, || "runs disagree on syscall counts".to_string())?;
+        let (wall_us, wall_us_range) = runs.sample(|r| us(r.wall)).whole();
+        let phase = |i: usize| runs.sample(|r| us(r.phases.phases()[i].1)).whole();
+        let names = first.phases.phases().into_iter().enumerate();
+        let phases = names.fold(Obj::default(), |o, (i, (n, _))| {
+            o.timed(&format!("{n}_us"), phase(i))
+        });
+        let counts = first.counts.iter();
+        let counts = counts.map(|(n, c)| (n.clone(), Value::UInt(*c as u64)));
+        Ok(ConfigReport {
+            parallelism,
+            wall_us,
+            wall_us_range,
+            phase_totals: Value::Object(phases.0),
+            identified_syscalls: Value::Object(counts.collect()),
+        })
+    }
+}
+
+report!(FleetReport {
     agents: usize,
     slots_per_agent: usize,
     units: usize,
-    wall: Duration,
+    wall_us: u64,
+    wall_us_range: Range<u64>,
+    units_per_s: f64,
     retries: u64,
     timeouts: u64,
-}
+});
 
-impl FleetBenchResult {
-    fn units_per_s(&self) -> f64 {
-        self.units as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Times a fleet run: bind a TCP coordinator on loopback, attach
-/// `agents` in-process agents, push the whole corpus through. `None`
-/// when setup or any unit fails.
-fn run_fleet(
-    agents: usize,
-    slots_per_agent: usize,
-    images: &[(String, Vec<u8>)],
-) -> Option<FleetBenchResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_fleet_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_fleet_in(agents, slots_per_agent, images, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_fleet_in(
-    agents: usize,
-    slots_per_agent: usize,
-    images: &[(String, Vec<u8>)],
-    dir: &std::path::Path,
-) -> Option<FleetBenchResult> {
-    use bside::fleet::{
-        analyze_corpus_fleet, run_agent, AgentOptions, FleetCoordinator, FleetOptions,
-    };
-    let mut units: Vec<(String, std::path::PathBuf)> = Vec::with_capacity(images.len());
-    for (i, (name, bytes)) in images.iter().enumerate() {
-        let path = dir.join(format!("{i:04}_{name}.elf"));
-        std::fs::write(&path, bytes).ok()?;
-        units.push((name.clone(), path));
-    }
-    let handle = FleetCoordinator::bind(
-        &bside::serve::Endpoint::Tcp("127.0.0.1:0".to_string()),
-        FleetOptions::default(),
-    )
-    .ok()?;
-    let agent_threads: Vec<_> = (0..agents)
-        .map(|_| {
-            let endpoint = handle.endpoint().clone();
-            std::thread::spawn(move || {
-                run_agent(
-                    &endpoint,
-                    &AgentOptions {
-                        slots: slots_per_agent,
-                        dial_timeout: Some(Duration::from_secs(10)),
-                        ..AgentOptions::default()
-                    },
-                )
-            })
-        })
-        .collect();
-    if !handle.wait_for_agents(agents, Duration::from_secs(30)) {
-        eprintln!("  fleet config: agents failed to register");
-        handle.shutdown();
-        for t in agent_threads {
-            let _ = t.join();
-        }
-        return None;
-    }
-
-    let mut best: Option<FleetBenchResult> = None;
-    for _ in 0..REPEATS {
-        let t0 = Instant::now();
-        let run = match analyze_corpus_fleet(&units, &handle) {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("  fleet config failed: {e}");
-                handle.shutdown();
-                for t in agent_threads {
-                    let _ = t.join();
-                }
-                return None;
-            }
-        };
-        let wall = t0.elapsed();
-        if run.stats.failures > 0 {
-            eprintln!(
-                "  fleet config failed: {} unit failure(s)",
-                run.stats.failures
-            );
-            handle.shutdown();
-            for t in agent_threads {
-                let _ = t.join();
-            }
-            return None;
-        }
-        if best.as_ref().is_none_or(|b| wall < b.wall) {
-            best = Some(FleetBenchResult {
-                agents,
-                slots_per_agent,
-                units: units.len(),
-                wall,
-                retries: run.stats.retries as u64,
-                timeouts: run.stats.timeouts as u64,
-            });
-        }
-    }
-    handle.shutdown();
-    for t in agent_threads {
-        let _ = t.join();
-    }
-    best
-}
-
-/// The chaos measurement: the [`run_fleet`] shape on an *authenticated*
-/// link, once with a clean wire and once under a seeded fault plan —
-/// what line noise costs in throughput and retries when every frame is
-/// MAC-sealed and corrupted units are retried. A third leg times the
-/// serve daemon in degraded mode (fleet offload with zero agents and a
-/// short budget, so every analyze-on-miss falls back to a local
-/// derivation): its p99 is the degraded-mode serving figure.
-struct FleetChaosResult {
-    faults_off: FleetBenchResult,
-    faults_on: FleetBenchResult,
-    plan: bside::dist::fault::FaultPlan,
-}
-
-const CHAOS_SECRET: &str = "bench-chaos-secret";
-
-fn chaos_plan() -> bside::dist::fault::FaultPlan {
-    use bside::dist::fault::FaultPlan;
-    FaultPlan {
-        corrupt: 30,
-        truncate: 10,
-        reset: 10,
-        dup: 30,
-        delay: 20,
-        delay_ms: 1,
-        ..FaultPlan::quiet(11)
-    }
-}
-
-fn run_fleet_chaos(
-    slots_per_agent: usize,
-    images: &[(String, Vec<u8>)],
-) -> Option<FleetChaosResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_chaos_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_fleet_chaos_in(slots_per_agent, images, &dir);
-    bside::dist::fault::set_plan(None);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_fleet_chaos_in(
-    slots_per_agent: usize,
-    images: &[(String, Vec<u8>)],
-    dir: &std::path::Path,
-) -> Option<FleetChaosResult> {
-    use bside::dist::fault::{set_plan, FaultPlan};
-    use bside::fleet::{
-        analyze_corpus_fleet, run_agent_loop, AgentOptions, FleetCoordinator, FleetOptions,
-    };
-    let mut units: Vec<(String, std::path::PathBuf)> = Vec::with_capacity(images.len());
-    for (i, (name, bytes)) in images.iter().enumerate() {
-        let path = dir.join(format!("{i:04}_{name}.elf"));
-        std::fs::write(&path, bytes).ok()?;
-        units.push((name.clone(), path));
-    }
-
-    let measure = |plan: Option<FaultPlan>| -> Option<FleetBenchResult> {
-        let handle = FleetCoordinator::bind(
-            &bside::serve::Endpoint::Tcp("127.0.0.1:0".to_string()),
-            FleetOptions {
-                unit_timeout: Duration::from_secs(30),
-                max_attempts: 64,
-                secret: Some(CHAOS_SECRET.to_string()),
-                ..FleetOptions::default()
-            },
-        )
-        .ok()?;
-        set_plan(plan);
-        let agent_threads: Vec<_> = (0..2u64)
-            .map(|i| {
-                let endpoint = handle.endpoint().clone();
-                std::thread::spawn(move || {
-                    run_agent_loop(
-                        &endpoint,
-                        &AgentOptions {
-                            slots: slots_per_agent,
-                            dial_timeout: Some(Duration::from_secs(10)),
-                            secret: Some(CHAOS_SECRET.to_string()),
-                            backoff_base: Duration::from_millis(5),
-                            backoff_cap: Duration::from_millis(50),
-                            backoff_seed: Some(21 + i),
-                            ..AgentOptions::default()
-                        },
-                    )
-                })
-            })
-            .collect();
-        let finish = |handle: bside::fleet::FleetHandle| {
-            // Quiet the wire before the goodbye round so shutdown frames
-            // are not themselves faulted away.
-            set_plan(None);
-            handle.wait_for_agents(2, Duration::from_secs(10));
-            handle.shutdown();
-        };
-        if !handle.wait_for_agents(2, Duration::from_secs(30)) {
-            eprintln!("  fleet-chaos config: agents failed to register");
-            finish(handle);
-            for t in agent_threads {
-                let _ = t.join();
-            }
-            return None;
-        }
-        let t0 = Instant::now();
-        let run = analyze_corpus_fleet(&units, &handle);
-        let wall = t0.elapsed();
-        finish(handle);
-        for t in agent_threads {
-            let _ = t.join();
-        }
-        let run = match run {
-            Ok(run) => run,
-            Err(e) => {
-                eprintln!("  fleet-chaos config failed: {e}");
-                return None;
-            }
-        };
-        if run.stats.failures > 0 {
-            eprintln!(
-                "  fleet-chaos config failed: {} unit failure(s)",
-                run.stats.failures
-            );
-            return None;
-        }
-        Some(FleetBenchResult {
-            agents: 2,
+impl FleetReport {
+    fn of(slots_per_agent: usize, runs: &Runs<FleetPass>) -> FleetReport {
+        let (wall_us, wall_us_range) = runs.sample(|r| us(r.wall)).whole();
+        FleetReport {
+            agents: FLEET_AGENTS,
             slots_per_agent,
-            units: units.len(),
-            wall,
-            retries: run.stats.retries as u64,
-            timeouts: run.stats.timeouts as u64,
-        })
-    };
-
-    let faults_off = measure(None)?;
-    let plan = chaos_plan();
-    let faults_on = measure(Some(plan))?;
-    Some(FleetChaosResult {
-        faults_off,
-        faults_on,
-        plan,
-    })
-}
-
-/// Serve daemon in degraded mode: the fleet offload has zero agents and
-/// a short budget, so every analyze-on-miss waits out the budget (until
-/// the breaker opens and skips the wait) and falls back to a local
-/// derivation. One client fetches every binary cold.
-struct ServeDegradedResult {
-    requests: usize,
-    wall: Duration,
-    latencies_us: Vec<u64>,
-    degraded: u64,
-    breaker_state: u64,
-}
-
-impl ServeDegradedResult {
-    fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((self.latencies_us.len() - 1) as f64 * p).round() as usize;
-        self.latencies_us[rank]
-    }
-}
-
-fn run_serve_degraded(images: &[(String, Vec<u8>)]) -> Option<ServeDegradedResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_degraded_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_serve_degraded_in(images, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_serve_degraded_in(
-    images: &[(String, Vec<u8>)],
-    dir: &std::path::Path,
-) -> Option<ServeDegradedResult> {
-    use bside::fleet::{serve_offload, FleetCoordinator, FleetOptions};
-    let corpus_dir = dir.join("corpus");
-    std::fs::create_dir_all(&corpus_dir).ok()?;
-    let mut paths: Vec<String> = Vec::with_capacity(images.len());
-    for (i, (name, bytes)) in images.iter().enumerate() {
-        let path = corpus_dir.join(format!("{i:04}_{name}.elf"));
-        std::fs::write(&path, bytes).ok()?;
-        paths.push(path.to_str()?.to_string());
-    }
-    let fleet = FleetCoordinator::bind(
-        &bside::serve::Endpoint::Tcp("127.0.0.1:0".to_string()),
-        FleetOptions::default(),
-    )
-    .ok()?;
-    let server = PolicyServer::spawn(
-        &Endpoint::Unix(dir.join("bside.sock")),
-        ServeOptions {
-            store_dir: Some(dir.join("store")),
-            remote_analyzer: Some(serve_offload(fleet.submitter(), Duration::from_millis(300))),
-            read_timeout: Duration::from_secs(60),
-            ..ServeOptions::default()
-        },
-    )
-    .ok()?;
-
-    let mut client = PolicyClient::connect(server.endpoint()).ok()?;
-    let mut latencies_us = Vec::with_capacity(paths.len());
-    let t0 = Instant::now();
-    for path in &paths {
-        let t = Instant::now();
-        let fetch = client.fetch_path(path).ok()?;
-        latencies_us.push(t.elapsed().as_micros() as u64);
-        if fetch.source == Source::Store {
-            eprintln!("  serve-degraded config: unexpected store hit on a cold key");
+            units: runs.0[0].stats.units,
+            wall_us,
+            wall_us_range,
+            units_per_s: runs.sample(|r| per_s(r.stats.units, r.wall)).places(1).0,
+            retries: runs.max(|r| r.stats.retries as u64),
+            timeouts: runs.max(|r| r.stats.timeouts as u64),
         }
     }
-    let wall = t0.elapsed();
-    latencies_us.sort_unstable();
-    let stats = server.stats();
-    server.shutdown();
-    fleet.shutdown();
-    if stats.degraded == 0 {
-        eprintln!("  serve-degraded config: no request degraded — figure is not the degraded path");
-        return None;
-    }
-    Some(ServeDegradedResult {
-        requests: paths.len(),
-        wall,
-        latencies_us,
-        degraded: stats.degraded,
-        breaker_state: stats.breaker_state,
-    })
 }
 
-fn fleet_chaos_json(
-    r: &FleetChaosResult,
-    degraded: Option<&ServeDegradedResult>,
-    indent: &str,
-) -> String {
-    let leg = |f: &FleetBenchResult, pad: &str| {
-        format!(
-            "{{\n{pad}  \"wall_us\": {},\n{pad}  \"units_per_s\": {:.1},\n{pad}  \"retries\": {},\n{pad}  \"timeouts\": {}\n{pad}}}",
-            f.wall.as_micros(),
-            f.units_per_s(),
-            f.retries,
-            f.timeouts,
-        )
-    };
-    let p = &r.plan;
-    let plan = format!(
-        "\"seed={} corrupt={} truncate={} reset={} dup={} delay={}({}ms) per-mille\"",
-        p.seed, p.corrupt, p.truncate, p.reset, p.dup, p.delay, p.delay_ms
-    );
-    let pad = format!("{indent}  ");
-    let degraded_json = match degraded {
-        Some(d) => format!(
-            "{{\n{pad}  \"requests\": {},\n{pad}  \"wall_us\": {},\n{pad}  \"degraded\": {},\n{pad}  \"breaker_state\": {},\n{pad}  \"latency_us\": {{ \"p50\": {}, \"p99\": {} }}\n{pad}}}",
-            d.requests,
-            d.wall.as_micros(),
-            d.degraded,
-            d.breaker_state,
-            d.percentile_us(0.50),
-            d.percentile_us(0.99),
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n{indent}  \"agents\": {},\n{indent}  \"slots_per_agent\": {},\n{indent}  \"units\": {},\n{indent}  \"authenticated\": true,\n{indent}  \"plan\": {plan},\n{indent}  \"faults_off\": {},\n{indent}  \"faults_on\": {},\n{indent}  \"serve_degraded\": {degraded_json}\n{indent}}}",
-        r.faults_off.agents,
-        r.faults_off.slots_per_agent,
-        r.faults_off.units,
-        leg(&r.faults_off, &pad),
-        leg(&r.faults_on, &pad),
-    )
-}
-
-fn fleet_json(r: &FleetBenchResult, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"agents\": {},\n{indent}  \"slots_per_agent\": {},\n{indent}  \"units\": {},\n{indent}  \"wall_us\": {},\n{indent}  \"units_per_s\": {:.1},\n{indent}  \"retries\": {},\n{indent}  \"timeouts\": {}\n{indent}}}",
-        r.agents,
-        r.slots_per_agent,
-        r.units,
-        r.wall.as_micros(),
-        r.units_per_s(),
-        r.retries,
-        r.timeouts,
-    )
-}
-
-/// The serve-path measurement: store-hit request throughput and latency
-/// against one daemon.
-struct ServeBenchResult {
+report!(ServeReport {
     clients: usize,
     requests_per_client: usize,
-    wall: Duration,
-    /// All request latencies in microseconds, sorted ascending.
-    latencies_us: Vec<u64>,
+    total_requests: usize,
+    wall_us: u64,
+    wall_us_range: Range<u64>,
+    throughput_rps: f64,
+    latency_us: Value,
     analyses: u64,
     store_hits: u64,
-}
+});
 
-impl ServeBenchResult {
-    fn total_requests(&self) -> usize {
-        self.clients * self.requests_per_client
-    }
-
-    fn throughput_rps(&self) -> f64 {
-        self.total_requests() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    fn percentile_us(&self, p: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let rank = ((self.latencies_us.len() - 1) as f64 * p).round() as usize;
-        self.latencies_us[rank]
-    }
-
-    fn mean_us(&self) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        (self.latencies_us.iter().sum::<u64>()) / self.latencies_us.len() as u64
-    }
-}
-
-/// Runs the policy-service load generator: `clients` concurrent
-/// connections, `requests_per_client` fetches each, round-robin over the
-/// corpus, after a sequential warm pass populates the store (so the
-/// timed phase measures the serving path, not the analysis path).
-fn run_serve(
-    clients: usize,
-    requests_per_client: usize,
-    images: &[(String, Vec<u8>)],
-) -> Option<ServeBenchResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_serve_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_serve_in(clients, requests_per_client, images, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_serve_in(
-    clients: usize,
-    requests_per_client: usize,
-    images: &[(String, Vec<u8>)],
-    dir: &std::path::Path,
-) -> Option<ServeBenchResult> {
-    let corpus_dir = dir.join("corpus");
-    std::fs::create_dir_all(&corpus_dir).ok()?;
-    let mut paths: Vec<String> = Vec::with_capacity(images.len());
-    for (i, (name, bytes)) in images.iter().enumerate() {
-        let path = corpus_dir.join(format!("{i:04}_{name}.elf"));
-        std::fs::write(&path, bytes).ok()?;
-        paths.push(path.to_str()?.to_string());
-    }
-    let server = PolicyServer::spawn(
-        &Endpoint::Unix(dir.join("bside.sock")),
-        ServeOptions {
-            store_dir: Some(dir.join("store")),
-            threads: clients,
-            read_timeout: Duration::from_secs(30),
-            ..ServeOptions::default()
-        },
-    )
-    .ok()?;
-
-    // Warm pass: every binary analyzed exactly once, store populated.
-    // The warm connection is dropped before the timed phase starts so it
-    // does not pin one of the pool's workers (and stall shutdown by its
-    // idle read timeout).
-    {
-        let mut warm = PolicyClient::connect(server.endpoint()).ok()?;
-        for path in &paths {
-            let fetch = warm.fetch_path(path).ok()?;
-            if fetch.source != Source::Analyzed {
-                eprintln!("  serve config: unexpected warm-pass store hit");
-            }
-        }
-    }
-
-    let t0 = Instant::now();
-    let mut latencies_us: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let paths = &paths;
-                let server = &server;
-                scope.spawn(move || -> Option<Vec<u64>> {
-                    let mut client = PolicyClient::connect(server.endpoint()).ok()?;
-                    let mut latencies = Vec::with_capacity(requests_per_client);
-                    for r in 0..requests_per_client {
-                        let path = &paths[(c + r) % paths.len()];
-                        let t = Instant::now();
-                        let fetch = client.fetch_path(path).ok()?;
-                        latencies.push(t.elapsed().as_micros() as u64);
-                        if fetch.source != Source::Store {
-                            return None; // the timed phase must be store-served
-                        }
-                    }
-                    Some(latencies)
-                })
-            })
-            .collect();
-        let mut all = Vec::with_capacity(clients * requests_per_client);
-        let mut ok = true;
-        for handle in handles {
-            match handle.join().expect("client thread") {
-                Some(latencies) => all.extend(latencies),
-                None => ok = false,
-            }
-        }
-        ok.then_some(all)
-    })?;
-    let wall = t0.elapsed();
-    latencies_us.sort_unstable();
-    let stats = server.stats();
-    server.shutdown();
-    Some(ServeBenchResult {
-        clients,
-        requests_per_client,
-        wall,
-        latencies_us,
-        analyses: stats.analyses,
-        store_hits: stats.store_hits,
-    })
-}
-
-/// The C10k measurement: store-hit throughput on a two-thread daemon
-/// with and without a crowd of parked keyed watchers, plus the wall time
-/// for one targeted invalidate to wake the whole crowd.
-struct ServeC10kResult {
+report!(C10kReport {
     idlers: usize,
     clients: usize,
     requests_per_client: usize,
-    baseline: Duration,
-    with_idlers: Duration,
-    /// Invalidate sent → every idler's wake reply read.
-    wake_all: Duration,
-}
+    baseline_wall_us: u64,
+    baseline_wall_us_range: Range<u64>,
+    with_idlers_wall_us: u64,
+    with_idlers_wall_us_range: Range<u64>,
+    /// Baseline over loaded median wall (1.0: parked watchers are free).
+    throughput_ratio: f64,
+    wake_all_us: u64,
+    wake_all_us_range: Range<u64>,
+});
 
-impl ServeC10kResult {
-    /// With-idlers throughput as a fraction of the idle-free baseline
-    /// (1.0 = parked watchers are free).
-    fn throughput_ratio(&self) -> f64 {
-        self.baseline.as_secs_f64() / self.with_idlers.as_secs_f64().max(1e-9)
-    }
-}
-
-fn run_serve_c10k(
-    idlers: usize,
+report!(ColdStormReport {
     clients: usize,
-    requests_per_client: usize,
-    image: &(String, Vec<u8>),
-) -> Option<ServeC10kResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_c10k_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_serve_c10k_in(idlers, clients, requests_per_client, image, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn run_serve_c10k_in(
-    idlers: usize,
-    clients: usize,
-    requests_per_client: usize,
-    (name, bytes): &(String, Vec<u8>),
-    dir: &std::path::Path,
-) -> Option<ServeC10kResult> {
-    use std::io::{BufRead, Write};
-    let path = dir.join(format!("{name}.elf"));
-    std::fs::write(&path, bytes).ok()?;
-    let path = path.to_str()?.to_string();
-    let socket = dir.join("bside.sock");
-    let server = PolicyServer::spawn(
-        &Endpoint::Unix(socket.clone()),
-        ServeOptions {
-            threads: 2, // the headline: two threads, thousands of watches
-            read_timeout: Duration::from_secs(30),
-            ..ServeOptions::default()
-        },
-    )
-    .ok()?;
-
-    let mut control = PolicyClient::connect(server.endpoint()).ok()?;
-    let first = control.fetch_path(&path).ok()?;
-
-    let hammer = |threads: usize, rounds: usize| -> Option<Duration> {
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let path = &path;
-                    let server = &server;
-                    scope.spawn(move || -> Option<()> {
-                        let mut client = PolicyClient::connect(server.endpoint()).ok()?;
-                        for _ in 0..rounds {
-                            let fetch = client.fetch_path(path).ok()?;
-                            if fetch.source != Source::Store {
-                                return None;
-                            }
-                        }
-                        Some(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("client thread"))
-        })?;
-        Some(t0.elapsed())
-    };
-
-    // Warm, then best-of-two on both legs so scheduler noise hits the
-    // baseline and the loaded run symmetrically.
-    hammer(clients, requests_per_client / 4 + 1)?;
-    let baseline = hammer(clients, requests_per_client)?.min(hammer(clients, requests_per_client)?);
-
-    // Park the idler crowd: raw keyed `watch` frames, one socket each,
-    // no reply read — exactly how a fleet of enforcement agents idles.
-    let mut watchers: Vec<std::io::BufReader<std::os::unix::net::UnixStream>> = (0..idlers)
-        .map(|_| {
-            let stream = std::os::unix::net::UnixStream::connect(&socket).expect("idler connects");
-            stream
-                .set_read_timeout(Some(Duration::from_secs(30)))
-                .expect("read timeout");
-            let mut reader = std::io::BufReader::new(stream);
-            let mut hello = String::new();
-            reader.read_line(&mut hello).expect("hello");
-            let frame = format!(
-                "{{\"type\":\"watch\",\"generation\":{},\"key\":\"{}\"}}\n",
-                first.generation, first.key
-            );
-            reader.get_mut().write_all(frame.as_bytes()).expect("park");
-            reader
-        })
-        .collect();
-    let parked_by = Instant::now() + Duration::from_secs(30);
-    while server.parked_watches() < idlers as u64 && Instant::now() < parked_by {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    if server.parked_watches() < idlers as u64 {
-        return None;
-    }
-
-    let with_idlers =
-        hammer(clients, requests_per_client)?.min(hammer(clients, requests_per_client)?);
-
-    // One targeted invalidate wakes the entire crowd; time to last reply.
-    let t0 = Instant::now();
-    let (removed, _) = control.invalidate(&first.key).ok()?;
-    if !removed {
-        return None;
-    }
-    for watcher in &mut watchers {
-        let mut line = String::new();
-        watcher.read_line(&mut line).ok()?;
-        if !line.contains("\"generation\"") {
-            return None;
-        }
-    }
-    let wake_all = t0.elapsed();
-    server.shutdown();
-    Some(ServeC10kResult {
-        idlers,
-        clients,
-        requests_per_client,
-        baseline,
-        with_idlers,
-        wake_all,
-    })
-}
-
-/// The cold-storm measurement: N clients hit one *cold* key at once and
-/// the single-flight table should collapse them into one analysis.
-struct ColdStormResult {
-    clients: usize,
-    wall: Duration,
+    cold_keys: usize,
+    wall_us: u64,
+    wall_us_range: Range<u64>,
     analyses: u64,
     coalesced: u64,
+    /// Analyses beyond the one the key needed: what the storm would have
+    /// wasted without single-flight (up to `clients - 1`).
+    duplicated: u64,
     store_hits: u64,
-}
+});
 
-impl ColdStormResult {
-    /// Analyses beyond the one the key needed — what the storm would
-    /// have wasted without single-flight (up to `clients - 1`).
-    fn duplicated(&self) -> u64 {
-        self.analyses.saturating_sub(1)
+report!(ChaosReport {
+    agents: usize,
+    slots_per_agent: usize,
+    units: usize,
+    authenticated: bool,
+    plan: String,
+    faults_off: FleetReport,
+    faults_on: FleetReport,
+    serve_degraded: Value,
+});
+
+report!(
+    /// `overhead_pct` is `(on - off) / off` of each interleaved pair's
+    /// wall clock, in percent: positive means recording was slower.
+    TelemetryReport {
+        serve: Value,
+        fleet: Value,
+    }
+);
+
+report!(FilterLeg {
+    name: String,
+    kind: String,
+    gate_pieces: Option<usize>,
+    events: usize,
+    repeats: usize,
+    naive_len: usize,
+    optimized_len: usize,
+    naive_ns_per_eval: f64,
+    naive_ns_per_eval_range: Range<f64>,
+    optimized_ns_per_eval: f64,
+    optimized_ns_per_eval_range: Range<f64>,
+    /// Median of the per-run naive over optimized ns/eval.
+    speedup: f64,
+});
+
+impl FilterLeg {
+    fn of(name: &str, kind: &str, pieces: Option<usize>, runs: &Runs<ThroughputReport>) -> Self {
+        let first = &runs.0[0];
+        let naive = runs.sample(|r| r.naive_ns_per_eval).places(2);
+        let optimized = runs.sample(|r| r.optimized_ns_per_eval).places(2);
+        FilterLeg {
+            name: name.to_string(),
+            kind: kind.to_string(),
+            gate_pieces: pieces,
+            events: first.events,
+            repeats: runs.0.len(),
+            naive_len: first.naive_len,
+            optimized_len: first.optimized_len,
+            naive_ns_per_eval: naive.0,
+            naive_ns_per_eval_range: naive.1,
+            optimized_ns_per_eval: optimized.0,
+            optimized_ns_per_eval_range: optimized.1,
+            speedup: runs.sample(|r| r.speedup()).places(4).0,
+        }
     }
 }
 
-/// Spawns a fresh daemon (empty store), fires `clients` concurrent
-/// fetches of the same cold binary, and reads the coalescing off the
-/// server's counters.
-fn run_cold_storm(clients: usize, image: &(String, Vec<u8>)) -> Option<ColdStormResult> {
-    let dir = std::env::temp_dir().join(format!("bside_bench_storm_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).ok()?;
-    let result = run_cold_storm_in(clients, image, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
+report!(
+    /// The whole `BENCH_pipeline.json` record.
+    Snapshot {
+        harness: String,
+        corpus: String,
+        binaries: usize,
+        repeats: usize,
+        num_cpus: usize,
+        sequential: ConfigReport,
+        parallel: ConfigReport,
+        speedup: f64,
+        distributed: Option<ConfigReport>,
+        speedup_distributed: Option<f64>,
+        fleet: FleetReport,
+        serve: ServeReport,
+        serve_c10k: C10kReport,
+        serve_cold_storm: ColdStormReport,
+        fleet_chaos: ChaosReport,
+        telemetry_overhead: TelemetryReport,
+        filter_replay: Vec<FilterLeg>,
+    }
+);
 
-fn run_cold_storm_in(
-    clients: usize,
-    (name, bytes): &(String, Vec<u8>),
-    dir: &std::path::Path,
-) -> Option<ColdStormResult> {
-    let path = dir.join(format!("{name}.elf"));
-    std::fs::write(&path, bytes).ok()?;
-    let path = path.to_str()?.to_string();
-    let server = PolicyServer::spawn(
-        &Endpoint::Unix(dir.join("bside.sock")),
-        ServeOptions {
-            threads: clients + 2,
-            read_timeout: Duration::from_secs(60),
-            ..ServeOptions::default()
-        },
-    )
-    .ok()?;
-
-    let barrier = std::sync::Barrier::new(clients);
-    let t0 = Instant::now();
-    let ok = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let barrier = &barrier;
-                let path = &path;
-                let server = &server;
-                scope.spawn(move || -> Option<()> {
-                    // Connect before the barrier but only early-return
-                    // after it: a thread bailing out pre-wait would
-                    // strand the other N-1 on the barrier forever.
-                    let client = PolicyClient::connect(server.endpoint());
-                    barrier.wait();
-                    let mut client = client.ok()?;
-                    let fetch = client.fetch_path(path).ok()?;
-                    matches!(
-                        fetch.source,
-                        Source::Analyzed | Source::Coalesced | Source::Store
-                    )
-                    .then_some(())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .all(|h| h.join().expect("storm client").is_some())
-    });
-    let wall = t0.elapsed();
-    let stats = server.stats();
-    server.shutdown();
-    ok.then_some(ColdStormResult {
-        clients,
-        wall,
-        analyses: stats.analyses,
-        coalesced: stats.coalesced,
-        store_hits: stats.store_hits,
-    })
-}
-
-/// The telemetry-overhead measurement: the serve and fleet legs timed
-/// twice — once with span/histogram recording on (the default) and once
-/// with [`bside_obs::set_enabled`]`(false)` turning every record site
-/// into a relaxed load and a branch. The acceptance bar is the enabled
-/// figure staying within a few percent of the no-op figure; the gap is
-/// what observability costs on the hot paths.
-struct TelemetryOverheadResult {
-    serve_on: ServeBenchResult,
-    serve_off: ServeBenchResult,
-    fleet_on: FleetBenchResult,
-    fleet_off: FleetBenchResult,
-}
-
-/// `(on - off) / off`, as a percentage: positive means the instrumented
-/// run was slower.
-fn overhead_pct(on_wall: Duration, off_wall: Duration) -> f64 {
-    let off = off_wall.as_secs_f64().max(1e-9);
-    (on_wall.as_secs_f64() - off) / off * 100.0
-}
-
-fn run_telemetry_overhead(
-    fleet_slots: usize,
-    images: &[(String, Vec<u8>)],
-) -> Option<TelemetryOverheadResult> {
-    // The serve passes are short (~200 sub-millisecond requests), so
-    // the enabled and disabled runs are *interleaved* per round and the
-    // best of each side kept: an on-block-then-off-block design hands
-    // the second block warmed caches and settled CPU state, which on a
-    // small container dwarfs what the instrumentation itself costs.
-    let mut serve_on: Option<ServeBenchResult> = None;
-    let mut serve_off: Option<ServeBenchResult> = None;
-    let serve_ok = (|| -> Option<()> {
-        for _ in 0..REPEATS {
-            bside_obs::set_enabled(true);
-            let on = run_serve(2, 100, images)?;
-            if serve_on.as_ref().is_none_or(|b| on.wall < b.wall) {
-                serve_on = Some(on);
-            }
-            bside_obs::set_enabled(false);
-            let off = run_serve(2, 100, images)?;
-            if serve_off.as_ref().is_none_or(|b| off.wall < b.wall) {
-                serve_off = Some(off);
+/// Prints one stderr progress line for a configuration, every timed
+/// figure of its report (a key with a `_range` sibling) as
+/// `key=median [min,max]`, nested keys dotted.
+fn progress(config: &str, report: &impl serde::Serialize) {
+    fn figures(prefix: &str, value: &Value, out: &mut Vec<String>) {
+        let Value::Object(entries) = value else {
+            return;
+        };
+        for (key, v) in entries {
+            let range = format!("{key}_range");
+            match entries.iter().find(|(k, _)| *k == range) {
+                Some((_, range)) => {
+                    let text = |v: &Value| serde_json::to_string(v).unwrap_or_default();
+                    out.push(format!("{prefix}{key}={} {}", text(v), text(range)));
+                }
+                None => figures(&format!("{prefix}{key}."), v, out),
             }
         }
-        Some(())
-    })();
-    bside_obs::set_enabled(true);
-    serve_ok?;
-    let fleet_on = run_fleet(2, fleet_slots, images);
-    bside_obs::set_enabled(false);
-    let fleet_off = run_fleet(2, fleet_slots, images);
-    bside_obs::set_enabled(true);
-    Some(TelemetryOverheadResult {
-        serve_on: serve_on?,
-        serve_off: serve_off?,
-        fleet_on: fleet_on?,
-        fleet_off: fleet_off?,
-    })
-}
-
-fn telemetry_overhead_json(r: &TelemetryOverheadResult, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"serve\": {{ \"enabled_rps\": {:.1}, \"disabled_rps\": {:.1}, \"enabled_p99_us\": {}, \"disabled_p99_us\": {}, \"overhead_pct\": {:.2} }},\n{indent}  \"fleet\": {{ \"enabled_units_per_s\": {:.1}, \"disabled_units_per_s\": {:.1}, \"overhead_pct\": {:.2} }}\n{indent}}}",
-        r.serve_on.throughput_rps(),
-        r.serve_off.throughput_rps(),
-        r.serve_on.percentile_us(0.99),
-        r.serve_off.percentile_us(0.99),
-        overhead_pct(r.serve_on.wall, r.serve_off.wall),
-        r.fleet_on.units_per_s(),
-        r.fleet_off.units_per_s(),
-        overhead_pct(r.fleet_on.wall, r.fleet_off.wall),
-    )
-}
-
-fn cold_storm_json(r: &ColdStormResult, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"clients\": {},\n{indent}  \"cold_keys\": 1,\n{indent}  \"wall_us\": {},\n{indent}  \"analyses\": {},\n{indent}  \"coalesced\": {},\n{indent}  \"duplicated\": {},\n{indent}  \"store_hits\": {}\n{indent}}}",
-        r.clients,
-        r.wall.as_micros(),
-        r.analyses,
-        r.coalesced,
-        r.duplicated(),
-        r.store_hits,
-    )
-}
-
-fn serve_json(r: &ServeBenchResult, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"clients\": {},\n{indent}  \"requests_per_client\": {},\n{indent}  \"total_requests\": {},\n{indent}  \"wall_us\": {},\n{indent}  \"throughput_rps\": {:.1},\n{indent}  \"latency_us\": {{ \"mean\": {}, \"p50\": {}, \"p99\": {} }},\n{indent}  \"analyses\": {},\n{indent}  \"store_hits\": {}\n{indent}}}",
-        r.clients,
-        r.requests_per_client,
-        r.total_requests(),
-        r.wall.as_micros(),
-        r.throughput_rps(),
-        r.mean_us(),
-        r.percentile_us(0.50),
-        r.percentile_us(0.99),
-        r.analyses,
-        r.store_hits,
-    )
-}
-
-fn serve_c10k_json(r: &ServeC10kResult, indent: &str) -> String {
-    format!(
-        "{{\n{indent}  \"idlers\": {},\n{indent}  \"clients\": {},\n{indent}  \"requests_per_client\": {},\n{indent}  \"baseline_wall_us\": {},\n{indent}  \"with_idlers_wall_us\": {},\n{indent}  \"throughput_ratio\": {:.4},\n{indent}  \"wake_all_us\": {}\n{indent}}}",
-        r.idlers,
-        r.clients,
-        r.requests_per_client,
-        r.baseline.as_micros(),
-        r.with_idlers.as_micros(),
-        r.throughput_ratio(),
-        r.wake_all.as_micros(),
-    )
-}
-
-fn phases_json(t: &PipelineTimings, indent: &str) -> String {
-    let rows: Vec<String> = t
-        .phases()
-        .iter()
-        .map(|(name, d)| format!("{indent}  \"{name}_us\": {}", d.as_micros()))
-        .collect();
-    format!("{{\n{}\n{indent}}}", rows.join(",\n"))
-}
-
-// ---------------------------------------------------------------------------
-// Filter-replay configuration: the per-syscall enforcement cost the
-// policy compiler (`bside-filter::compile`) exists to shrink. Each leg
-// drives a synthesized trace through the naive linear lowering and the
-// gate-checked optimized program via the bounds-checked evaluator and
-// records ns/eval plus instruction counts — flat legs for a
-// representative application profile and the adversarial BST worst case,
-// a phased leg for a real phase automaton.
-// ---------------------------------------------------------------------------
-
-struct FilterReplayLeg {
-    name: String,
-    kind: &'static str,
-    gate_pieces: Option<usize>,
-    report: bside::filter::replay::ThroughputReport,
-}
-
-fn run_filter_replay() -> Vec<FilterReplayLeg> {
-    use bside::filter::{bpf::BpfProgram, compile, replay, FilterPolicy};
-    const EVENTS: usize = 200_000;
-    const SEED: u64 = 0xB51DE;
-    let mut legs = Vec::new();
-
-    let profiles = bside::gen::profiles::all_profiles();
-    let fattest = profiles
-        .iter()
-        .max_by_key(|p| p.truth().len())
-        .expect("non-empty profile set");
-    let worst = bside::gen::profiles::bst_worstcase();
-    for (name, set) in [
-        (fattest.name.to_string(), fattest.truth()),
-        (worst.name.to_string(), worst.truth()),
-    ] {
-        let policy = FilterPolicy::allow_only(name.clone(), set);
-        let naive = BpfProgram::from_policy(&policy);
-        let compiled = compile::compile(&policy);
-        assert!(
-            compiled.report.used_optimized,
-            "equivalence gate fell back for {name}: {:?}",
-            compiled.report.fallback
-        );
-        let trace = replay::synthesize_flat_trace(&policy, EVENTS, SEED);
-        let report = replay::measure_throughput(&naive, &compiled.program, &trace, REPEATS)
-            .expect("well-formed programs");
-        legs.push(FilterReplayLeg {
-            name,
-            kind: "flat",
-            gate_pieces: compiled.report.proof.as_ref().map(|p| p.pieces()),
-            report,
-        });
     }
-
-    // Phased leg: a real automaton (lighttpd's), through the shared-prefix
-    // layered compilation. Aggregated sizes are the bundle's total
-    // instruction footprint across distinct phase programs.
-    let lighttpd = bside::gen::profiles::lighttpd();
-    let bundle = bside::serve::derive_bundle(
-        "lighttpd",
-        &lighttpd.program.image,
-        &AnalyzerOptions::default(),
-        None,
-    )
-    .expect("lighttpd derives");
-    if !bundle.phases.phases.is_empty() {
-        let report = replay::measure_phased_throughput(&bundle.phases, EVENTS, SEED, REPEATS)
-            .expect("well-formed phase programs");
-        legs.push(FilterReplayLeg {
-            name: "lighttpd".to_string(),
-            kind: "phased",
-            gate_pieces: None,
-            report,
-        });
-    }
-    legs
-}
-
-fn filter_replay_json(legs: &[FilterReplayLeg], indent: &str) -> String {
-    let entries: Vec<String> = legs
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\n{indent}    \"name\": \"{}\",\n{indent}    \"kind\": \"{}\",\n{indent}    \"gate_pieces\": {},\n{indent}    \"events\": {},\n{indent}    \"repeats\": {},\n{indent}    \"naive_len\": {},\n{indent}    \"optimized_len\": {},\n{indent}    \"naive_ns_per_eval\": {:.2},\n{indent}    \"optimized_ns_per_eval\": {:.2},\n{indent}    \"speedup\": {:.4}\n{indent}  }}",
-                l.name,
-                l.kind,
-                l.gate_pieces
-                    .map_or("null".to_string(), |p| p.to_string()),
-                l.report.events,
-                l.report.repeats,
-                l.report.naive_len,
-                l.report.optimized_len,
-                l.report.naive_ns_per_eval,
-                l.report.optimized_ns_per_eval,
-                l.report.speedup(),
-            )
-        })
-        .collect();
-    format!(
-        "[\n{indent}  {}\n{indent}]",
-        entries.join(&format!(",\n{indent}  "))
-    )
-}
-
-fn config_json(r: &ConfigResult, indent: &str) -> String {
-    let counts: Vec<String> = r
-        .syscall_counts
-        .iter()
-        .map(|(name, n)| format!("\"{name}\": {n}"))
-        .collect();
-    format!(
-        "{{\n{indent}  \"parallelism\": {},\n{indent}  \"wall_us\": {},\n{indent}  \"phase_totals\": {},\n{indent}  \"identified_syscalls\": {{ {} }}\n{indent}}}",
-        r.parallelism,
-        r.wall.as_micros(),
-        phases_json(&r.phases, &format!("{indent}  ")),
-        counts.join(", "),
-    )
+    let mut out = Vec::new();
+    figures("", &serde::to_value(report), &mut out);
+    eprintln!("  {config}: {}", out.join(", "));
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
+    if let Err(e) = run() {
+        eprintln!("bench_snapshot: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Res<()> {
+    let args: Vec<String> = std::env::args().collect();
+    let out_path = args.get(1).map_or("BENCH_pipeline.json", String::as_str);
 
     // The six application profiles plus a deterministic slice of the
-    // Table 2 synthetic corpus (static binaries only — the batch API's
-    // per-binary unit), so the measurement covers varied code shapes and
-    // enough work to time meaningfully. Images ride along for the
-    // distributed configuration, whose coordinator reads from disk.
-    let mut binaries: Vec<(String, bside::elf::Elf)> = Vec::new();
-    let mut images: Vec<(String, Vec<u8>)> = Vec::new();
+    // Table 2 synthetic corpus (static binaries only), so the
+    // measurement covers varied code shapes.
+    let (mut images, mut binaries) = (Vec::new(), Vec::<(String, Elf)>::new());
     for p in all_profiles() {
-        images.push((p.name.to_string(), p.program.image.clone()));
+        images.push((p.name.to_string(), p.program.image));
         binaries.push((p.name.to_string(), p.program.elf));
     }
     let corpus = corpus_with_size(DEFAULT_SEED, 48, 0, 0);
     for (i, b) in corpus.binaries.into_iter().enumerate() {
         let name = format!("{}_{i}", b.program.spec.name);
-        images.push((name.clone(), b.program.image.clone()));
+        images.push((name.clone(), b.program.image));
         binaries.push((name, b.program.elf));
     }
-    eprintln!(
-        "bench_snapshot: {} binaries, {} repeats per config",
-        binaries.len(),
-        REPEATS
-    );
+    let n = images.len();
+    eprintln!("bench_snapshot: {n} binaries, {REPEATS} runs each");
 
     // Worker count for the parallel configuration: all cores, unless
-    // BSIDE_BENCH_PARALLELISM pins it (useful for scaling curves and for
-    // exercising the threaded path on small machines).
+    // BSIDE_BENCH_PARALLELISM pins it (scaling curves, or exercising the
+    // threaded path on small machines).
     let ncpus = std::env::var("BSIDE_BENCH_PARALLELISM")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .unwrap_or_else(bside::core::default_parallelism);
-    let sequential = run_config(1, &binaries);
-    eprintln!(
-        "  sequential (parallelism=1): {:.1} ms wall | {}",
-        sequential.wall.as_secs_f64() * 1e3,
-        sequential.phases
-    );
-    let parallel = run_config(ncpus, &binaries);
-    eprintln!(
-        "  parallel   (parallelism={ncpus}): {:.1} ms wall | {}",
-        parallel.wall.as_secs_f64() * 1e3,
-        parallel.phases
-    );
+    let sequential = ConfigReport::of(1, &run_in_process(1, &binaries)?)?;
+    progress("sequential", &sequential);
+    let parallel = ConfigReport::of(ncpus, &run_in_process(ncpus, &binaries)?)?;
+    progress("parallel", &parallel);
+    let speedup_over = |r: &ConfigReport| round(sequential.wall_us as f64 / r.wall_us as f64, 4);
 
-    let speedup = sequential.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
-    eprintln!("  end-to-end speedup: {speedup:.2}x on {ncpus} cpu(s)");
+    // Local agent processes: as many as threads, at least 2 so the
+    // multi-process path runs even on one CPU.
+    let workers = ncpus.max(2);
+    let distributed = run_distributed(workers, &images)?;
 
-    // Distributed configuration: local agent *processes* instead of
-    // threads. Same count as the thread configuration (at least 2 so the
-    // multi-process path is exercised even on a 1-CPU container).
-    let dist_workers = ncpus.max(2);
-    let distributed = run_distributed(dist_workers, &images);
-    let (dist_json, dist_speedup_json) = match &distributed {
-        Some(d) => {
-            eprintln!(
-                "  distributed (workers={dist_workers}): {:.1} ms wall | {}",
-                d.wall.as_secs_f64() * 1e3,
-                d.phases
-            );
-            let s = sequential.wall.as_secs_f64() / d.wall.as_secs_f64().max(1e-9);
-            eprintln!("  sequential→distributed speedup: {s:.2}x (includes spawn + marshalling)");
-            (config_json(d, "  "), format!("{s:.4}"))
-        }
-        None => {
-            eprintln!(
-                "  distributed: skipped (cause above if a run failed; \
-                 otherwise bside-agent is not built)"
-            );
-            ("null".to_string(), "null".to_string())
-        }
+    let slots = workers.div_ceil(2);
+    let scratch = Scratch::new("units")?;
+    let units = scratch.materialize(&images)?;
+    let rig = FleetRig::start(slots, None)?;
+    let fleet = FleetReport::of(slots, &repeat(|| rig.run(&units))?);
+    progress("fleet", &fleet);
+
+    let (clients, requests) = (4, 100);
+    let runs = repeat(|| serve_pass(clients, requests, &images))?;
+    let (wall_us, wall_us_range) = runs.sample(|r| us(r.wall)).whole();
+    let total_requests = clients * requests;
+    let serve = ServeReport {
+        clients,
+        requests_per_client: requests,
+        total_requests,
+        wall_us,
+        wall_us_range,
+        throughput_rps: runs.sample(|r| per_s(total_requests, r.wall)).places(1).0,
+        latency_us: latency_us(&runs),
+        analyses: runs.max(|r| r.stats.analyses),
+        store_hits: runs.max(|r| r.stats.store_hits),
     };
+    progress("serve", &serve);
 
-    // Fleet configuration: the same corpus shipped in band over
-    // loopback TCP to 2 in-process agents — the multi-machine
-    // trajectory. On a 1-CPU container the figure is marshalling- and
-    // base64-dominated (loopback hides the one thing a fleet buys,
-    // more machines); it exists so multi-machine hardware has a
-    // recorded baseline slot to beat.
-    let fleet_slots = dist_workers.div_ceil(2).max(1);
-    let fleet = run_fleet(2, fleet_slots, &images);
-    let fleet_json_str = match &fleet {
-        Some(f) => {
-            eprintln!(
-                "  fleet      (agents={}, slots/agent={}): {:.1} ms wall | {:.1} units/s | {} retrie(s), {} timeout(s)",
-                f.agents,
-                f.slots_per_agent,
-                f.wall.as_secs_f64() * 1e3,
-                f.units_per_s(),
-                f.retries,
-                f.timeouts,
-            );
-            fleet_json(f, "  ")
-        }
-        None => {
-            eprintln!("  fleet: skipped (cause above)");
-            "null".to_string()
-        }
+    let idlers = 1000;
+    let (baseline, loaded) = run_c10k(idlers, clients, requests, &images[0])?;
+    let (base, with) = (baseline.sample(|w| us(*w)), loaded.sample(|[w, _]| us(*w)));
+    let wake_all = loaded.sample(|[_, wake]| us(*wake)).whole();
+    let serve_c10k = C10kReport {
+        idlers,
+        clients,
+        requests_per_client: requests,
+        baseline_wall_us: base.whole().0,
+        baseline_wall_us_range: base.whole().1,
+        with_idlers_wall_us: with.whole().0,
+        with_idlers_wall_us_range: with.whole().1,
+        throughput_ratio: round(base.median / with.median.max(1e-9), 4),
+        wake_all_us: wake_all.0,
+        wake_all_us_range: wake_all.1,
     };
+    progress("serve_c10k", &serve_c10k);
 
-    // Policy-service configuration: the serving path (store hits over a
-    // Unix socket), which is what the enforcement point pays per pod
-    // launch once the corpus is analyzed.
-    let serve_clients = 4usize;
-    let serve_requests = 100usize;
-    let serve = run_serve(serve_clients, serve_requests, &images);
-    let serve_json_str = match &serve {
-        Some(s) => {
-            eprintln!(
-                "  serve      (clients={}, store-hit requests={}): {:.1} ms wall | {:.0} req/s | mean {} us, p50 {} us, p99 {} us",
-                s.clients,
-                s.total_requests(),
-                s.wall.as_secs_f64() * 1e3,
-                s.throughput_rps(),
-                s.mean_us(),
-                s.percentile_us(0.50),
-                s.percentile_us(0.99),
-            );
-            serve_json(s, "  ")
-        }
-        None => {
-            eprintln!("  serve: skipped (daemon spawn or a request failed)");
-            "null".to_string()
-        }
+    // The largest image maximizes the analysis window followers can
+    // land in; `duplicated == 0` is the claim either way.
+    let storm_clients = 16;
+    let storm_image = images.iter().max_by_key(|(_, bytes)| bytes.len());
+    let storm_image = storm_image.expect("non-empty corpus");
+    let runs = repeat(|| storm_pass(storm_clients, storm_image))?;
+    let (wall_us, wall_us_range) = runs.sample(|r| us(r.wall)).whole();
+    let serve_cold_storm = ColdStormReport {
+        clients: storm_clients,
+        cold_keys: 1,
+        wall_us,
+        wall_us_range,
+        analyses: runs.max(|r| r.stats.analyses),
+        coalesced: runs.max(|r| r.stats.coalesced),
+        duplicated: runs.max(|r| r.stats.analyses.saturating_sub(1)),
+        store_hits: runs.max(|r| r.stats.store_hits),
     };
+    progress("serve_cold_storm", &serve_cold_storm);
 
-    // C10k configuration: the readiness loop's claim in one number — a
-    // crowd of parked keyed watchers costs the active store-hit path
-    // (two worker threads) almost nothing, and one targeted invalidate
-    // wakes the whole crowd in one loop turn.
-    let c10k_idlers = 1000usize;
-    let c10k = run_serve_c10k(c10k_idlers, serve_clients, serve_requests, &images[0]);
-    let c10k_json_str = match &c10k {
-        Some(c) => {
-            eprintln!(
-                "  serve-c10k (idlers={}, clients={}): baseline {:.1} ms vs loaded {:.1} ms ({:.1}% throughput) | wake-all {:.1} ms",
-                c.idlers,
-                c.clients,
-                c.baseline.as_secs_f64() * 1e3,
-                c.with_idlers.as_secs_f64() * 1e3,
-                c.throughput_ratio() * 100.0,
-                c.wake_all.as_secs_f64() * 1e3,
-            );
-            serve_c10k_json(c, "  ")
-        }
-        None => {
-            eprintln!("  serve-c10k: skipped (daemon spawn or a request failed)");
-            "null".to_string()
-        }
+    // The authenticated fleet with a clean wire, then under the seeded
+    // fault plan: what line noise costs when every frame is MAC-sealed
+    // and corrupted units are retried. The plan is installed per run,
+    // once the whole fleet is connected, and cleared when the run ends.
+    let chaos = FleetRig::start(slots, Some("bench-chaos-secret"))?;
+    let off = repeat(|| chaos.run(&units))?;
+    let on = repeat(|| {
+        chaos.full(Duration::from_secs(10))?;
+        set_plan(Some(chaos_plan()));
+        let pass = chaos.run(&units);
+        set_plan(None);
+        pass
+    })?;
+    chaos.stop();
+    let runs = repeat(|| degraded_pass(&images))?;
+    let wall = runs.sample(|r| us(r.wall)).whole();
+    let p = chaos_plan();
+    let fleet_chaos = ChaosReport {
+        agents: FLEET_AGENTS,
+        slots_per_agent: slots,
+        units: units.len(),
+        authenticated: true,
+        plan: format!(
+            "seed={} corrupt={} truncate={} reset={} dup={} delay={}({}ms) per-mille",
+            p.seed, p.corrupt, p.truncate, p.reset, p.dup, p.delay, p.delay_ms
+        ),
+        faults_off: FleetReport::of(slots, &off),
+        faults_on: FleetReport::of(slots, &on),
+        serve_degraded: Value::Object(
+            Obj::default()
+                .put("requests", images.len())
+                .timed("wall_us", wall)
+                .put("degraded", runs.max(|r| r.stats.degraded))
+                .put("breaker_state", runs.max(|r| r.stats.breaker_state))
+                .put("latency_us", latency_us(&runs))
+                .0,
+        ),
     };
+    progress("fleet_chaos", &fleet_chaos);
 
-    // Cold-storm configuration: 16 clients, one cold key, single-flight
-    // coalescing observable as `analyses == 1, duplicated == 0` (without
-    // it the storm would burn up to 16 identical analyses). The largest
-    // image maximizes the analysis window followers can land in; on a
-    // 1-CPU container most followers still arrive after the flight and
-    // count as store hits — `duplicated == 0` is the claim either way.
-    let storm_clients = 16usize;
-    let storm_image = images
+    let (clients, requests) = (2, 100);
+    let (serve_on, serve_off) = interleaved(|| serve_pass(clients, requests, &images))?;
+    let (fleet_on, fleet_off) = interleaved(|| rig.run(&units))?;
+    rig.stop();
+    let rps = |runs: &Runs<DaemonPass>| runs.sample(|r| per_s(clients * requests, r.wall));
+    let p99 = |runs: &Runs<DaemonPass>| runs.sample(|r| percentile(&r.latencies, 0.99)).whole();
+    let rate = |runs: &Runs<FleetPass>| runs.sample(|r| per_s(r.stats.units, r.wall));
+    let serve_pct = overhead_pct(&serve_on, &serve_off, |r| r.wall).places(2);
+    let fleet_pct = overhead_pct(&fleet_on, &fleet_off, |r| r.wall).places(2);
+    let serve_leg = Obj::default()
+        .put("enabled_rps", rps(&serve_on).places(1).0)
+        .put("disabled_rps", rps(&serve_off).places(1).0)
+        .timed("enabled_p99_us", p99(&serve_on))
+        .timed("disabled_p99_us", p99(&serve_off))
+        .timed("overhead_pct", serve_pct);
+    let fleet_leg = Obj::default()
+        .put("enabled_units_per_s", rate(&fleet_on).places(1).0)
+        .put("disabled_units_per_s", rate(&fleet_off).places(1).0)
+        .timed("overhead_pct", fleet_pct);
+    let telemetry_overhead = TelemetryReport {
+        serve: Value::Object(serve_leg.0),
+        fleet: Value::Object(fleet_leg.0),
+    };
+    progress("telemetry_overhead", &telemetry_overhead);
+
+    let filter_replay = run_filter_replay()?;
+    let legs = filter_replay
         .iter()
-        .max_by_key(|(_, bytes)| bytes.len())
-        .expect("non-empty corpus");
-    let storm = run_cold_storm(storm_clients, storm_image);
-    let storm_json_str = match &storm {
-        Some(s) => {
-            eprintln!(
-                "  cold-storm (clients={}): {:.1} ms wall | {} analysis(es), {} coalesced, {} duplicated",
-                s.clients,
-                s.wall.as_secs_f64() * 1e3,
-                s.analyses,
-                s.coalesced,
-                s.duplicated(),
-            );
-            cold_storm_json(s, "  ")
-        }
-        None => {
-            eprintln!("  cold-storm: skipped (daemon spawn or a request failed)");
-            "null".to_string()
-        }
+        .map(|l| (l.name.clone(), serde::to_value(l)));
+    progress("filter_replay", &Value::Object(legs.collect()));
+
+    let snapshot = Snapshot {
+        harness: "bench_snapshot".to_string(),
+        corpus: "gen::profiles::all_profiles + corpus_with_size(DEFAULT_SEED, 48, 0, 0)".into(),
+        binaries: images.len(),
+        repeats: REPEATS,
+        num_cpus: ncpus,
+        speedup: speedup_over(&parallel),
+        speedup_distributed: distributed.as_ref().map(speedup_over),
+        sequential,
+        parallel,
+        distributed,
+        fleet,
+        serve,
+        serve_c10k,
+        serve_cold_storm,
+        fleet_chaos,
+        telemetry_overhead,
+        filter_replay,
     };
-
-    // Chaos configuration: the authenticated fleet with and without a
-    // seeded fault plan on the wire, plus the serve daemon's degraded
-    // mode — the robustness trajectory (what faults cost, and what the
-    // service does when the fleet is gone).
-    let chaos = run_fleet_chaos(fleet_slots, &images);
-    let degraded = run_serve_degraded(&images);
-    let chaos_json_str = match &chaos {
-        Some(c) => {
-            eprintln!(
-                "  fleet-chaos (authenticated, faults off): {:.1} ms wall | {:.1} units/s | {} retrie(s)",
-                c.faults_off.wall.as_secs_f64() * 1e3,
-                c.faults_off.units_per_s(),
-                c.faults_off.retries,
-            );
-            eprintln!(
-                "  fleet-chaos (authenticated, faults on):  {:.1} ms wall | {:.1} units/s | {} retrie(s), {} timeout(s)",
-                c.faults_on.wall.as_secs_f64() * 1e3,
-                c.faults_on.units_per_s(),
-                c.faults_on.retries,
-                c.faults_on.timeouts,
-            );
-            if let Some(d) = &degraded {
-                eprintln!(
-                    "  serve-degraded (no agents, 300ms budget): {} request(s), {} degraded | p50 {} us, p99 {} us",
-                    d.requests,
-                    d.degraded,
-                    d.percentile_us(0.50),
-                    d.percentile_us(0.99),
-                );
-            } else {
-                eprintln!("  serve-degraded: skipped (cause above)");
-            }
-            fleet_chaos_json(c, degraded.as_ref(), "  ")
-        }
-        None => {
-            eprintln!("  fleet-chaos: skipped (cause above)");
-            "null".to_string()
-        }
-    };
-
-    // Telemetry-overhead configuration: serve and fleet timed with span
-    // and histogram recording on vs off — what the observability spine
-    // costs where it matters.
-    let overhead = run_telemetry_overhead(fleet_slots, &images);
-    let overhead_json_str = match &overhead {
-        Some(o) => {
-            eprintln!(
-                "  telemetry-overhead (serve): {:.0} req/s enabled vs {:.0} req/s disabled ({:+.2}% wall)",
-                o.serve_on.throughput_rps(),
-                o.serve_off.throughput_rps(),
-                overhead_pct(o.serve_on.wall, o.serve_off.wall),
-            );
-            eprintln!(
-                "  telemetry-overhead (fleet): {:.1} units/s enabled vs {:.1} units/s disabled ({:+.2}% wall)",
-                o.fleet_on.units_per_s(),
-                o.fleet_off.units_per_s(),
-                overhead_pct(o.fleet_on.wall, o.fleet_off.wall),
-            );
-            telemetry_overhead_json(o, "  ")
-        }
-        None => {
-            eprintln!("  telemetry-overhead: skipped (cause above)");
-            "null".to_string()
-        }
-    };
-
-    // Filter-replay configuration: the enforcement-path cost of the
-    // compiled cBPF programs, naive vs optimized.
-    let filter_replay = run_filter_replay();
-    for l in &filter_replay {
-        eprintln!(
-            "  filter-replay ({}, {}): naive {} insns @ {:.1} ns/eval | optimized {} insns @ {:.1} ns/eval | speedup {:.2}x",
-            l.name,
-            l.kind,
-            l.report.naive_len,
-            l.report.naive_ns_per_eval,
-            l.report.optimized_len,
-            l.report.optimized_ns_per_eval,
-            l.report.speedup(),
-        );
-    }
-    let filter_replay_json_str = filter_replay_json(&filter_replay, "  ");
-
-    let json = format!(
-        "{{\n  \"harness\": \"bench_snapshot\",\n  \"corpus\": \"gen::profiles::all_profiles + corpus_with_size(DEFAULT_SEED, 48, 0, 0)\",\n  \"binaries\": {},\n  \"repeats\": {},\n  \"num_cpus\": {},\n  \"sequential\": {},\n  \"parallel\": {},\n  \"speedup\": {:.4},\n  \"distributed\": {},\n  \"speedup_distributed\": {},\n  \"fleet\": {},\n  \"serve\": {},\n  \"serve_c10k\": {},\n  \"serve_cold_storm\": {},\n  \"fleet_chaos\": {},\n  \"telemetry_overhead\": {},\n  \"filter_replay\": {}\n}}\n",
-        binaries.len(),
-        REPEATS,
-        ncpus,
-        config_json(&sequential, "  "),
-        config_json(&parallel, "  "),
-        speedup,
-        dist_json,
-        dist_speedup_json,
-        fleet_json_str,
-        serve_json_str,
-        c10k_json_str,
-        storm_json_str,
-        chaos_json_str,
-        overhead_json_str,
-        filter_replay_json_str,
-    );
-    std::fs::write(&out_path, &json).expect("write snapshot");
+    let json = serde_json::to_string_pretty(&snapshot).map_err(ctx("encode snapshot"))?;
+    std::fs::write(out_path, format!("{json}\n")).map_err(ctx("write snapshot"))?;
     eprintln!("  wrote {out_path}");
     println!("{json}");
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sample_takes_the_median_and_range_of_odd_even_and_single_runs() {
+        let odd = Sample::of([3.0, 1.0, 2.0]);
+        assert_eq!((odd.median, odd.min, odd.max, odd.runs), (2.0, 1.0, 3.0, 3));
+        let even = Sample::of([4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(
+            (even.median, even.min, even.max, even.runs),
+            (2.5, 1.0, 4.0, 4)
+        );
+        let single = Sample::of([7.0]);
+        assert_eq!(
+            (single.median, single.min, single.max, single.runs),
+            (7.0, 7.0, 7.0, 1)
+        );
+        assert_eq!(even.whole(), (3, (1, 4)));
+        assert_eq!(Sample::of([1.234, 5.678]).places(1), (3.5, (1.2, 5.7)));
+    }
+
+    #[test]
+    fn repeat_runs_every_repeat_and_stops_at_the_first_failure() {
+        let mut calls = 0;
+        let runs = repeat(|| {
+            calls += 1;
+            Ok(calls)
+        });
+        assert_eq!(
+            runs.expect("no failure").0,
+            (1..=REPEATS).collect::<Vec<_>>()
+        );
+        let mut calls = 0;
+        let failed = repeat(|| {
+            calls += 1;
+            ensure(calls < 2, || format!("run {calls} failed"))
+        });
+        assert_eq!(failed.err(), Some("run 2 failed".to_string()));
+        assert_eq!(calls, 2);
+    }
+
+    #[test]
+    fn percentiles_and_overheads_read_sorted_runs() {
+        assert_eq!(percentile(&[], 0.99), 0.0);
+        assert_eq!(percentile(&[10, 20, 30, 40, 50], 0.5), 30.0);
+        assert_eq!(percentile(&[10, 20, 30, 40, 50], 0.99), 50.0);
+        let ms = |v: u64| Duration::from_millis(v);
+        let on = Runs(vec![ms(110), ms(90)]);
+        let off = Runs(vec![ms(100), ms(100)]);
+        let pct = overhead_pct(&on, &off, |d| *d);
+        assert_eq!(pct.places(2), (0.0, (-10.0, 10.0)));
+    }
+
+    fn fleet_runs() -> Runs<FleetPass> {
+        let stats = RunStats {
+            units: 54,
+            retries: 1,
+            ..RunStats::default()
+        };
+        let pass = |ms| FleetPass {
+            wall: Duration::from_millis(ms),
+            stats,
+        };
+        Runs(vec![pass(20), pass(30), pass(25)])
+    }
+
+    fn daemon_runs() -> Runs<DaemonPass> {
+        let pass = |ms| DaemonPass {
+            wall: Duration::from_millis(ms),
+            latencies: vec![100, 200, 300],
+            stats: StatsSnapshot::default(),
+        };
+        Runs(vec![pass(40), pass(50)])
+    }
+
+    /// A whole snapshot from fixed values, built through the same report
+    /// constructors and object builders the binary uses.
+    fn fixed_snapshot() -> Snapshot {
+        let mut timings = PipelineTimings::new();
+        timings.cfg_recovery = Duration::from_micros(700);
+        timings.total = Duration::from_micros(900);
+        let pass = |ms| Pass {
+            wall: Duration::from_millis(ms),
+            phases: timings,
+            counts: vec![("redis".to_string(), 89), ("nginx".to_string(), 83)],
+        };
+        let config = ConfigReport::of(1, &Runs(vec![pass(14), pass(15), pass(13)]));
+        let config = config.expect("runs agree");
+        let fleet = FleetReport::of(1, &fleet_runs());
+        let daemon = daemon_runs();
+        let report = ThroughputReport {
+            events: 1000,
+            repeats: 1,
+            naive_ns_per_eval: 180.0,
+            optimized_ns_per_eval: 45.0,
+            naive_len: 179,
+            optimized_len: 58,
+        };
+        let leg = FilterLeg::of("redis", "flat", Some(196), &Runs(vec![report]));
+        Snapshot {
+            harness: "bench_snapshot".to_string(),
+            corpus: "fixed".to_string(),
+            binaries: 2,
+            repeats: REPEATS,
+            num_cpus: 2,
+            sequential: config.clone(),
+            parallel: config.clone(),
+            speedup: 1.0,
+            distributed: None,
+            speedup_distributed: None,
+            fleet: fleet.clone(),
+            serve: ServeReport {
+                clients: 4,
+                requests_per_client: 100,
+                total_requests: 400,
+                wall_us: 40_000,
+                wall_us_range: (35_000, 46_000),
+                throughput_rps: 10_000.0,
+                latency_us: latency_us(&daemon),
+                analyses: 54,
+                store_hits: 400,
+            },
+            serve_c10k: C10kReport {
+                idlers: 1000,
+                clients: 4,
+                requests_per_client: 100,
+                baseline_wall_us: 70_000,
+                baseline_wall_us_range: (65_000, 72_000),
+                with_idlers_wall_us: 64_000,
+                with_idlers_wall_us_range: (57_000, 67_000),
+                throughput_ratio: 1.0938,
+                wake_all_us: 7_600,
+                wake_all_us_range: (7_000, 9_000),
+            },
+            serve_cold_storm: ColdStormReport {
+                clients: 16,
+                cold_keys: 1,
+                wall_us: 15_000,
+                wall_us_range: (13_000, 17_000),
+                analyses: 1,
+                coalesced: 13,
+                duplicated: 0,
+                store_hits: 2,
+            },
+            fleet_chaos: ChaosReport {
+                agents: 2,
+                slots_per_agent: 1,
+                units: 54,
+                authenticated: true,
+                plan: "seed=11".to_string(),
+                faults_off: fleet.clone(),
+                faults_on: fleet,
+                serve_degraded: Value::Object(Obj::default().put("requests", 54).0),
+            },
+            telemetry_overhead: TelemetryReport {
+                serve: Value::Object(Obj::default().timed("overhead_pct", (1.5, (-2.0, 3.0))).0),
+                fleet: Value::Object(Vec::new()),
+            },
+            filter_replay: vec![leg],
+        }
+    }
+
+    #[test]
+    fn fixed_report_round_trips_with_every_top_level_key_in_order() {
+        let snapshot = fixed_snapshot();
+        let json = serde_json::to_string_pretty(&snapshot).expect("serializes");
+        let parsed: Snapshot = serde_json::from_str(&json).expect("parses back");
+        assert_eq!(parsed, snapshot);
+        let Value::Object(entries) = serde_json::from_str::<Value>(&json).expect("JSON") else {
+            panic!("the snapshot is a JSON object");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "harness",
+                "corpus",
+                "binaries",
+                "repeats",
+                "num_cpus",
+                "sequential",
+                "parallel",
+                "speedup",
+                "distributed",
+                "speedup_distributed",
+                "fleet",
+                "serve",
+                "serve_c10k",
+                "serve_cold_storm",
+                "fleet_chaos",
+                "telemetry_overhead",
+                "filter_replay",
+            ]
+        );
+    }
+
+    #[test]
+    fn reports_write_medians_with_their_ranges() {
+        let snapshot = fixed_snapshot();
+        let config = &snapshot.sequential;
+        assert_eq!(
+            (config.wall_us, config.wall_us_range),
+            (14_000, (13_000, 15_000))
+        );
+        let phases = serde_json::to_string(&config.phase_totals).expect("serializes");
+        assert!(phases.starts_with(r#"{"cfg_recovery_us":700,"cfg_recovery_us_range":[700,700]"#));
+        let counts = serde_json::to_string(&config.identified_syscalls).expect("serializes");
+        assert_eq!(counts, r#"{"redis":89,"nginx":83}"#);
+        let fleet = &snapshot.fleet;
+        assert_eq!(
+            (fleet.wall_us, fleet.wall_us_range),
+            (25_000, (20_000, 30_000))
+        );
+        assert_eq!(
+            (fleet.units_per_s, fleet.retries, fleet.timeouts),
+            (2160.0, 1, 0)
+        );
+        let latency = serde_json::to_string(&snapshot.serve.latency_us).expect("serializes");
+        assert_eq!(
+            latency,
+            r#"{"mean":200,"mean_range":[200,200],"p50":200,"p50_range":[200,200],"p99":300,"p99_range":[300,300]}"#
+        );
+        let leg = &snapshot.filter_replay[0];
+        assert_eq!(
+            (
+                leg.naive_ns_per_eval,
+                leg.optimized_ns_per_eval,
+                leg.speedup
+            ),
+            (180.0, 45.0, 4.0)
+        );
+    }
+
+    #[test]
+    fn runs_that_disagree_on_syscall_counts_fail_the_config() {
+        let pass = |count| Pass {
+            wall: Duration::from_millis(1),
+            phases: PipelineTimings::new(),
+            counts: vec![("redis".to_string(), count)],
+        };
+        let err = ConfigReport::of(1, &Runs(vec![pass(89), pass(88)])).expect_err("disagree");
+        assert!(err.contains("disagree"), "{err}");
+    }
 }

@@ -30,7 +30,9 @@
 //!   reaper requeues them onto live agents).
 //! * **fatal** — an in-band reject (failed authentication, version or
 //!   cache-format mismatch) or a protocol-version downgrade: retrying
-//!   cannot help, so the loop surfaces the error.
+//!   cannot help, so the loop surfaces the error once three handshakes
+//!   in a row end that way (once may be line noise on the unsealed
+//!   handshake).
 //!
 //! # Fault-injection hooks
 //!
@@ -262,20 +264,29 @@ struct SessionAuth {
 }
 
 /// Writes one agent frame, sealing it first on secured sessions.
+///
+/// A failed write is a severed link: the socket is shut down in both
+/// directions, so the read loop ends with a lost link and the reconnect
+/// loop redials. Without that, the slot or heartbeat thread that hit
+/// the error would exit while the read loop kept accepting units no
+/// slot runs, leaving them to the coordinator's unit deadline.
 fn send_frame(
     writer: &Mutex<Conn>,
     auth: Option<&SessionAuth>,
     frame: &FromAgent,
 ) -> std::io::Result<()> {
     let mut conn = writer.lock().expect("agent writer lock");
-    match auth {
+    let sent = match auth {
         Some(auth) => {
             let seq = auth.next_seq.fetch_add(1, Ordering::Relaxed);
-            let sealed = seal(&auth.key, seq, frame)?;
-            write_message(&mut *conn, &sealed)
+            seal(&auth.key, seq, frame).and_then(|sealed| write_message(&mut *conn, &sealed))
         }
         None => write_message(&mut *conn, frame),
+    };
+    if sent.is_err() {
+        let _ = conn.shutdown_both();
     }
+    sent
 }
 
 /// Writes a reply under the shared writer lock — unless the sever fault
@@ -458,8 +469,9 @@ fn run_session(
 
     // The liveness channel: beats flow from a dedicated thread so a
     // fully busy agent (every slot mid-analysis) still reads as alive.
-    // It beats until a write fails or the session ends (dropping
-    // `stop_beats` wakes it at once).
+    // It beats until a write fails (which severs the link, see
+    // `send_frame`) or the session ends (dropping `stop_beats` wakes it
+    // at once).
     let (stop_beats, beats_stopped) = channel::<()>();
     let heartbeat = {
         let writer = Arc::clone(&writer);
@@ -626,23 +638,26 @@ pub fn run_agent(endpoint: &Endpoint, options: &AgentOptions) -> std::io::Result
     }
 }
 
-/// How many *consecutive* in-band rejects the reconnect loop absorbs
-/// before concluding the verdict is real. A reject is usually fatal (a
-/// wrong secret cannot become right by redialing), but a corrupted
-/// challenge nonce on a noisy link produces the same verdict once —
-/// the coordinator cannot tell a bad secret from a bad nonce either.
-/// Three in a row is noise no longer.
-const REJECT_THRESHOLD: u32 = 3;
+/// How many *consecutive* fatal handshake verdicts (an in-band reject
+/// or a protocol downgrade) the reconnect loop absorbs before
+/// concluding the verdict is real. A verdict is usually fatal (a wrong
+/// secret cannot become right by redialing), but the handshake travels
+/// before frames are sealed, so line noise can forge either once: a
+/// corrupted challenge nonce fails the hello MAC (the coordinator
+/// cannot tell a bad secret from a bad nonce), and a corrupted `sealed`
+/// key reads as an unsealed coordinator. Three in a row is noise no
+/// longer.
+const VERDICT_THRESHOLD: u32 = 3;
 
 /// [`run_agent`] under a reconnect supervisor: a lost link (coordinator
 /// crash, restart, partition) is retried forever under a capped
 /// decorrelated-jitter backoff that resets after every healthy session,
 /// while an in-band goodbye ends service cleanly and a fatal handshake
-/// verdict surfaces as the error it is — immediately for a protocol
-/// downgrade, after `REJECT_THRESHOLD` (3) consecutive tries for a
-/// reject. In-flight units lost with a link are abandoned idempotently
-/// — the coordinator's reaper requeues them onto live agents, so an
-/// at-most-once answer per unit is preserved across reconnects.
+/// verdict (a reject or a protocol downgrade) surfaces as the error it
+/// is after `VERDICT_THRESHOLD` (3) consecutive tries. In-flight units
+/// lost with a link are abandoned idempotently — the coordinator's
+/// reaper requeues them onto live agents, so an at-most-once answer per
+/// unit is preserved across reconnects.
 pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::Result<AgentReport> {
     let seed = options.backoff_seed.unwrap_or_else(|| {
         let nanos = std::time::SystemTime::now()
@@ -654,7 +669,7 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
     let mut backoff = Backoff::new(options.backoff_base, options.backoff_cap, seed);
     let mut units_total: u64 = 0;
     let mut sessions: u64 = 0;
-    let mut rejects: u32 = 0;
+    let mut verdicts: u32 = 0;
     // The first dial honors the configured budget (either side of the
     // walkthrough may start first); re-dials are paced by the backoff
     // itself, so each attempt fails fast.
@@ -670,7 +685,7 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
             Ok((units, SessionEnd::LinkLost(e))) => {
                 units_total += units;
                 sessions += 1;
-                rejects = 0;
+                verdicts = 0;
                 // A completed handshake is a healthy session: the next
                 // outage starts the schedule from the base again.
                 backoff.reset();
@@ -681,15 +696,14 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
                 );
                 std::thread::sleep(delay);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::PermissionDenied => {
-                rejects += 1;
-                if rejects >= REJECT_THRESHOLD {
+            Err(e) if is_fatal(&e) => {
+                verdicts += 1;
+                if verdicts >= VERDICT_THRESHOLD {
                     return Err(e);
                 }
-                eprintln!("bside-agent: rejected ({e}); retrying in case it was line noise");
+                eprintln!("bside-agent: refused ({e}); retrying in case it was line noise");
                 std::thread::sleep(backoff.next());
             }
-            Err(e) if is_fatal(&e) => return Err(e),
             Err(_) => std::thread::sleep(backoff.next()),
         }
         dial_budget = Some(Duration::from_millis(250));

@@ -441,3 +441,102 @@ fn a_bounced_coordinator_is_rejoined_and_the_rerun_is_byte_identical() {
     assert_eq!(report.units, (units.len() * 2) as u64);
     let _ = std::fs::remove_dir_all(&corpus_dir);
 }
+
+/// A failed write severs the agent's session. The fault model's `reset`
+/// and `truncate` fail an agent's write of a result or a heartbeat; the
+/// agent must then drop the link and redial. An agent that instead
+/// loses the writing thread but keeps reading units leaves those units
+/// to the coordinator's deadline, and the run stalls for tens of
+/// seconds. This is the bench snapshot's chaos shape, over five seeds,
+/// each run under a bound far below the unit deadline.
+#[test]
+fn a_failed_agent_write_severs_the_session_instead_of_stalling_units() {
+    let _chaos = chaos_guard();
+    let (corpus_dir, units) = materialize("chaos_write_fail", 48);
+    let reference = in_process_report(&units);
+    for seed in 11..16 {
+        let handle = FleetCoordinator::bind(
+            &tcp0(),
+            FleetOptions {
+                max_attempts: 64,
+                unit_timeout: Duration::from_secs(30),
+                ..secured_options()
+            },
+        )
+        .expect("bind");
+        let a1 = loop_agent(handle.endpoint(), secured_agent(1, 21));
+        let a2 = loop_agent(handle.endpoint(), secured_agent(1, 22));
+        assert!(handle.wait_for_agents(2, Duration::from_secs(10)));
+        let chaos = PlanGuard::install(FaultPlan {
+            corrupt: 30,
+            truncate: 10,
+            reset: 10,
+            dup: 30,
+            delay: 20,
+            delay_ms: 1,
+            ..FaultPlan::quiet(seed)
+        });
+        let started = std::time::Instant::now();
+        let run = analyze_corpus_fleet(&units, &handle).expect("chaos run completes");
+        let elapsed = started.elapsed();
+        drop(chaos);
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "seed {seed}: the run stalled for {elapsed:?}: {:?}",
+            run.stats
+        );
+        assert_eq!(run.stats.timeouts, 0, "seed {seed}: {:?}", run.stats);
+        assert_eq!(reference, bside_dist::report_of_run(&run), "seed {seed}");
+        assert!(handle.wait_for_agents(2, Duration::from_secs(10)));
+        handle.shutdown();
+        a1.join().expect("agent thread").expect("clean goodbye");
+        a2.join().expect("agent thread").expect("clean goodbye");
+    }
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+}
+
+/// Line noise can forge a downgrade: the welcome travels before frames
+/// are sealed, so one corrupted byte in its `sealed` key reads as an
+/// unsealed coordinator. The reconnect loop must treat that verdict
+/// like a reject, believing it only when three handshakes in a row end
+/// that way, instead of leaving the fleet an agent short for good.
+#[test]
+fn a_downgrade_verdict_is_retried_before_it_is_believed() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let _chaos = chaos_guard();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let endpoint = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+    let handshakes = Arc::new(AtomicUsize::new(0));
+    // A coordinator that always welcomes unsealed. The thread is left
+    // blocked in `accept` when the test ends.
+    {
+        let handshakes = Arc::clone(&handshakes);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let mut writer = stream.expect("accept");
+                let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+                let nonce = "ab".repeat(32);
+                write_message(&mut writer, &ToAgent::Challenge { nonce }).expect("challenge");
+                let hello = read_message_capped::<FromAgent>(&mut reader, MAX_FLEET_LINE_BYTES);
+                assert!(
+                    matches!(hello, Ok(Some(FromAgent::Hello { .. }))),
+                    "{hello:?}"
+                );
+                // Counted before the welcome leaves, so the agent cannot
+                // act on it before the count is visible.
+                handshakes.fetch_add(1, Ordering::SeqCst);
+                let welcome = ToAgent::Welcome {
+                    version: PROTOCOL_VERSION,
+                    heartbeat_interval_ms: 1000,
+                    sealed: false,
+                };
+                write_message(&mut writer, &welcome).expect("welcome");
+            }
+        });
+    }
+    let err = run_agent_loop(&endpoint, &secured_agent(1, 5))
+        .expect_err("a downgrade that keeps repeating is believed");
+    assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+    assert_eq!(handshakes.load(Ordering::SeqCst), 3);
+}

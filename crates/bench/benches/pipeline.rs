@@ -3,21 +3,88 @@
 //!
 //! * `disasm` — raw decoder throughput;
 //! * `cfg_recovery` — plain vs. *active* address-taken (the §4.3
-//!   refinement);
+//!   refinement), on two app profiles and on the static and the dynamic
+//!   binary of the seed-1 Table 2 corpus whose `.text` is closest to the
+//!   corpus median (the shape `derive_debian` spends its time on);
 //! * `identification` — full pipeline with the wrapper heuristic on vs.
 //!   off (the §4.4 heuristic; "off" explores more and over-approximates);
 //! * `phase_methods` — automaton-based phase detection vs. the naive
 //!   CFG-navigation method (the §4.7 cost comparison: 41 s vs 700 s in
-//!   the paper's setting);
+//!   the paper's setting), on the same inputs;
 //! * `end_to_end` — whole-binary analysis across the app profiles.
 
 use bside::cfg::{Cfg, CfgOptions, FunctionSym, IndirectResolution};
 use bside::core::phase::{detect_phases, detect_phases_naive, PhaseOptions};
-use bside::core::{Analyzer, AnalyzerOptions};
+use bside::core::{Analyzer, AnalyzerOptions, BinaryAnalysis, LibraryStore};
+use bside::elf::Elf;
+use bside::gen::corpus::corpus_with_size;
 use bside::gen::profiles::{all_profiles, hello_world, nginx};
 use bside::x86::decode_all;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
+
+/// A named benchmark input: the ELF and, for a dynamic binary, the
+/// library store it resolves against.
+struct Input {
+    name: String,
+    elf: Elf,
+    libs: Option<LibraryStore>,
+}
+
+impl Input {
+    fn analyze(&self) -> BinaryAnalysis {
+        let analyzer = Analyzer::new(AnalyzerOptions::default());
+        match &self.libs {
+            None => analyzer.analyze_static(&self.elf),
+            Some(libs) => analyzer.analyze_dynamic(&self.elf, libs, &[]),
+        }
+        .expect("analyzes")
+    }
+}
+
+/// `hello_world`, `nginx`, and the static and the dynamic binary of the
+/// seed-1 Table 2 corpus whose `.text` is closest to the corpus median.
+fn inputs() -> Vec<Input> {
+    let corpus = corpus_with_size(1, 231, 326, 59);
+    let text_len = |elf: &Elf| elf.text().map_or(0, |(t, _)| t.len());
+    let mut lens: Vec<usize> = corpus
+        .binaries
+        .iter()
+        .map(|b| text_len(&b.program.elf))
+        .collect();
+    lens.sort_unstable();
+    let median = lens[lens.len() / 2];
+    let libraries: Vec<(&str, &Elf)> = corpus
+        .libraries
+        .iter()
+        .map(|l| (l.spec.name.as_str(), &l.elf))
+        .collect();
+    let libs = Analyzer::new(AnalyzerOptions::default())
+        .analyze_libraries(&libraries)
+        .expect("library store");
+    let mut out: Vec<Input> = [hello_world(), nginx()]
+        .into_iter()
+        .map(|p| Input {
+            name: p.name.to_string(),
+            elf: p.program.elf,
+            libs: None,
+        })
+        .collect();
+    for is_static in [true, false] {
+        let binary = corpus
+            .binaries
+            .iter()
+            .filter(|b| b.is_static == is_static)
+            .min_by_key(|b| text_len(&b.program.elf).abs_diff(median))
+            .expect("corpus has both kinds");
+        out.push(Input {
+            name: format!("median_{}", if is_static { "static" } else { "dynamic" }),
+            elf: binary.program.elf.clone(),
+            libs: (!is_static).then(|| libs.clone()),
+        });
+    }
+    out
+}
 
 fn functions_of(elf: &bside::elf::Elf) -> Vec<FunctionSym> {
     elf.function_symbols()
@@ -43,8 +110,9 @@ fn bench_disasm(c: &mut Criterion) {
 
 fn bench_cfg_recovery(c: &mut Criterion) {
     let mut group = c.benchmark_group("cfg_recovery");
-    for profile in [hello_world(), nginx()] {
-        let elf = &profile.program.elf;
+    group.sample_size(200);
+    for input in inputs() {
+        let elf = &input.elf;
         let (text, vaddr) = elf.text().expect(".text");
         let funcs = functions_of(elf);
         let entry = elf.entry_point();
@@ -54,7 +122,7 @@ fn bench_cfg_recovery(c: &mut Criterion) {
             ("none", IndirectResolution::None),
         ] {
             group.bench_with_input(
-                BenchmarkId::new(label, profile.name),
+                BenchmarkId::new(label, &input.name),
                 &indirect,
                 |b, &indirect| {
                     b.iter(|| Cfg::build(text, vaddr, &[entry], &funcs, &CfgOptions { indirect }))
@@ -105,21 +173,18 @@ fn bench_identification(c: &mut Criterion) {
 fn bench_phase_methods(c: &mut Criterion) {
     let mut group = c.benchmark_group("phase_methods");
     group.sample_size(20);
-    for profile in [hello_world(), nginx()] {
-        let analyzer = Analyzer::new(AnalyzerOptions::default());
-        let analysis = analyzer
-            .analyze_static(&profile.program.elf)
-            .expect("analyzes");
+    for input in inputs() {
+        let analysis = input.analyze();
         let site_sets: HashMap<u64, bside::SyscallSet> = analysis
             .sites
             .iter()
             .map(|s| (s.site, s.syscalls))
             .collect();
-        group.bench_with_input(BenchmarkId::new("automaton", profile.name), &(), |b, ()| {
+        group.bench_with_input(BenchmarkId::new("automaton", &input.name), &(), |b, ()| {
             b.iter(|| detect_phases(&analysis.cfg, &site_sets, &PhaseOptions::default()))
         });
         group.bench_with_input(
-            BenchmarkId::new("naive_navigation", profile.name),
+            BenchmarkId::new("naive_navigation", &input.name),
             &(),
             |b, ()| b.iter(|| detect_phases_naive(&analysis.cfg, &site_sets)),
         );

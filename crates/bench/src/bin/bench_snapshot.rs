@@ -15,7 +15,9 @@
 //! figures (`speedup`, `throughput_ratio`) is the ratio of their medians.
 //! A counter (retries, timeouts, analyses, ...) is the largest any run
 //! saw, so a 0 holds in every run. Phase totals are CPU-side sums across
-//! workers, so they exceed wall clock under parallelism.
+//! workers, so they exceed wall clock under parallelism. A `sequential`
+//! or `parallel` run analyzes the corpus [`IN_PROCESS_PASSES`] times and
+//! reports per-pass figures, so its window is long enough to time.
 //!
 //! A failed configuration fails the binary, except that `distributed` is
 //! `null` (stderr says why) when `bside-agent` is not built next to this
@@ -242,17 +244,49 @@ impl Pass {
             counts,
         })
     }
+
+    /// Folds a run of `passes` identical passes over `n` binaries into
+    /// per-pass figures. Fails when two passes disagree on a count.
+    fn per_pass(mut self, passes: u32, n: usize) -> Res<Pass> {
+        let first = &self.counts[..n];
+        let agree = self.counts.chunks(n).all(|c| c == first);
+        ensure(agree, || "passes disagree on syscall counts".to_string())?;
+        self.counts.truncate(n);
+        self.wall /= passes;
+        let t = &mut self.phases;
+        t.binaries = n;
+        let totals = [
+            &mut t.cfg_recovery,
+            &mut t.wrapper_identification,
+            &mut t.syscall_identification,
+            &mut t.total,
+        ];
+        totals.into_iter().for_each(|d| *d /= passes);
+        Ok(self)
+    }
 }
+
+/// Passes over the corpus slice in one in-process run. One pass takes a
+/// few milliseconds, too short to time the thread engine: a single slow
+/// run widened the parallel range to 2x. Every figure is still per pass.
+const IN_PROCESS_PASSES: u32 = 20;
 
 fn run_in_process(parallelism: usize, binaries: &[(String, Elf)]) -> Res<Runs<Pass>> {
     let analyzer = Analyzer::new(AnalyzerOptions {
         parallelism,
         ..AnalyzerOptions::default()
     });
-    let binaries: Vec<(&str, &Elf)> = binaries.iter().map(|(n, e)| (n.as_str(), e)).collect();
+    let n = binaries.len();
+    let work: Vec<(&str, &Elf)> = binaries
+        .iter()
+        .map(|(n, e)| (n.as_str(), e))
+        .cycle()
+        .take(n * IN_PROCESS_PASSES as usize)
+        .collect();
     repeat(|| {
-        let (results, wall) = timed(|| analyzer.analyze_corpus(&binaries));
-        Pass::new(wall, results.iter().map(|(n, r)| (n.as_str(), r.as_ref())))
+        let (results, wall) = timed(|| analyzer.analyze_corpus(&work));
+        let rows = results.iter().map(|(n, r)| (n.as_str(), r.as_ref()));
+        Pass::new(wall, rows)?.per_pass(IN_PROCESS_PASSES, n)
     })
 }
 
@@ -1241,5 +1275,28 @@ mod tests {
         };
         let err = ConfigReport::of(1, &Runs(vec![pass(89), pass(88)])).expect_err("disagree");
         assert!(err.contains("disagree"), "{err}");
+    }
+
+    #[test]
+    fn repeated_passes_fold_into_per_pass_figures() {
+        let mut phases = PipelineTimings::new();
+        phases.cfg_recovery = Duration::from_micros(600);
+        phases.total = Duration::from_micros(900);
+        let pass = |counts: [usize; 4]| Pass {
+            wall: Duration::from_millis(30),
+            phases,
+            counts: ["redis", "nginx", "redis", "nginx"]
+                .iter()
+                .zip(counts)
+                .map(|(n, c)| (n.to_string(), c))
+                .collect(),
+        };
+        let folded = pass([89, 83, 89, 83]).per_pass(2, 2).expect("passes agree");
+        assert_eq!(folded.wall, Duration::from_millis(15));
+        assert_eq!(folded.counts.len(), 2);
+        assert_eq!(folded.phases.phases()[0].1, Duration::from_micros(300));
+        assert_eq!(folded.phases.phases()[3].1, Duration::from_micros(450));
+        let err = pass([89, 83, 89, 82]).per_pass(2, 2).err();
+        assert!(err.is_some_and(|e| e.contains("disagree")));
     }
 }

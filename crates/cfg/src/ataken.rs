@@ -6,53 +6,41 @@
 //! code. These mark function-pointer creation sites; the CFG heuristic
 //! resolves every indirect branch to the set of addresses taken.
 
-use crate::blocks::BasicBlock;
 use crate::lea_target;
-use std::collections::{BTreeMap, BTreeSet};
+use bside_x86::Instruction;
 
-/// Scans every decoded block for addresses taken that land inside the
-/// text range (SysFilter's plain variant).
-pub(crate) fn scan(blocks: &BTreeMap<u64, BasicBlock>, base: u64, text_len: u64) -> BTreeSet<u64> {
-    scan_filtered(blocks.values(), base, text_len)
-}
-
-/// Scans only blocks in `reachable` (B-Side's *active* variant).
-pub(crate) fn scan_reachable(
-    blocks: &BTreeMap<u64, BasicBlock>,
-    reachable: &BTreeSet<u64>,
+/// The addresses taken by `insns` that land inside `base..end`, sorted
+/// and deduplicated. Over every decoded instruction this is SysFilter's
+/// plain variant; over the reachable blocks' instructions it is B-Side's
+/// *active* variant.
+pub(crate) fn scan<'a>(
+    insns: impl IntoIterator<Item = &'a Instruction>,
     base: u64,
-    text_len: u64,
-) -> BTreeSet<u64> {
-    scan_filtered(
-        reachable.iter().filter_map(|s| blocks.get(s)),
-        base,
-        text_len,
-    )
-}
-
-fn scan_filtered<'a>(
-    blocks: impl Iterator<Item = &'a BasicBlock>,
-    base: u64,
-    text_len: u64,
-) -> BTreeSet<u64> {
-    let end = base + text_len;
-    let mut taken = BTreeSet::new();
-    for block in blocks {
-        for insn in &block.insns {
-            if let Some(target) = lea_target(insn) {
-                if target >= base && target < end {
-                    taken.insert(target);
-                }
-            }
-        }
-    }
+    end: u64,
+) -> Vec<u64> {
+    let mut taken: Vec<u64> = insns
+        .into_iter()
+        .filter_map(lea_target)
+        .filter(|&t| t >= base && t < end)
+        .collect();
+    taken.sort_unstable();
+    taken.dedup();
     taken
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::disassemble;
+    use crate::blocks::{disassemble, Disassembler};
+    use crate::edges::reachable_from;
+    use std::collections::BTreeMap;
+
+    fn all_insns(blocks: &BTreeMap<u64, crate::BasicBlock>) -> Vec<Instruction> {
+        blocks
+            .values()
+            .flat_map(|b| b.insns.iter().copied())
+            .collect()
+    }
     use bside_x86::{Assembler, Reg};
 
     #[test]
@@ -65,10 +53,10 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000].into_iter().collect());
-        let taken = scan(&blocks, 0x1000, len);
+        let blocks = disassemble(&code, 0x1000, &[0x1000]);
+        let taken = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
         assert_eq!(taken.len(), 1);
-        assert_eq!(taken.iter().next(), Some(&0x1008)); // lea(7) + ret(1)
+        assert_eq!(taken.first(), Some(&0x1008)); // lea(7) + ret(1)
     }
 
     #[test]
@@ -80,8 +68,8 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000].into_iter().collect());
-        assert!(scan(&blocks, 0x1000, len).is_empty());
+        let blocks = disassemble(&code, 0x1000, &[0x1000]);
+        assert!(scan(&all_insns(&blocks), 0x1000, 0x1000 + len).is_empty());
     }
 
     #[test]
@@ -93,8 +81,8 @@ mod tests {
         a.ret(); // 0x100b
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000].into_iter().collect());
-        let taken = scan(&blocks, 0x1000, len);
+        let blocks = disassemble(&code, 0x1000, &[0x1000]);
+        let taken = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
         assert!(taken.contains(&0x100b));
     }
 
@@ -111,11 +99,13 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000, 0x1001].into_iter().collect());
-        let all = scan(&blocks, 0x1000, len);
+        let blocks = disassemble(&code, 0x1000, &[0x1000, 0x1001]);
+        let all = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
         assert_eq!(all.len(), 1, "plain scan sees the dead lea");
-        let reachable: BTreeSet<u64> = [0x1000].into_iter().collect();
-        let active = scan_reachable(&blocks, &reachable, 0x1000, len);
+        let layout = Disassembler::new(&code, 0x1000).pass([0x1000, 0x1001]);
+        let reachable = reachable_from(&[0x1000], &layout, &[]);
+        let live = (0..layout.len()).filter(|&i| reachable[i]);
+        let active = scan(live.flat_map(|i| layout.insns_of(i)), 0x1000, 0x1000 + len);
         assert!(active.is_empty(), "active scan does not");
     }
 }

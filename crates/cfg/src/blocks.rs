@@ -1,7 +1,7 @@
 //! Basic-block discovery by recursive-traversal disassembly.
 
 use bside_x86::{decode, Instruction, Op};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A maximal straight-line run of instructions: entered only at the top,
 /// left only at the bottom.
@@ -36,148 +36,188 @@ impl BasicBlock {
     }
 }
 
-/// A memo of decode results keyed by address, shared across the repeated
-/// disassembly passes of the active-address-taken fixpoint.
-///
-/// The fixpoint re-disassembles the text after every round that discovers
-/// new indirect targets; without a cache each round re-decodes (almost)
-/// every instruction from raw bytes. The code bytes never change within
-/// one CFG construction, so decode results are safe to memoize —
-/// including failures (`None`), which would otherwise be retried every
-/// round.
+/// One disassembly pass: every decoded instruction in address order, cut
+/// into blocks. Block `i` starts at `blocks[i].0` and holds the
+/// instructions from index `blocks[i].1` up to the next block's first.
 #[derive(Debug, Default)]
-pub(crate) struct DecodeCache {
-    decoded: std::collections::HashMap<u64, Option<Instruction>>,
+pub(crate) struct Layout {
+    pub(crate) insns: Vec<Instruction>,
+    blocks: Vec<(u64, u32)>,
 }
 
-impl DecodeCache {
-    fn decode_at(&mut self, code: &[u8], base: u64, addr: u64) -> Option<Instruction> {
-        *self.decoded.entry(addr).or_insert_with(|| {
-            let off = (addr - base) as usize;
-            decode(&code[off..], addr).ok()
-        })
+impl Layout {
+    /// Number of blocks.
+    pub(crate) fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Start address of block `i`.
+    pub(crate) fn start(&self, i: usize) -> u64 {
+        self.blocks[i].0
+    }
+
+    /// The instructions of block `i`; never empty.
+    pub(crate) fn insns_of(&self, i: usize) -> &[Instruction] {
+        let end = self
+            .blocks
+            .get(i + 1)
+            .map_or(self.insns.len(), |&(_, first)| first as usize);
+        &self.insns[self.blocks[i].1 as usize..end]
+    }
+
+    /// The block starting exactly at `addr`.
+    pub(crate) fn index_of(&self, addr: u64) -> Option<usize> {
+        self.blocks.binary_search_by_key(&addr, |&(s, _)| s).ok()
+    }
+
+    /// The block whose bytes contain `addr`.
+    pub(crate) fn containing(&self, addr: u64) -> Option<usize> {
+        let i = self
+            .blocks
+            .partition_point(|&(s, _)| s <= addr)
+            .checked_sub(1)?;
+        let last = self.insns_of(i).last().expect("blocks are never empty");
+        (addr < last.end()).then_some(i)
+    }
+
+    /// Blocks whose start lies in `lo..hi`.
+    pub(crate) fn starting_in(&self, lo: u64, hi: u64) -> std::ops::Range<usize> {
+        self.blocks.partition_point(|&(s, _)| s < lo)..self.blocks.partition_point(|&(s, _)| s < hi)
+    }
+
+    /// The blocks as the public map, keyed by start address.
+    pub(crate) fn into_blocks(self) -> BTreeMap<u64, BasicBlock> {
+        (0..self.len())
+            .map(|i| {
+                let start = self.start(i);
+                let insns = self.insns_of(i).to_vec();
+                (start, BasicBlock { start, insns })
+            })
+            .collect()
     }
 }
 
-/// Disassembles `code` (loaded at `base`) starting from every root,
-/// following direct control flow, and splits blocks at every discovered
-/// leader (branch target or post-branch address).
+/// Decode-memo slot of an offset not decoded yet.
+const UNDECODED: u32 = u32::MAX;
+/// Decode-memo slot of an offset whose bytes do not decode.
+const INVALID: u32 = u32::MAX - 1;
+
+/// Recursive-traversal disassembler over one `.text`, with everything
+/// indexed by text offset.
 ///
-/// Convenience over [`disassemble_cached`] for one-shot callers (tests);
-/// the builder's fixpoint holds a [`DecodeCache`] across passes instead.
-#[cfg(test)]
-pub(crate) fn disassemble(
-    code: &[u8],
+/// The active-address-taken fixpoint re-disassembles after every round
+/// that finds new indirect targets. The bytes never change within one
+/// CFG construction, so each offset is decoded at most once: `slot` holds
+/// the offset's index into `decoded` (or `UNDECODED` / `INVALID`), a
+/// `u32` per text byte. The per-pass `visited` and `leaders` marks are a
+/// byte per text byte each.
+pub(crate) struct Disassembler<'a> {
+    code: &'a [u8],
     base: u64,
-    roots: &BTreeSet<u64>,
-) -> BTreeMap<u64, BasicBlock> {
-    disassemble_cached(code, base, roots, &mut DecodeCache::default())
+    slot: Vec<u32>,
+    decoded: Vec<Instruction>,
+    visited: Vec<bool>,
+    leaders: Vec<bool>,
 }
 
-/// [`disassemble`] with a caller-held [`DecodeCache`], so the fixpoint's
-/// repeated passes reuse decoded instructions instead of re-decoding.
-pub(crate) fn disassemble_cached(
-    code: &[u8],
-    base: u64,
-    roots: &BTreeSet<u64>,
-    cache: &mut DecodeCache,
-) -> BTreeMap<u64, BasicBlock> {
-    let end = base + code.len() as u64;
-    let in_range = |addr: u64| addr >= base && addr < end;
+impl<'a> Disassembler<'a> {
+    pub(crate) fn new(code: &'a [u8], base: u64) -> Disassembler<'a> {
+        Disassembler {
+            code,
+            base,
+            slot: vec![UNDECODED; code.len()],
+            decoded: Vec::new(),
+            visited: vec![false; code.len()],
+            leaders: vec![false; code.len()],
+        }
+    }
 
-    // Pass 1: discover instructions and leaders.
-    let mut insn_at: BTreeMap<u64, Instruction> = BTreeMap::new();
-    let mut leaders: BTreeSet<u64> = BTreeSet::new();
-    let mut worklist: Vec<u64> = roots.iter().copied().filter(|&a| in_range(a)).collect();
-    leaders.extend(worklist.iter().copied());
+    fn offset(&self, addr: u64) -> Option<usize> {
+        let off = addr.checked_sub(self.base)?;
+        (off < self.code.len() as u64).then_some(off as usize)
+    }
 
-    while let Some(start) = worklist.pop() {
-        let mut addr = start;
-        loop {
-            if !in_range(addr) {
-                break;
-            }
-            if insn_at.contains_key(&addr) {
-                break; // already visited this run
-            }
-            let Some(insn) = cache.decode_at(code, base, addr) else {
-                break; // undecodable: stop this run
+    fn decode_at(&mut self, off: usize) -> Option<Instruction> {
+        if self.slot[off] == UNDECODED {
+            self.slot[off] = match decode(&self.code[off..], self.base + off as u64) {
+                Ok(insn) => {
+                    self.decoded.push(insn);
+                    (self.decoded.len() - 1) as u32
+                }
+                Err(_) => INVALID,
             };
-            insn_at.insert(addr, insn);
+        }
+        self.decoded.get(self.slot[off] as usize).copied()
+    }
 
-            // Control flow handling.
-            match insn.op {
-                Op::Jmp(_) | Op::Ret | Op::Ud2 | Op::Hlt => {
-                    if let Some(t) = insn.branch_target() {
-                        if in_range(t) {
-                            leaders.insert(t);
-                            worklist.push(t);
-                        }
-                    }
-                    break;
-                }
-                Op::Jcc(..) => {
-                    if let Some(t) = insn.branch_target() {
-                        if in_range(t) {
-                            leaders.insert(t);
-                            worklist.push(t);
-                        }
-                    }
-                    leaders.insert(insn.end());
-                    // fall through continues the linear scan
-                }
-                Op::Call(_) => {
-                    if let Some(t) = insn.branch_target() {
-                        if in_range(t) {
-                            leaders.insert(t);
-                            worklist.push(t);
-                        }
-                    }
-                    leaders.insert(insn.end());
-                    // calls fall through (the callee returns)
-                }
-                Op::Syscall => {
-                    // One syscall site per block: phase detection labels
-                    // a block's outgoing edges with its site's syscalls,
-                    // which only models execution if each site sits at a
-                    // block boundary.
-                    leaders.insert(insn.end());
-                }
-                _ => {}
+    /// Disassembles from every root, following direct control flow, and
+    /// splits blocks at every discovered leader (root, branch target, or
+    /// the address after a `jcc`, `call` or `syscall`).
+    pub(crate) fn pass(&mut self, roots: impl IntoIterator<Item = u64>) -> Layout {
+        self.visited.fill(false);
+        self.leaders.fill(false);
+
+        // Pass 1: discover instructions and leaders. The visited set is
+        // the closure of the roots under fall-through and branch targets,
+        // so the worklist order does not matter.
+        let mut worklist: Vec<usize> = Vec::new();
+        for root in roots {
+            if let Some(off) = self.offset(root) {
+                self.leaders[off] = true;
+                worklist.push(off);
             }
-            addr = insn.end();
         }
-    }
-
-    // Pass 2: group instructions into blocks split at leaders.
-    let mut blocks: BTreeMap<u64, BasicBlock> = BTreeMap::new();
-    let mut current: Option<BasicBlock> = None;
-    let mut expected_next: Option<u64> = None;
-
-    for (&addr, insn) in &insn_at {
-        let starts_new =
-            leaders.contains(&addr) || current.is_none() || expected_next != Some(addr);
-        if starts_new {
-            if let Some(b) = current.take() {
-                blocks.insert(b.start, b);
+        while let Some(mut off) = worklist.pop() {
+            while !self.visited[off] {
+                let Some(insn) = self.decode_at(off) else {
+                    break; // undecodable: stop this run
+                };
+                self.visited[off] = true;
+                if let Some(t) = insn.branch_target().and_then(|t| self.offset(t)) {
+                    self.leaders[t] = true;
+                    worklist.push(t);
+                }
+                let next = self.offset(insn.end());
+                // One syscall site per block: phase detection labels a
+                // block's outgoing edges with its site's syscalls, which
+                // only models execution if each site sits at a block
+                // boundary. Calls fall through (the callee returns).
+                if matches!(insn.op, Op::Jcc(..) | Op::Call(_) | Op::Syscall) {
+                    if let Some(n) = next {
+                        self.leaders[n] = true;
+                    }
+                }
+                match (insn.is_terminator(), next) {
+                    (false, Some(n)) => off = n,
+                    _ => break,
+                }
             }
-            current = Some(BasicBlock {
-                start: addr,
-                insns: Vec::new(),
-            });
         }
-        let block = current.as_mut().expect("just ensured");
-        block.insns.push(*insn);
-        expected_next = Some(insn.end());
-        if insn.is_terminator() || matches!(insn.op, Op::Jcc(..) | Op::Call(_) | Op::Syscall) {
-            let b = current.take().expect("in block");
-            blocks.insert(b.start, b);
+
+        // Pass 2: group instructions, in address order, into blocks split
+        // at leaders, at gaps and after block-ending instructions.
+        let mut layout = Layout::default();
+        let mut open = false;
+        for off in (0..self.code.len()).filter(|&off| self.visited[off]) {
+            let insn = self.decoded[self.slot[off] as usize];
+            let contiguous = layout.insns.last().is_some_and(|p| p.end() == insn.addr);
+            if !open || self.leaders[off] || !contiguous {
+                layout.blocks.push((insn.addr, layout.insns.len() as u32));
+            }
+            layout.insns.push(insn);
+            open = !(insn.is_terminator()
+                || matches!(insn.op, Op::Jcc(..) | Op::Call(_) | Op::Syscall));
         }
+        layout
     }
-    if let Some(b) = current.take() {
-        blocks.insert(b.start, b);
-    }
-    blocks
+}
+
+/// One disassembly pass from `roots`, as the public block map.
+#[cfg(test)]
+pub(crate) fn disassemble(code: &[u8], base: u64, roots: &[u64]) -> BTreeMap<u64, BasicBlock> {
+    Disassembler::new(code, base)
+        .pass(roots.iter().copied())
+        .into_blocks()
 }
 
 #[cfg(test)]
@@ -187,7 +227,7 @@ mod tests {
 
     fn blocks_of(asm: Assembler, roots: &[u64]) -> BTreeMap<u64, BasicBlock> {
         let code = asm.finish().expect("assemble");
-        disassemble(&code, 0x1000, &roots.iter().copied().collect())
+        disassemble(&code, 0x1000, roots)
     }
 
     #[test]
@@ -261,7 +301,7 @@ mod tests {
     fn undecodable_bytes_stop_the_run() {
         let mut code = vec![0x90]; // nop
         code.push(0x06); // invalid
-        let blocks = disassemble(&code, 0x1000, &[0x1000].into_iter().collect());
+        let blocks = disassemble(&code, 0x1000, &[0x1000]);
         assert_eq!(blocks.len(), 1);
         assert_eq!(blocks[&0x1000].insns.len(), 1);
     }

@@ -1,88 +1,139 @@
-//! Edge construction and reachability.
+//! Edge construction and reachability over a disassembly [`Layout`].
 
-use crate::blocks::BasicBlock;
+use crate::blocks::Layout;
 use crate::{plt_stub_got_slot, EdgeKind, FunctionSym};
 use bside_x86::{Op, Target};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::HashMap;
 
-type EdgeMap = HashMap<u64, Vec<(u64, EdgeKind)>>;
-
-/// Builds successor and predecessor maps plus PLT-stub classification,
-/// resolving indirect branches to `indirect_targets`.
-pub(crate) fn build(
-    blocks: &BTreeMap<u64, BasicBlock>,
-    functions: &[FunctionSym],
-    indirect_targets: &BTreeSet<u64>,
-) -> (EdgeMap, EdgeMap, HashMap<u64, u64>) {
-    let mut succs: EdgeMap = HashMap::new();
-    let mut plt_stubs: HashMap<u64, u64> = HashMap::new();
-    // (caller function-return bookkeeping) call edges: (callee entry, fallthrough block)
-    let mut calls: Vec<(u64, u64)> = Vec::new();
-
-    let block_at = |addr: u64| blocks.contains_key(&addr).then_some(addr);
-
-    for (&start, block) in blocks {
-        let term = block.terminator();
-        let mut out: Vec<(u64, EdgeKind)> = Vec::new();
-        match term.op {
-            Op::Jmp(Target::Rel(_)) => {
-                if let Some(t) = term.branch_target().and_then(block_at) {
-                    out.push((t, EdgeKind::Branch));
-                }
-            }
-            Op::Jmp(Target::Reg(_)) | Op::Jmp(Target::Mem(_)) => {
-                if let Some(slot) = plt_stub_got_slot(block) {
-                    // PLT stub: external control flow, no internal edges.
-                    plt_stubs.insert(start, slot);
-                } else {
-                    for &t in indirect_targets {
-                        if let Some(t) = block_at(t) {
-                            out.push((t, EdgeKind::Indirect));
-                        }
-                    }
-                }
-            }
-            Op::Jcc(..) => {
-                if let Some(t) = term.branch_target().and_then(block_at) {
-                    out.push((t, EdgeKind::Branch));
-                }
-                if let Some(f) = block_at(term.end()) {
-                    out.push((f, EdgeKind::FallThrough));
-                }
-            }
-            Op::Call(Target::Rel(_)) => {
-                if let Some(t) = term.branch_target().and_then(block_at) {
-                    out.push((t, EdgeKind::Call));
-                    if let Some(f) = block_at(term.end()) {
-                        calls.push((t, f));
-                    }
-                }
-                if let Some(f) = block_at(term.end()) {
-                    out.push((f, EdgeKind::FallThrough));
-                }
-            }
-            Op::Call(Target::Reg(_)) | Op::Call(Target::Mem(_)) => {
-                for &t in indirect_targets {
-                    if let Some(t) = block_at(t) {
-                        out.push((t, EdgeKind::Indirect));
-                        if let Some(f) = block_at(term.end()) {
-                            calls.push((t, f));
-                        }
-                    }
-                }
-                if let Some(f) = block_at(term.end()) {
-                    out.push((f, EdgeKind::FallThrough));
-                }
-            }
-            Op::Ret | Op::Ud2 | Op::Hlt => {}
-            _ => {
-                // Block ended by a leader split: plain fall-through.
-                if let Some(f) = block_at(block.end()) {
-                    out.push((f, EdgeKind::FallThrough));
-                }
+/// Calls `edge` for every out-edge of block `i` except `Return` edges
+/// (which only [`build`] adds), resolving indirect branches to
+/// `indirect_targets`. Targets that start no block are dropped.
+fn out_edges(
+    layout: &Layout,
+    i: usize,
+    indirect_targets: &[u64],
+    mut edge: impl FnMut(usize, EdgeKind),
+) {
+    let insns = layout.insns_of(i);
+    let term = insns.last().expect("blocks are never empty");
+    let mut to = |addr: Option<u64>, kind: EdgeKind| {
+        if let Some(j) = addr.and_then(|a| layout.index_of(a)) {
+            edge(j, kind);
+        }
+    };
+    match term.op {
+        Op::Ret | Op::Ud2 | Op::Hlt => {}
+        // PLT stub: external control flow, no internal edges.
+        Op::Jmp(Target::Reg(_) | Target::Mem(_)) if plt_stub_got_slot(insns).is_some() => {}
+        Op::Jmp(Target::Reg(_) | Target::Mem(_)) | Op::Call(Target::Reg(_) | Target::Mem(_)) => {
+            for &t in indirect_targets {
+                to(Some(t), EdgeKind::Indirect);
             }
         }
-        succs.insert(start, out);
+        Op::Jmp(Target::Rel(_)) | Op::Jcc(..) => to(term.branch_target(), EdgeKind::Branch),
+        Op::Call(Target::Rel(_)) => to(term.branch_target(), EdgeKind::Call),
+        _ => {}
+    }
+    // Conditional branches, calls (the callee returns) and blocks ended
+    // by a leader split fall through.
+    if !matches!(term.op, Op::Ret | Op::Ud2 | Op::Hlt | Op::Jmp(_)) {
+        to(Some(term.end()), EdgeKind::FallThrough);
+    }
+}
+
+/// Block-level search from the blocks containing `entries`; returns a
+/// reachable flag per block.
+///
+/// `Return` edges are *not* followed: they over-approximate (a shared
+/// helper's `ret` points at every caller's continuation, so following
+/// them would mark a dead caller's continuation reachable through any
+/// live call into the helper). Post-call continuations are covered by
+/// the call block's own `FallThrough` edge, so skipping returns loses no
+/// genuinely reachable block. No edge map is built: the search reads the
+/// terminators directly.
+pub(crate) fn reachable_from(
+    entries: &[u64],
+    layout: &Layout,
+    indirect_targets: &[u64],
+) -> Vec<bool> {
+    let mut seen = vec![false; layout.len()];
+    let mut stack: Vec<usize> = Vec::new();
+    for i in entries.iter().filter_map(|&e| layout.containing(e)) {
+        if !std::mem::replace(&mut seen[i], true) {
+            stack.push(i);
+        }
+    }
+    while let Some(i) = stack.pop() {
+        out_edges(layout, i, indirect_targets, |j, _| {
+            if !std::mem::replace(&mut seen[j], true) {
+                stack.push(j);
+            }
+        });
+    }
+    seen
+}
+
+/// Per-block edge lists in one flat array: block `i`'s edges are
+/// `edges[offsets[i]..offsets[i + 1]]`, sorted and deduplicated.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EdgeLists {
+    offsets: Vec<u32>,
+    edges: Vec<(u64, EdgeKind)>,
+}
+
+impl EdgeLists {
+    /// Lists `(from, to, kind)` block-index triples by `from`.
+    fn new(layout: &Layout, mut triples: Vec<(u32, u32, EdgeKind)>) -> EdgeLists {
+        triples.sort_unstable();
+        triples.dedup();
+        let mut offsets = vec![0u32; layout.len() + 1];
+        for &(from, _, _) in &triples {
+            offsets[from as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let edges = triples
+            .iter()
+            .map(|&(_, to, kind)| (layout.start(to as usize), kind))
+            .collect();
+        EdgeLists { offsets, edges }
+    }
+
+    /// The edges of block `i`.
+    pub(crate) fn of(&self, i: usize) -> &[(u64, EdgeKind)] {
+        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+/// The final edges, built once after the fixpoint: successor and
+/// predecessor lists, and the PLT stubs, mapping block start to GOT slot.
+pub(crate) fn build(
+    layout: &Layout,
+    functions: &[FunctionSym],
+    indirect_targets: &[u64],
+) -> (EdgeLists, EdgeLists, HashMap<u64, u64>) {
+    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+    let mut plt_stubs: HashMap<u64, u64> = HashMap::new();
+    // Call edges: (callee block, post-call block).
+    let mut calls: Vec<(usize, u32)> = Vec::new();
+
+    for i in 0..layout.len() {
+        let insns = layout.insns_of(i);
+        let term = insns.last().expect("blocks are never empty");
+        if let Some(slot) = plt_stub_got_slot(insns) {
+            plt_stubs.insert(layout.start(i), slot);
+        }
+        let post_call = match term.op {
+            Op::Call(_) => layout.index_of(term.end()),
+            _ => None,
+        };
+        out_edges(layout, i, indirect_targets, |j, kind| {
+            edges.push((i as u32, j as u32, kind));
+            if let (Some(f), EdgeKind::Call | EdgeKind::Indirect) = (post_call, kind) {
+                calls.push((j, f as u32));
+            }
+        });
     }
 
     // Return edges: from each `ret` block of a called function back to the
@@ -103,101 +154,54 @@ pub(crate) fn build(
             }
         }
     };
-    let mut ret_edges: Vec<(u64, u64)> = Vec::new();
-    for &(callee, fallthrough) in &calls {
-        let (lo, hi) = func_range(callee);
-        for (&start, block) in blocks.range(lo..hi) {
-            if matches!(block.terminator().op, Op::Ret) {
-                ret_edges.push((start, fallthrough));
+    for &(callee, post_call) in &calls {
+        let (lo, hi) = func_range(layout.start(callee));
+        for r in layout.starting_in(lo, hi) {
+            let term = layout.insns_of(r).last().expect("blocks are never empty");
+            if matches!(term.op, Op::Ret) {
+                edges.push((r as u32, post_call, EdgeKind::Return));
             }
         }
     }
-    for (from, to) in ret_edges {
-        let out = succs.entry(from).or_default();
-        if !out.contains(&(to, EdgeKind::Return)) {
-            out.push((to, EdgeKind::Return));
-        }
-    }
 
-    // Predecessors.
-    let mut preds: EdgeMap = HashMap::new();
-    for (&from, outs) in &succs {
-        for &(to, kind) in outs {
-            preds.entry(to).or_default().push((from, kind));
-        }
-    }
-    for outs in preds.values_mut() {
-        outs.sort_unstable();
-        outs.dedup();
-    }
-    for outs in succs.values_mut() {
-        outs.sort_unstable();
-        outs.dedup();
-    }
-
-    (succs, preds, plt_stubs)
-}
-
-/// Block-level BFS from the blocks containing `entries`.
-///
-/// `Return` edges are *not* followed: they over-approximate (a shared
-/// helper's `ret` points at every caller's continuation, so following
-/// them would mark a dead caller's continuation reachable through any
-/// live call into the helper). Post-call continuations are covered by
-/// the call block's own `FallThrough` edge, so skipping returns loses no
-/// genuinely reachable block.
-pub(crate) fn reachable_from(
-    entries: &[u64],
-    blocks: &BTreeMap<u64, BasicBlock>,
-    succs: &EdgeMap,
-) -> BTreeSet<u64> {
-    let block_containing = |addr: u64| -> Option<u64> {
-        let (&start, block) = blocks.range(..=addr).next_back()?;
-        (addr < block.end()).then_some(start)
-    };
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
-    let mut queue: VecDeque<u64> = entries
+    let reversed = edges
         .iter()
-        .filter_map(|&e| block_containing(e))
+        .map(|&(from, to, kind)| (to, from, kind))
         .collect();
-    seen.extend(queue.iter().copied());
-    while let Some(b) = queue.pop_front() {
-        for &(to, kind) in succs.get(&b).map(Vec::as_slice).unwrap_or(&[]) {
-            if kind == EdgeKind::Return {
-                continue;
-            }
-            if seen.insert(to) {
-                queue.push_back(to);
-            }
-        }
-    }
-    seen
+    (
+        EdgeLists::new(layout, edges),
+        EdgeLists::new(layout, reversed),
+        plt_stubs,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::disassemble;
+    use crate::blocks::Disassembler;
     use bside_x86::{Assembler, Cond, Reg};
+
+    type EdgeMap = HashMap<u64, Vec<(u64, EdgeKind)>>;
 
     fn setup(
         asm: Assembler,
         funcs: &[FunctionSym],
         indirect: &[u64],
-    ) -> (
-        BTreeMap<u64, BasicBlock>,
-        EdgeMap,
-        EdgeMap,
-        HashMap<u64, u64>,
-    ) {
+    ) -> (Layout, EdgeMap, EdgeMap, HashMap<u64, u64>) {
         let code = asm.finish().expect("assemble");
-        let mut roots: BTreeSet<u64> = [0x1000].into_iter().collect();
-        roots.extend(funcs.iter().map(|f| f.entry));
-        roots.extend(indirect.iter().copied());
-        let blocks = disassemble(&code, 0x1000, &roots);
-        let targets: BTreeSet<u64> = indirect.iter().copied().collect();
-        let (s, p, stubs) = build(&blocks, funcs, &targets);
-        (blocks, s, p, stubs)
+        let roots = funcs
+            .iter()
+            .map(|f| f.entry)
+            .chain(indirect.iter().copied());
+        let layout = Disassembler::new(&code, 0x1000).pass(roots.chain([0x1000]));
+        let (s, p, stubs) = build(&layout, funcs, indirect);
+        let map = |lists: &EdgeLists| -> EdgeMap {
+            (0..layout.len())
+                .map(|i| (layout.start(i), lists.of(i).to_vec()))
+                .collect()
+        };
+        let (s, p) = (map(&s), map(&p));
+        (layout, s, p, stubs)
     }
 
     #[test]
@@ -285,11 +289,9 @@ mod tests {
         a.syscall(); // dead
         a.ret();
         let code = a.finish().unwrap();
-        let roots: BTreeSet<u64> = [0x1000, 0x1001].into_iter().collect();
-        let blocks = disassemble(&code, 0x1000, &roots);
-        let (succs, _p, _s) = build(&blocks, &[], &BTreeSet::new());
-        let reach = reachable_from(&[0x1000], &blocks, &succs);
-        assert!(reach.contains(&0x1000));
-        assert!(!reach.contains(&0x1001));
+        let layout = Disassembler::new(&code, 0x1000).pass([0x1000, 0x1001]);
+        let reach = reachable_from(&[0x1000], &layout, &[]);
+        assert!(reach[layout.index_of(0x1000).unwrap()]);
+        assert!(!reach[layout.index_of(0x1001).unwrap()]);
     }
 }

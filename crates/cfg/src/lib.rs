@@ -19,6 +19,14 @@
 //! * [`CfgStats`] — deterministic cost counters (blocks, fixpoint
 //!   iterations) used by the Table 3 harness.
 //!
+//! # Construction
+//!
+//! [`Cfg::build`] works on dense indices: one decode memo indexed by
+//! `.text` offset serves every disassembly pass; fixpoint rounds find
+//! reachable blocks by walking block terminators; successor, predecessor
+//! and PLT-stub tables are built once, after the fixpoint. The stages are
+//! `bside-obs` spans: `cfg.disassemble`, `cfg.fixpoint`, `cfg.edges`.
+//!
 //! # Examples
 //!
 //! ```
@@ -50,7 +58,8 @@ mod edges;
 
 pub use blocks::BasicBlock;
 
-use bside_x86::{Mem, Op, Target};
+use bside_obs as obs;
+use bside_x86::{Op, Target};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How indirect branch targets are over-approximated.
@@ -143,8 +152,11 @@ serde::impl_serde_struct!(CfgStats {
 #[derive(Debug, Clone, Default)]
 pub struct Cfg {
     blocks: BTreeMap<u64, BasicBlock>,
-    succs: HashMap<u64, Vec<(u64, EdgeKind)>>,
-    preds: HashMap<u64, Vec<(u64, EdgeKind)>>,
+    /// Block start addresses, ascending: position `i` is block `i` of
+    /// the edge lists.
+    starts: Vec<u64>,
+    succs: edges::EdgeLists,
+    preds: edges::EdgeLists,
     functions: Vec<FunctionSym>,
     entries: Vec<u64>,
     reachable: BTreeSet<u64>,
@@ -192,12 +204,16 @@ impl Cfg {
 
     /// Successor edges of the block starting at `addr`.
     pub fn succs(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.succs.get(&addr).map(Vec::as_slice).unwrap_or(&[])
+        self.starts
+            .binary_search(&addr)
+            .map_or(&[], |i| self.succs.of(i))
     }
 
     /// Predecessor edges of the block starting at `addr`.
     pub fn preds(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.preds.get(&addr).map(Vec::as_slice).unwrap_or(&[])
+        self.starts
+            .binary_search(&addr)
+            .map_or(&[], |i| self.preds.of(i))
     }
 
     /// The function symbols supplied at construction.
@@ -299,7 +315,7 @@ impl Cfg {
 
 mod builder {
     use super::*;
-    use crate::{ataken, blocks, edges};
+    use crate::{ataken, blocks::Disassembler, edges};
 
     pub(super) fn build(
         code: &[u8],
@@ -308,32 +324,30 @@ mod builder {
         functions: &[FunctionSym],
         options: &CfgOptions,
     ) -> Cfg {
+        let end = base + code.len() as u64;
         // Roots: explicit entries plus all function symbols, so the whole
         // binary is disassembled (as angr/Capstone do); reachability below
         // distinguishes live code.
-        let mut roots: BTreeSet<u64> = entries.iter().copied().collect();
-        roots.extend(functions.iter().map(|f| f.entry));
+        let roots: Vec<u64> = entries
+            .iter()
+            .chain(functions.iter().map(|f| &f.entry))
+            .copied()
+            .collect();
+        let disassemble_span = obs::span("cfg.disassemble");
+        let mut disassembler = Disassembler::new(code, base);
+        let mut layout = disassembler.pass(roots.iter().copied());
+        disassemble_span.finish();
 
+        let fixpoint_span = obs::span("cfg.fixpoint");
         let mut iterations = 0usize;
-        let mut indirect_targets: BTreeSet<u64> = BTreeSet::new();
-
-        // One decode memo for every disassembly pass below: the fixpoint
-        // re-disassembles after each round of newly-discovered indirect
-        // targets, and the raw bytes never change within a build.
-        let mut cache = blocks::DecodeCache::default();
-
-        // Initial disassembly + plain address-taken scan.
-        let mut block_map = blocks::disassemble_cached(code, base, &roots, &mut cache);
-        let all_taken = ataken::scan(&block_map, base, code.len() as u64);
-
+        // Sorted and deduplicated.
+        let mut indirect_targets: Vec<u64> = Vec::new();
         match options.indirect {
             IndirectResolution::None => {}
             IndirectResolution::AddressTaken => {
-                indirect_targets = all_taken.clone();
+                indirect_targets = ataken::scan(&layout.insns, base, end);
                 // Addresses taken may point at not-yet-disassembled code.
-                let mut new_roots = roots.clone();
-                new_roots.extend(indirect_targets.iter().copied());
-                block_map = blocks::disassemble_cached(code, base, &new_roots, &mut cache);
+                layout = disassembler.pass(roots.iter().chain(&indirect_targets).copied());
                 iterations = 1;
             }
             IndirectResolution::ActiveAddressTaken => {
@@ -341,55 +355,56 @@ mod builder {
                 // new indirect edges → possibly more reachable blocks.
                 loop {
                     iterations += 1;
-                    let (succs, _preds, _stubs) =
-                        edges::build(&block_map, functions, &indirect_targets);
-                    let reachable = edges::reachable_from(entries, &block_map, &succs);
-                    let active =
-                        ataken::scan_reachable(&block_map, &reachable, base, code.len() as u64);
+                    let reachable = edges::reachable_from(entries, &layout, &indirect_targets);
+                    let live = (0..layout.len()).filter(|&i| reachable[i]);
+                    let active = ataken::scan(live.flat_map(|i| layout.insns_of(i)), base, end);
                     if active == indirect_targets {
                         break;
                     }
                     indirect_targets = active;
-                    let mut new_roots = roots.clone();
-                    new_roots.extend(indirect_targets.iter().copied());
-                    block_map = blocks::disassemble_cached(code, base, &new_roots, &mut cache);
+                    layout = disassembler.pass(roots.iter().chain(&indirect_targets).copied());
                     if iterations > 64 {
                         break; // defensive bound; fixpoint is monotone
                     }
                 }
             }
         }
+        fixpoint_span.finish();
 
-        let (succs, preds, plt_stubs) = edges::build(&block_map, functions, &indirect_targets);
-        let reachable = edges::reachable_from(entries, &block_map, &succs);
-
-        let instructions = block_map.values().map(|b| b.insns.len()).sum();
+        let edges_span = obs::span("cfg.edges");
+        let (succs, preds, plt_stubs) = edges::build(&layout, functions, &indirect_targets);
+        let live = edges::reachable_from(entries, &layout, &indirect_targets);
+        let starts: Vec<u64> = (0..layout.len()).map(|i| layout.start(i)).collect();
+        let reachable = starts.iter().zip(live).filter_map(|(&s, l)| l.then_some(s));
+        let reachable = reachable.collect();
         let stats = CfgStats {
-            blocks: block_map.len(),
-            instructions,
+            blocks: layout.len(),
+            instructions: layout.insns.len(),
             ataken_iterations: iterations,
             addresses_taken: indirect_targets.len(),
         };
+        let blocks = layout.into_blocks();
+        edges_span.finish();
 
         Cfg {
-            blocks: block_map,
+            blocks,
+            starts,
             succs,
             preds,
             functions: functions.to_vec(),
             entries: entries.to_vec(),
             reachable,
-            addresses_taken: indirect_targets,
+            addresses_taken: indirect_targets.into_iter().collect(),
             plt_stubs,
             stats,
         }
     }
 }
 
-/// Returns the GOT slot address if `block` is a PLT stub
-/// (`jmp [rip+disp]` as its only real instruction).
-pub(crate) fn plt_stub_got_slot(block: &BasicBlock) -> Option<u64> {
-    let insn = block
-        .insns
+/// Returns the GOT slot address if a block's instructions are a PLT
+/// stub (`jmp [rip+disp]` as its only real instruction).
+pub(crate) fn plt_stub_got_slot(insns: &[bside_x86::Instruction]) -> Option<u64> {
+    let insn = insns
         .iter()
         .find(|i| !matches!(i.op, Op::Endbr64 | Op::Nop))?;
     match insn.op {
@@ -410,10 +425,4 @@ pub(crate) fn lea_target(insn: &bside_x86::Instruction) -> Option<u64> {
         } if imm > 0 => Some(imm as u64),
         _ => None,
     }
-}
-
-/// Convenience: is this a RIP-relative memory operand?
-#[allow(dead_code)]
-pub(crate) fn is_rip_mem(mem: &Mem) -> bool {
-    mem.rip_relative
 }

@@ -10,14 +10,21 @@
 //! and (optionally, for seccomp's install-stricter-only rule) allowed sets
 //! are back-propagated to predecessor phases.
 //!
+//! Call strings are interned as a parent-pointer trie, and DFA states
+//! and ε-closures are fixed-width bitsets over the expanded nodes plus a
+//! halt bit, so a state costs about `nodes / 8` bytes. The stages are
+//! `bside-obs` spans: `phases.expand`, `phases.powerset`, `phases.merge`.
+//!
 //! The intuitive alternative — navigating the CFG and merging
 //! highly-connected syscall nodes directly — is implemented in
 //! [`detect_phases_naive`] for the cost comparison the paper reports
 //! (41 s vs 700 s on a hello-world; automaton wins).
 
 use bside_cfg::{BasicBlock, Cfg};
+use bside_obs as obs;
 use bside_syscalls::{SyscallSet, Sysno};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::rc::Rc;
 
 /// Options for phase detection.
 #[derive(Debug, Clone)]
@@ -145,17 +152,13 @@ impl PhaseAutomaton {
 /// its sites' system call sets; blocks without sites emit ε.
 fn block_labels(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> HashMap<u64, SyscallSet> {
     let mut labels: HashMap<u64, SyscallSet> = HashMap::new();
-    for (&start, block) in cfg.blocks() {
-        let mut set = SyscallSet::new();
-        let mut any = false;
-        for insn in &block.insns {
-            if let Some(s) = site_sets.get(&insn.addr) {
-                set.extend_from(s);
-                any = true;
+    for (&site, set) in site_sets {
+        // Blocks partition the decoded instructions in address order, so
+        // only the last block starting at or before a site can hold it.
+        if let Some((&start, block)) = cfg.blocks().range(..=site).next_back() {
+            if block.insns.iter().any(|i| i.addr == site) {
+                labels.entry(start).or_default().extend_from(set);
             }
-        }
-        if any {
-            labels.insert(start, set);
         }
     }
     labels
@@ -164,95 +167,123 @@ fn block_labels(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> HashMap<u64,
 /// The context-expanded NFA graph: nodes are `(call-string, block)` pairs
 /// so that `ret` resolves to the matching caller's continuation instead
 /// of every caller's (which would fuse unrelated phases).
-struct Expanded {
+struct Expanded<'a> {
     /// Underlying block of each node.
     block: Vec<u64>,
-    /// Successor node ids.
-    succs: Vec<Vec<usize>>,
+    /// Each node's label, looked up once; `None` means ε edges.
+    label: Vec<Option<&'a SyscallSet>>,
+    /// Successor node ids, flat: node `n`'s are
+    /// `succ_edges[succ_offsets[n]..succ_offsets[n + 1]]`. Nodes are
+    /// expanded in id order, so a truncated expansion leaves the
+    /// unexpanded tail without an entry (no successors).
+    succ_offsets: Vec<u32>,
+    succ_edges: Vec<u32>,
     /// Entry node ids.
-    entries: Vec<usize>,
+    entries: Vec<u32>,
     truncated: bool,
 }
 
-fn expand(cfg: &Cfg, depth: usize, max_nodes: usize) -> Expanded {
+impl Expanded<'_> {
+    fn succs(&self, n: usize) -> &[u32] {
+        let range = self.succ_offsets.get(n..n + 2);
+        range.map_or(&[], |r| &self.succ_edges[r[0] as usize..r[1] as usize])
+    }
+}
+
+/// Breadth-first builder of [`Expanded`]. Call strings are interned as
+/// a parent-pointer trie with `u32` ids: context 0 is the empty string,
+/// and context `c > 0` is context `ctx_parent[c]` followed by the call
+/// block `ctx_call[c]`.
+struct Expander<'a> {
+    labels: &'a HashMap<u64, SyscallSet>,
+    ctx_parent: Vec<u32>,
+    ctx_call: Vec<u64>,
+    ctx_depth: Vec<usize>,
+    ctx_ids: HashMap<(u32, u64), u32>,
+    node_ids: HashMap<(u32, u64), u32>,
+    node_ctx: Vec<u32>,
+    graph: Expanded<'a>,
+    queue: VecDeque<u32>,
+}
+
+impl Expander<'_> {
+    /// The context `ctx` extended by the call in block `call`.
+    fn push_ctx(&mut self, ctx: u32, call: u64) -> u32 {
+        let next = self.ctx_parent.len() as u32;
+        *self.ctx_ids.entry((ctx, call)).or_insert_with(|| {
+            self.ctx_parent.push(ctx);
+            self.ctx_call.push(call);
+            self.ctx_depth.push(self.ctx_depth[ctx as usize] + 1);
+            next
+        })
+    }
+
+    /// The node `(ctx, b)`, created and queued on first sight.
+    fn node(&mut self, ctx: u32, b: u64) -> u32 {
+        let next = self.graph.block.len() as u32;
+        let id = *self.node_ids.entry((ctx, b)).or_insert(next);
+        if id == next {
+            self.graph.block.push(b);
+            self.graph.label.push(self.labels.get(&b));
+            self.node_ctx.push(ctx);
+            self.queue.push_back(id);
+        }
+        id
+    }
+}
+
+fn expand<'a>(
+    cfg: &'a Cfg,
+    labels: &'a HashMap<u64, SyscallSet>,
+    depth: usize,
+    max_nodes: usize,
+) -> Expanded<'a> {
     use bside_cfg::EdgeKind;
     use bside_x86::Op;
 
-    let mut intern: HashMap<(Vec<u64>, u64), usize> = HashMap::new();
-    let mut block: Vec<u64> = Vec::new();
-    let mut ctxs: Vec<Vec<u64>> = Vec::new();
-    let mut succs: Vec<Vec<usize>> = Vec::new();
-    let mut truncated = false;
-
-    let get = |ctx: &[u64],
-               b: u64,
-               block: &mut Vec<u64>,
-               ctxs: &mut Vec<Vec<u64>>,
-               succs: &mut Vec<Vec<usize>>,
-               intern: &mut HashMap<(Vec<u64>, u64), usize>,
-               queue: &mut VecDeque<usize>|
-     -> usize {
-        let key = (ctx.to_vec(), b);
-        if let Some(&id) = intern.get(&key) {
-            return id;
-        }
-        let id = block.len();
-        block.push(b);
-        ctxs.push(ctx.to_vec());
-        succs.push(Vec::new());
-        intern.insert(key, id);
-        queue.push_back(id);
-        id
+    let mut x = Expander {
+        labels,
+        ctx_parent: vec![0],
+        ctx_call: vec![0],
+        ctx_depth: vec![0],
+        ctx_ids: HashMap::new(),
+        node_ids: HashMap::with_capacity(cfg.reachable().len()),
+        node_ctx: Vec::new(),
+        graph: Expanded {
+            block: Vec::new(),
+            label: Vec::new(),
+            succ_offsets: vec![0],
+            succ_edges: Vec::new(),
+            entries: Vec::new(),
+            truncated: false,
+        },
+        queue: VecDeque::new(),
     };
+    for &e in cfg.entries() {
+        if let Some(b) = cfg.block_containing(e) {
+            let id = x.node(0, b);
+            x.graph.entries.push(id);
+        }
+    }
 
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let entries: Vec<usize> = cfg
-        .entries()
-        .iter()
-        .filter_map(|&e| cfg.block_containing(e))
-        .map(|b| {
-            get(
-                &[],
-                b,
-                &mut block,
-                &mut ctxs,
-                &mut succs,
-                &mut intern,
-                &mut queue,
-            )
-        })
-        .collect();
-
-    while let Some(id) = queue.pop_front() {
-        if block.len() > max_nodes {
-            truncated = true;
+    let mut out: Vec<u32> = Vec::new();
+    while let Some(id) = x.queue.pop_front() {
+        if x.graph.block.len() > max_nodes {
+            x.graph.truncated = true;
             break;
         }
-        let b = block[id];
-        let ctx = ctxs[id].clone();
-        let Some(bb) = cfg.block(b) else { continue };
-        let term = bb.terminator();
-        let mut out: Vec<usize> = Vec::new();
-
-        match term.op {
-            Op::Call(_) => {
+        let (b, ctx) = (x.graph.block[id as usize], x.node_ctx[id as usize]);
+        out.clear();
+        match cfg.block(b).map(|bb| bb.terminator().op) {
+            Some(Op::Call(_)) => {
                 let mut entered = false;
                 for &(to, kind) in cfg.succs(b) {
                     if matches!(kind, EdgeKind::Call | EdgeKind::Indirect)
                         && !cfg.plt_stubs().contains_key(&to)
-                        && ctx.len() < depth
+                        && x.ctx_depth[ctx as usize] < depth
                     {
-                        let mut ctx2 = ctx.clone();
-                        ctx2.push(b);
-                        out.push(get(
-                            &ctx2,
-                            to,
-                            &mut block,
-                            &mut ctxs,
-                            &mut succs,
-                            &mut intern,
-                            &mut queue,
-                        ));
+                        let callee_ctx = x.push_ctx(ctx, b);
+                        out.push(x.node(callee_ctx, to));
                         entered = true;
                     }
                 }
@@ -261,202 +292,218 @@ fn expand(cfg: &Cfg, depth: usize, max_nodes: usize) -> Expanded {
                     // over the call.
                     for &(to, kind) in cfg.succs(b) {
                         if kind == EdgeKind::FallThrough {
-                            out.push(get(
-                                &ctx,
-                                to,
-                                &mut block,
-                                &mut ctxs,
-                                &mut succs,
-                                &mut intern,
-                                &mut queue,
-                            ));
+                            out.push(x.node(ctx, to));
                         }
                     }
                 }
             }
-            Op::Ret => {
-                if let Some((&call_block, rest)) = ctx.split_last() {
-                    if let Some(cb) = cfg.block(call_block) {
-                        if let Some(cont) = cfg.block_containing(cb.terminator().end()) {
-                            out.push(get(
-                                rest,
-                                cont,
-                                &mut block,
-                                &mut ctxs,
-                                &mut succs,
-                                &mut intern,
-                                &mut queue,
-                            ));
-                        }
-                    }
+            // Empty context: the entry function returned — halt.
+            Some(Op::Ret) if ctx != 0 => {
+                let (call_block, caller_ctx) =
+                    (x.ctx_call[ctx as usize], x.ctx_parent[ctx as usize]);
+                let cont = cfg
+                    .block(call_block)
+                    .and_then(|cb| cfg.block_containing(cb.terminator().end()));
+                if let Some(cont) = cont {
+                    out.push(x.node(caller_ctx, cont));
                 }
-                // Empty context: the entry function returned — halt.
             }
-            _ => {
+            Some(Op::Ret) | None => {}
+            Some(_) => {
                 for &(to, kind) in cfg.succs(b) {
                     if matches!(
                         kind,
                         EdgeKind::Branch | EdgeKind::FallThrough | EdgeKind::Indirect
                     ) {
-                        out.push(get(
-                            &ctx,
-                            to,
-                            &mut block,
-                            &mut ctxs,
-                            &mut succs,
-                            &mut intern,
-                            &mut queue,
-                        ));
+                        out.push(x.node(ctx, to));
                     }
                 }
             }
         }
         out.sort_unstable();
         out.dedup();
-        succs[id] = out;
+        x.graph.succ_edges.extend_from_slice(&out);
+        x.graph.succ_offsets.push(x.graph.succ_edges.len() as u32);
     }
-
-    Expanded {
-        block,
-        succs,
-        entries,
-        truncated,
-    }
+    x.graph
 }
 
-/// Synthetic halt node id within the expanded graph's DFA state sets.
-const HALT_NODE: usize = usize::MAX;
+/// A DFA state under construction: a fixed-width bitset over the expanded
+/// nodes, with bit `halt` (one past the last node) for the synthetic halt
+/// node that labelled dead ends lead to.
+struct NodeSet<'a> {
+    expanded: &'a Expanded<'a>,
+    halt: usize,
+    bits: Vec<u64>,
+    stack: Vec<usize>,
+}
 
-fn epsilon_closure(
-    seed: impl IntoIterator<Item = usize>,
-    expanded: &Expanded,
-    labels: &HashMap<u64, SyscallSet>,
-) -> BTreeSet<usize> {
-    let mut closure: BTreeSet<usize> = seed.into_iter().collect();
-    let mut queue: VecDeque<usize> = closure.iter().copied().collect();
-    while let Some(n) = queue.pop_front() {
-        if n == HALT_NODE || labels.contains_key(&expanded.block[n]) {
-            continue; // labeled edges are not ε
+impl NodeSet<'_> {
+    fn insert(&mut self, n: usize) {
+        let (w, b) = (n / 64, 1u64 << (n % 64));
+        if self.bits[w] & b == 0 {
+            self.bits[w] |= b;
+            self.stack.push(n);
         }
-        for &to in &expanded.succs[n] {
-            if closure.insert(to) {
-                queue.push_back(to);
+    }
+
+    /// Closes the set under ε-edges: edges leaving labelled nodes are not
+    /// ε, and the halt node has none.
+    fn close(&mut self) {
+        while let Some(n) = self.stack.pop() {
+            if n == self.halt || self.expanded.label[n].is_some() {
+                continue;
+            }
+            for &to in self.expanded.succs(n) {
+                self.insert(to as usize);
             }
         }
     }
-    closure
+}
+
+/// The members of a bitset, in ascending order.
+fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
 }
 
 /// Builds the phase automaton from an analyzed binary's CFG and per-site
 /// system call sets.
+///
+/// DFA states are numbered breadth first, visiting each state's symbols
+/// in ascending order; that numbering fixes the SCC and phase ids.
 pub fn detect_phases(
     cfg: &Cfg,
     site_sets: &HashMap<u64, SyscallSet>,
     options: &PhaseOptions,
 ) -> PhaseAutomaton {
-    let labels = block_labels(cfg, site_sets);
-
-    // Alphabet: every syscall occurring at any site.
-    let mut alphabet = SyscallSet::new();
-    for set in labels.values() {
-        alphabet.extend_from(set);
-    }
-
     // ---- context-sensitive NFA expansion ----------------------------------------
-    let expanded = expand(cfg, options.context_depth, options.max_expanded_nodes);
+    let span = obs::span("phases.expand");
+    let labels = block_labels(cfg, site_sets);
+    let expanded = expand(
+        cfg,
+        &labels,
+        options.context_depth,
+        options.max_expanded_nodes,
+    );
+    span.finish();
 
     // ---- powerset construction -------------------------------------------------
-    let start: BTreeSet<usize> =
-        epsilon_closure(expanded.entries.iter().copied(), &expanded, &labels);
-    let mut state_ids: HashMap<BTreeSet<usize>, usize> = HashMap::new();
-    let mut states: Vec<BTreeSet<usize>> = Vec::new();
-    let mut dfa_edges: Vec<BTreeMap<u32, usize>> = Vec::new(); // sysno.raw → state
+    let span = obs::span("phases.powerset");
+    let halt = expanded.block.len();
+    let width = (halt + 1).div_ceil(64);
+    let mut set = NodeSet {
+        expanded: &expanded,
+        halt,
+        bits: vec![0; width],
+        stack: Vec::new(),
+    };
+    for &e in &expanded.entries {
+        set.insert(e as usize);
+    }
+    set.close();
+    let mut states: Vec<Rc<[u64]>> = vec![Rc::from(&set.bits[..])];
+    let mut state_ids: HashMap<Rc<[u64]>, usize> = HashMap::new();
+    state_ids.insert(states[0].clone(), 0);
+    let mut dfa_edges: Vec<Vec<(u32, usize)>> = vec![Vec::new()]; // (sysno.raw, state), ascending
     let mut truncated = expanded.truncated;
-
-    state_ids.insert(start.clone(), 0);
-    states.push(start);
-    dfa_edges.push(BTreeMap::new());
     let mut queue: VecDeque<usize> = [0].into();
+    let mut labelled: Vec<(usize, &SyscallSet)> = Vec::new();
 
     while let Some(sid) = queue.pop_front() {
-        if states.len() > options.max_dfa_states {
+        if dfa_edges.len() > options.max_dfa_states {
             truncated = true;
             break;
         }
         let state = states[sid].clone();
-        // For each symbol: targets of labeled edges from member nodes
-        // whose label contains the symbol.
-        let mut per_symbol: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
-        for &n in &state {
-            if n == HALT_NODE {
-                continue;
-            }
-            let Some(label) = labels.get(&expanded.block[n]) else {
-                continue;
-            };
-            let succs = &expanded.succs[n];
-            if succs.is_empty() {
-                for s in label.iter() {
-                    per_symbol.entry(s.raw()).or_default().insert(HALT_NODE);
-                }
-            }
-            for &to in succs {
-                for s in label.iter() {
-                    per_symbol.entry(s.raw()).or_default().insert(to);
-                }
-            }
+        labelled.clear();
+        labelled.extend(
+            members(&state)
+                .filter(|&n| n != halt)
+                .filter_map(|n| Some((n, expanded.label[n]?))),
+        );
+        let mut symbols = SyscallSet::new();
+        for &(_, label) in &labelled {
+            symbols.extend_from(label);
         }
-        for (sym, targets) in per_symbol {
-            let next = epsilon_closure(targets, &expanded, &labels);
-            if next.is_empty() {
-                continue;
+        // For each symbol: the ε-closure of the targets of labelled edges
+        // from member nodes whose label contains the symbol.
+        for sym in symbols.iter() {
+            set.bits.fill(0);
+            for &(n, label) in &labelled {
+                if label.contains(sym) {
+                    let succs = expanded.succs(n);
+                    if succs.is_empty() {
+                        set.insert(halt);
+                    }
+                    for &to in succs {
+                        set.insert(to as usize);
+                    }
+                }
             }
-            let next_id = match state_ids.get(&next) {
+            set.close();
+            let next_id = match state_ids.get(&set.bits[..]) {
                 Some(&id) => id,
                 None => {
-                    let id = states.len();
-                    state_ids.insert(next.clone(), id);
-                    states.push(next);
-                    dfa_edges.push(BTreeMap::new());
+                    let id = dfa_edges.len();
+                    let state: Rc<[u64]> = Rc::from(&set.bits[..]);
+                    state_ids.insert(state.clone(), id);
+                    states.push(state);
+                    dfa_edges.push(Vec::new());
                     queue.push_back(id);
                     id
                 }
             };
-            dfa_edges[sid].insert(sym, next_id);
+            dfa_edges[sid].push((sym.raw(), next_id));
         }
     }
-    let dfa_states = states.len();
+    let dfa_states = dfa_edges.len();
+    span.finish();
 
     // ---- merge highly-connected states: SCC condensation -----------------------
-    let scc = tarjan_scc(dfa_states, |v| dfa_edges[v].values().copied());
+    let span = obs::span("phases.merge");
+    let scc = tarjan_scc(&dfa_edges);
     let phase_count = scc.iter().copied().max().map(|m| m + 1).unwrap_or(0);
 
-    let block_size = |b: u64| cfg.block(b).map(BasicBlock::byte_size).unwrap_or(0);
-
-    let mut phases: Vec<Phase> = (0..phase_count)
-        .map(|id| Phase {
-            id,
-            blocks: BTreeSet::new(),
-            transitions: BTreeMap::new(),
-            code_bytes: 0,
+    // Each phase's node set is the union of its states' sets.
+    let mut phase_nodes = vec![0u64; phase_count * width];
+    for (sid, state) in states.iter().enumerate() {
+        let union = &mut phase_nodes[scc[sid] * width..(scc[sid] + 1) * width];
+        for (acc, &w) in union.iter_mut().zip(state.iter()) {
+            *acc |= w;
+        }
+    }
+    let mut phases: Vec<Phase> = phase_nodes
+        .chunks_exact(width)
+        .enumerate()
+        .map(|(id, nodes)| {
+            let blocks: BTreeSet<u64> = members(nodes)
+                .filter(|&n| n != halt)
+                .map(|n| expanded.block[n])
+                .collect();
+            let code_bytes = blocks
+                .iter()
+                .map(|&b| cfg.block(b).map(BasicBlock::byte_size).unwrap_or(0))
+                .sum();
+            Phase {
+                id,
+                blocks,
+                transitions: BTreeMap::new(),
+                code_bytes,
+            }
         })
         .collect();
-    for (sid, state) in states.iter().enumerate() {
-        let pid = scc[sid];
-        phases[pid].blocks.extend(
-            state
-                .iter()
-                .copied()
-                .filter(|&n| n != HALT_NODE)
-                .map(|n| expanded.block[n]),
-        );
-    }
-    for p in &mut phases {
-        p.code_bytes = p.blocks.iter().map(|&b| block_size(b)).sum();
-    }
     for (sid, edges) in dfa_edges.iter().enumerate() {
         let from = scc[sid];
-        for (&sym, &to_state) in edges {
+        for &(sym, to_state) in edges {
             let to = scc[to_state];
             if let Some(sysno) = Sysno::new(sym) {
                 phases[from]
@@ -467,6 +514,7 @@ pub fn detect_phases(
             }
         }
     }
+    span.finish();
 
     let initial = if dfa_states > 0 { scc[0] } else { 0 };
     PhaseAutomaton {
@@ -477,9 +525,10 @@ pub fn detect_phases(
     }
 }
 
-/// Tarjan's strongly-connected components; returns a component id per
-/// vertex. Iterative to survive deep DFAs.
-fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -> Vec<usize> {
+/// Tarjan's strongly-connected components of the DFA, whose state `v`
+/// has the successors `edges[v]` (in order); returns a component id per
+/// state. Iterative to survive deep DFAs.
+fn tarjan_scc(edges: &[Vec<(u32, usize)>]) -> Vec<usize> {
     #[derive(Clone, Copy)]
     struct Node {
         index: usize,
@@ -487,6 +536,7 @@ fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -
         on_stack: bool,
         visited: bool,
     }
+    let n = edges.len();
     let mut nodes = vec![
         Node {
             index: 0,
@@ -500,13 +550,14 @@ fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -
     let mut comp = vec![usize::MAX; n];
     let mut next_index = 0usize;
     let mut next_comp = 0usize;
+    // Iterative DFS: each frame is a vertex and the cursor into its edges.
+    let mut call: Vec<(usize, usize)> = Vec::new();
 
     for root in 0..n {
         if nodes[root].visited {
             continue;
         }
-        // Iterative DFS with an explicit call stack.
-        let mut call: Vec<(usize, Vec<usize>, usize)> = vec![(root, succs(root).collect(), 0)];
+        call.push((root, 0));
         nodes[root].visited = true;
         nodes[root].index = next_index;
         nodes[root].lowlink = next_index;
@@ -514,9 +565,9 @@ fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -
         stack.push(root);
         nodes[root].on_stack = true;
 
-        while let Some((v, vsuccs, cursor)) = call.last_mut() {
-            if *cursor < vsuccs.len() {
-                let w = vsuccs[*cursor];
+        while let Some((v, cursor)) = call.last_mut() {
+            let v = *v;
+            if let Some(&(_, w)) = edges[v].get(*cursor) {
                 *cursor += 1;
                 if !nodes[w].visited {
                     nodes[w].visited = true;
@@ -525,14 +576,12 @@ fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -
                     next_index += 1;
                     stack.push(w);
                     nodes[w].on_stack = true;
-                    let wsuccs: Vec<usize> = succs(w).collect();
-                    call.push((w, wsuccs, 0));
+                    call.push((w, 0));
                 } else if nodes[w].on_stack {
-                    let v = *v;
                     nodes[v].lowlink = nodes[v].lowlink.min(nodes[w].index);
                 }
             } else {
-                let (v, _, _) = call.pop().expect("non-empty");
+                call.pop();
                 if nodes[v].lowlink == nodes[v].index {
                     loop {
                         let w = stack.pop().expect("stack invariant");
@@ -544,9 +593,8 @@ fn tarjan_scc<I: Iterator<Item = usize>>(n: usize, succs: impl Fn(usize) -> I) -
                     }
                     next_comp += 1;
                 }
-                if let Some((parent, _, _)) = call.last() {
-                    let p = *parent;
-                    nodes[p].lowlink = nodes[p].lowlink.min(nodes[v].lowlink);
+                if let Some(&(parent, _)) = call.last() {
+                    nodes[parent].lowlink = nodes[parent].lowlink.min(nodes[v].lowlink);
                 }
             }
         }

@@ -193,13 +193,17 @@ impl Iterator for Iter<'_> {
     type Item = Sysno;
 
     fn next(&mut self) -> Option<Sysno> {
+        // Skip whole empty words: a set holds a few dozen of 512 numbers.
         while self.next < MAX_SYSNO {
-            let cur = self.next;
-            self.next += 1;
-            let sysno = Sysno::new(cur).expect("in range");
-            if self.set.contains(sysno) {
-                return Some(sysno);
+            let (w, b) = ((self.next / 64) as usize, self.next % 64);
+            let rest = self.set.words[w] >> b;
+            if rest == 0 {
+                self.next = (w as u32 + 1) * 64;
+                continue;
             }
+            let cur = self.next + rest.trailing_zeros();
+            self.next = cur + 1;
+            return Sysno::new(cur);
         }
         None
     }
@@ -259,6 +263,15 @@ mod tests {
         }
         let raws: Vec<u32> = s.iter().map(|x| x.raw()).collect();
         assert_eq!(raws, vec![0, 59, 101, 322, 425]);
+    }
+
+    #[test]
+    fn iter_crosses_word_boundaries() {
+        let raws = [0, 1, 63, 64, 127, 128, 448, 510, 511];
+        let s: SyscallSet = raws.iter().map(|&r| Sysno::new(r).unwrap()).collect();
+        let back: Vec<u32> = s.iter().map(|x| x.raw()).collect();
+        assert_eq!(back, raws);
+        assert_eq!(SyscallSet::new().iter().next(), None);
     }
 
     #[test]

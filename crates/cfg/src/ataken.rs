@@ -33,6 +33,7 @@ mod tests {
     use super::*;
     use crate::blocks::{disassemble, Disassembler};
     use crate::edges::reachable_from;
+    use bside_x86::{Assembler, Reg};
     use std::collections::BTreeMap;
 
     fn all_insns(blocks: &BTreeMap<u64, crate::BasicBlock>) -> Vec<Instruction> {
@@ -41,7 +42,6 @@ mod tests {
             .flat_map(|b| b.insns.iter().copied())
             .collect()
     }
-    use bside_x86::{Assembler, Reg};
 
     #[test]
     fn lea_of_code_address_is_taken() {

@@ -252,6 +252,47 @@ mod tests {
     }
 
     #[test]
+    fn every_ret_block_of_the_callee_returns_to_the_caller() {
+        let mut a = Assembler::new(0x1000);
+        let f = a.new_label();
+        let second = a.new_label();
+        a.call_label(f); // 0x1000 (5 bytes)
+        a.ret(); // post-call block @0x1005
+        a.bind(f).unwrap(); // 0x1006
+        a.cmp_reg_imm32(Reg::Rdi, 0);
+        a.jcc_label(Cond::E, second);
+        let first_ret = a.cursor();
+        a.ret();
+        a.bind(second).unwrap();
+        let second_ret = a.cursor();
+        a.ret();
+        let end = a.cursor();
+        let funcs = vec![
+            FunctionSym {
+                name: "main".into(),
+                entry: 0x1000,
+                size: 6,
+            },
+            FunctionSym {
+                name: "f".into(),
+                entry: 0x1006,
+                size: end - 0x1006,
+            },
+        ];
+        let (_b, succs, preds, _) = setup(a, &funcs, &[]);
+        for ret in [first_ret, second_ret] {
+            assert!(
+                succs[&ret].contains(&(0x1005, EdgeKind::Return)),
+                "{ret:#x}"
+            );
+            assert!(
+                preds[&0x1005].contains(&(ret, EdgeKind::Return)),
+                "{ret:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn indirect_call_fans_out_to_targets() {
         let mut a = Assembler::new(0x1000);
         let f1 = a.new_label();

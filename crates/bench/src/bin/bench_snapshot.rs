@@ -1,13 +1,14 @@
 //! Perf-trajectory snapshot: times the analysis pipeline, the corpus
 //! engines, the policy daemon, the fleet under faults and the compiled
-//! filters over one multi-binary corpus, and writes `BENCH_pipeline.json`
-//! as the baseline later changes compare against.
+//! filters over one multi-binary corpus, plus the paper's ablations as
+//! micro cases, and writes `BENCH_pipeline.json` as the baseline later
+//! changes compare against.
 //!
 //! ```text
 //! cargo run --release -p bside-bench --bin bench_snapshot [-- <out.json>]
 //! ```
 //!
-//! Each of the ten configurations runs [`REPEATS`] times through one
+//! Each of the eleven configurations runs [`REPEATS`] times through one
 //! measurement core ([`repeat`], [`Sample`]). A timed figure (`*_us`,
 //! `*_ns_per_eval`, `overhead_pct`) is the median over the runs, with
 //! `<key>_range` = `[min, max]` next to it. A rate or per-run ratio is
@@ -17,14 +18,15 @@
 //! saw, so a 0 holds in every run. Phase totals are CPU-side sums across
 //! workers, so they exceed wall clock under parallelism. A `sequential`
 //! or `parallel` run analyzes the corpus [`IN_PROCESS_PASSES`] times and
-//! reports per-pass figures, so its window is long enough to time.
+//! reports per-pass figures, so its window is long enough to time; a
+//! `micro` run times a batch of one case and reports per iteration.
 //!
 //! A failed configuration fails the binary, except that `distributed` is
 //! `null` (stderr says why) when `bside-agent` is not built next to this
 //! binary. stderr gets one progress line per configuration; the output
 //! file and stdout get the full record.
 
-use bside::core::{Analyzer, AnalyzerOptions, BinaryAnalysis, PipelineTimings};
+use bside::core::{Analyzer, AnalyzerOptions, BinaryAnalysis, LibraryStore, PipelineTimings};
 use bside::dist::fault::{set_plan, FaultPlan};
 use bside::dist::RunStats;
 use bside::elf::Elf;
@@ -32,7 +34,7 @@ use bside::filter::replay::{self, ThroughputReport};
 use bside::fleet::{analyze_corpus_fleet, run_agent_loop, AgentOptions, AgentReport};
 use bside::fleet::{FleetCoordinator, FleetHandle, FleetOptions};
 use bside::gen::corpus::{corpus_with_size, DEFAULT_SEED};
-use bside::gen::profiles::all_profiles;
+use bside::gen::profiles::{all_profiles, hello_world, nginx};
 use bside::serve::{Endpoint, PolicyClient, PolicyServer, RemoteAnalyzer, Request, ServeOptions};
 use bside::serve::{ServerHandle as Server, Source, StatsSnapshot};
 use serde::{impl_serde_struct, Value};
@@ -585,6 +587,166 @@ fn run_filter_replay() -> Res<Vec<FilterLeg>> {
     Ok(legs)
 }
 
+/// What one micro-case run should take: the warm-up iteration sizes a
+/// batch this long, so a µs case is timed over thousands of iterations
+/// and a tens-of-ms case once per run.
+const MICRO_BATCH: Duration = Duration::from_millis(20);
+
+/// Per-iteration µs of `case` over [`REPEATS`] runs of one batch each,
+/// after one warm-up iteration; the first error fails the case.
+fn per_iteration<T>(mut case: impl FnMut() -> Res<T>) -> Res<Runs<f64>> {
+    let (warm, took) = timed(&mut case);
+    std::hint::black_box(warm?);
+    let iters = MICRO_BATCH.as_nanos() / took.max(Duration::from_micros(1)).as_nanos();
+    let iters = iters.max(1) as u32;
+    repeat(|| {
+        let batch = || (0..iters).try_for_each(|_| case().map(|v| drop(std::hint::black_box(v))));
+        let (done, wall) = timed(batch);
+        done.map(|()| us(wall) / f64::from(iters))
+    })
+}
+
+/// A micro-case input: an ELF and, for a dynamic binary, the library
+/// store it resolves against.
+struct MicroInput {
+    name: String,
+    elf: Elf,
+    libs: Option<LibraryStore>,
+}
+
+impl MicroInput {
+    fn text(&self) -> Res<(&[u8], u64)> {
+        self.elf
+            .text()
+            .ok_or_else(|| format!("{}: no .text", self.name))
+    }
+}
+
+/// `hello_world`, `nginx`, and the static and the dynamic binary of the
+/// seed-1 Table 2 corpus whose `.text` is closest to the corpus median
+/// (the shape `derive_debian` spends its time on).
+fn micro_inputs() -> Res<Vec<MicroInput>> {
+    let corpus = corpus_with_size(1, 231, 326, 59);
+    let text_len = |elf: &Elf| elf.text().map_or(0, |(t, _)| t.len());
+    let mut lens: Vec<usize> = corpus
+        .binaries
+        .iter()
+        .map(|b| text_len(&b.program.elf))
+        .collect();
+    lens.sort_unstable();
+    let median = lens[lens.len() / 2];
+    let nearest = |is_static: bool| {
+        let kind = corpus.binaries.iter().filter(|b| b.is_static == is_static);
+        let binary = kind.min_by_key(|b| text_len(&b.program.elf).abs_diff(median));
+        binary
+            .map(|b| b.program.elf.clone())
+            .ok_or("corpus lacks a binary kind")
+    };
+    let libraries = corpus
+        .libraries
+        .iter()
+        .map(|l| (l.spec.name.as_str(), &l.elf));
+    let libraries: Vec<(&str, &Elf)> = libraries.collect();
+    let libs = Analyzer::new(AnalyzerOptions::default()).analyze_libraries(&libraries);
+    let libs = libs.map_err(ctx("library store"))?;
+    let input = |name: &str, elf, libs| MicroInput {
+        name: name.to_string(),
+        elf,
+        libs,
+    };
+    Ok(vec![
+        input("hello", hello_world().program.elf, None),
+        input("nginx", nginx().program.elf, None),
+        input("median_static", nearest(true)?, None),
+        input("median_dynamic", nearest(false)?, Some(libs)),
+    ])
+}
+
+/// The micro cases, each timed per iteration by [`per_iteration`]:
+/// decoder throughput, CFG recovery under each indirect-branch mode
+/// (§4.3), identification with the wrapper heuristic and directed
+/// search on and off (§4.4), and the phase automaton against naive CFG
+/// navigation (§4.7).
+fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
+    use bside::cfg::{Cfg, CfgOptions, FunctionSym, IndirectResolution};
+    use bside::core::phase::{detect_phases, detect_phases_naive, PhaseOptions};
+    let mut cases = Vec::new();
+    let inputs = micro_inputs()?;
+
+    let nginx = &inputs[1];
+    let (code, vaddr) = nginx.text()?;
+    let decode = per_iteration(|| Ok(bside::x86::decode_all(std::hint::black_box(code), vaddr)));
+    cases.push(("decode_all/nginx".to_string(), decode?));
+
+    for input in &inputs {
+        let (code, vaddr) = input.text()?;
+        let symbols = input.elf.function_symbols().into_iter();
+        let funcs: Vec<FunctionSym> = symbols
+            .map(|s| FunctionSym {
+                name: s.name.clone(),
+                entry: s.value,
+                size: s.size,
+            })
+            .collect();
+        let entry = [input.elf.entry_point()];
+        for (label, indirect) in [
+            ("active_ataken", IndirectResolution::ActiveAddressTaken),
+            ("plain_ataken", IndirectResolution::AddressTaken),
+            ("none", IndirectResolution::None),
+        ] {
+            let options = CfgOptions { indirect };
+            let build = per_iteration(|| Ok(Cfg::build(code, vaddr, &entry, &funcs, &options)));
+            cases.push((format!("cfg_recovery/{label}/{}", input.name), build?));
+        }
+    }
+
+    // Undirected search may exhaust its budget (the paper's timeout
+    // case); the cost of reaching that verdict is the comparison, so
+    // only the wrapper cases must succeed.
+    let limits = |undirected| bside::symex::Limits {
+        undirected,
+        ..bside::symex::Limits::default()
+    };
+    for (label, detect_wrappers, undirected) in [
+        ("wrappers_on", true, false),
+        ("wrappers_off", false, false),
+        ("directed", true, false),
+        ("undirected", true, true),
+    ] {
+        let analyzer = Analyzer::new(AnalyzerOptions {
+            detect_wrappers,
+            limits: limits(undirected),
+            ..AnalyzerOptions::default()
+        });
+        let analyze = || match analyzer.analyze_static(&nginx.elf) {
+            Err(e) if !undirected => Err(format!("identification/{label}: {e}")),
+            result => Ok(result.is_ok()),
+        };
+        cases.push((format!("identification/{label}"), per_iteration(analyze)?));
+    }
+
+    let analyzer = Analyzer::new(AnalyzerOptions::default());
+    for input in &inputs {
+        let analysis = match &input.libs {
+            None => analyzer.analyze_static(&input.elf),
+            Some(libs) => analyzer.analyze_dynamic(&input.elf, libs, &[]),
+        };
+        let analysis = analysis.map_err(|e| format!("{}: {e}", input.name))?;
+        let sites = analysis
+            .sites
+            .iter()
+            .map(|s| (s.site, s.syscalls))
+            .collect();
+        let options = PhaseOptions::default();
+        let automaton = per_iteration(|| Ok(detect_phases(&analysis.cfg, &sites, &options)))?;
+        let naive = per_iteration(|| Ok(detect_phases_naive(&analysis.cfg, &sites)))?;
+        let name = &input.name;
+        cases.push((format!("phase_methods/automaton/{name}"), automaton));
+        cases.push((format!("phase_methods/naive_navigation/{name}"), naive));
+    }
+    Ok(cases)
+}
+
 /// Declares a report struct and its serde impls from one field list, so
 /// the struct and its JSON keys cannot drift apart.
 macro_rules! report {
@@ -613,6 +775,14 @@ impl Obj {
     fn timed<T: serde::Serialize>(self, key: &str, (median, range): (T, Range<T>)) -> Obj {
         self.put(key, median).put(&format!("{key}_range"), range)
     }
+}
+
+/// `micro`: each case's per-iteration `<case>_us` median and range.
+fn micro_report(cases: &[(String, Runs<f64>)]) -> Value {
+    let case = |o: Obj, (name, runs): &(String, Runs<f64>)| {
+        o.timed(&format!("{name}_us"), runs.sample(|us| *us).places(2))
+    };
+    Value::Object(cases.iter().fold(Obj::default(), case).0)
 }
 
 /// `latency_us` of daemon passes: mean, p50 and p99.
@@ -800,6 +970,7 @@ report!(
         fleet_chaos: ChaosReport,
         telemetry_overhead: TelemetryReport,
         filter_replay: Vec<FilterLeg>,
+        micro: Value,
     }
 );
 
@@ -1006,6 +1177,9 @@ fn run() -> Res<()> {
         .map(|l| (l.name.clone(), serde::to_value(l)));
     progress("filter_replay", &Value::Object(legs.collect()));
 
+    let micro = micro_report(&run_micro()?);
+    progress("micro", &micro);
+
     let snapshot = Snapshot {
         harness: "bench_snapshot".to_string(),
         corpus: "gen::profiles::all_profiles + corpus_with_size(DEFAULT_SEED, 48, 0, 0)".into(),
@@ -1024,6 +1198,7 @@ fn run() -> Res<()> {
         fleet_chaos,
         telemetry_overhead,
         filter_replay,
+        micro,
     };
     let json = serde_json::to_string_pretty(&snapshot).map_err(ctx("encode snapshot"))?;
     std::fs::write(out_path, format!("{json}\n")).map_err(ctx("write snapshot"))?;
@@ -1192,6 +1367,7 @@ mod tests {
                 fleet: Value::Object(Vec::new()),
             },
             filter_replay: vec![leg],
+            micro: micro_report(&[("decode_all/nginx".to_string(), Runs(vec![12.0, 9.5, 15.25]))]),
         }
     }
 
@@ -1225,6 +1401,7 @@ mod tests {
                 "fleet_chaos",
                 "telemetry_overhead",
                 "filter_replay",
+                "micro",
             ]
         );
     }
@@ -1263,6 +1440,11 @@ mod tests {
                 leg.speedup
             ),
             (180.0, 45.0, 4.0)
+        );
+        let micro = serde_json::to_string(&snapshot.micro).expect("serializes");
+        assert_eq!(
+            micro,
+            r#"{"decode_all/nginx_us":12.0,"decode_all/nginx_us_range":[9.5,15.25]}"#
         );
     }
 

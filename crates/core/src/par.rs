@@ -10,6 +10,7 @@
 //! output regardless of the worker count or scheduling.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Runs `f` over every item, fanning out across up to `parallelism`
 /// scoped worker threads, and returns the results in input order.
@@ -170,10 +171,18 @@ where
 }
 
 /// The process's available hardware parallelism (≥ 1).
+///
+/// Memoized on first call, because `available_parallelism` reads cgroup
+/// files (tens of µs) and [`crate::AnalyzerOptions::default`] asks on
+/// every construction. A later change to the process's CPU quota or
+/// affinity is therefore not seen.
 pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 
 use crate::types::*;
 use crate::ElfError;
-use bytes::{BufMut, BytesMut};
 
 /// The flavour of image to emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -547,40 +546,40 @@ impl ElfBuilder {
         let shstrndx = (shdrs.len() - 1) as u16;
 
         // ---- serialize --------------------------------------------------------
-        let mut out = BytesMut::with_capacity(shoff + shdrs.len() * 64);
-        out.put_slice(b"\x7fELF");
-        out.put_u8(2); // ELFCLASS64
-        out.put_u8(1); // little-endian
-        out.put_u8(1); // EV_CURRENT
-        out.put_slice(&[0u8; 9]);
+        let mut out = Vec::with_capacity(shoff + shdrs.len() * 64);
+        out.extend_from_slice(b"\x7fELF");
+        out.push(2); // ELFCLASS64
+        out.push(1); // little-endian
+        out.push(1); // EV_CURRENT
+        out.extend_from_slice(&[0u8; 9]);
         let e_type = match self.kind {
             ElfKind::Executable => ET_EXEC,
             ElfKind::PieExecutable | ElfKind::SharedObject => ET_DYN,
         };
-        out.put_u16_le(e_type);
-        out.put_u16_le(62); // EM_X86_64
-        out.put_u32_le(1); // e_version
-        out.put_u64_le(self.entry);
-        out.put_u64_le(64); // e_phoff
-        out.put_u64_le(shoff as u64);
-        out.put_u32_le(0); // e_flags
-        out.put_u16_le(64); // e_ehsize
-        out.put_u16_le(56); // e_phentsize
-        out.put_u16_le(phnum);
-        out.put_u16_le(64); // e_shentsize
-        out.put_u16_le(shdrs.len() as u16);
-        out.put_u16_le(shstrndx);
+        out.extend_from_slice(&e_type.to_le_bytes());
+        out.extend_from_slice(&62u16.to_le_bytes()); // EM_X86_64
+        out.extend_from_slice(&1u32.to_le_bytes()); // e_version
+        out.extend_from_slice(&self.entry.to_le_bytes());
+        out.extend_from_slice(&64u64.to_le_bytes()); // e_phoff
+        out.extend_from_slice(&(shoff as u64).to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes()); // e_flags
+        out.extend_from_slice(&64u16.to_le_bytes()); // e_ehsize
+        out.extend_from_slice(&56u16.to_le_bytes()); // e_phentsize
+        out.extend_from_slice(&phnum.to_le_bytes());
+        out.extend_from_slice(&64u16.to_le_bytes()); // e_shentsize
+        out.extend_from_slice(&(shdrs.len() as u16).to_le_bytes());
+        out.extend_from_slice(&shstrndx.to_le_bytes());
 
         // Program headers.
-        let put_phdr = |out: &mut BytesMut, ph: ProgramHeader| {
-            out.put_u32_le(ph.p_type);
-            out.put_u32_le(ph.p_flags);
-            out.put_u64_le(ph.p_offset);
-            out.put_u64_le(ph.p_vaddr);
-            out.put_u64_le(ph.p_vaddr); // p_paddr
-            out.put_u64_le(ph.p_filesz);
-            out.put_u64_le(ph.p_memsz);
-            out.put_u64_le(PAGE); // p_align
+        let put_phdr = |out: &mut Vec<u8>, ph: ProgramHeader| {
+            out.extend_from_slice(&ph.p_type.to_le_bytes());
+            out.extend_from_slice(&ph.p_flags.to_le_bytes());
+            out.extend_from_slice(&ph.p_offset.to_le_bytes());
+            out.extend_from_slice(&ph.p_vaddr.to_le_bytes());
+            out.extend_from_slice(&ph.p_vaddr.to_le_bytes()); // p_paddr
+            out.extend_from_slice(&ph.p_filesz.to_le_bytes());
+            out.extend_from_slice(&ph.p_memsz.to_le_bytes());
+            out.extend_from_slice(&PAGE.to_le_bytes()); // p_align
         };
         let rx_filesz = (rodata_off + self.rodata.len() - text_off) as u64;
         put_phdr(
@@ -623,35 +622,35 @@ impl ElfBuilder {
 
         // Section bodies.
         pad_to(&mut out, text_off);
-        out.put_slice(&self.text);
-        out.put_slice(&self.rodata);
+        out.extend_from_slice(&self.text);
+        out.extend_from_slice(&self.rodata);
         pad_to(&mut out, got_off);
-        out.put_slice(&vec![0u8; got_len]);
-        out.put_slice(&symtab_bytes);
-        out.put_slice(&strtab.bytes);
+        out.resize(got_off + got_len, 0);
+        out.extend_from_slice(&symtab_bytes);
+        out.extend_from_slice(&strtab.bytes);
         if dynamic {
-            out.put_slice(&dynsym_bytes);
-            out.put_slice(&dynstr.bytes);
-            out.put_slice(&rela_bytes);
-            out.put_slice(&dynamic_bytes);
+            out.extend_from_slice(&dynsym_bytes);
+            out.extend_from_slice(&dynstr.bytes);
+            out.extend_from_slice(&rela_bytes);
+            out.extend_from_slice(&dynamic_bytes);
         }
-        out.put_slice(&shstrtab.bytes);
+        out.extend_from_slice(&shstrtab.bytes);
         pad_to(&mut out, shoff);
 
         for sh in &shdrs {
-            out.put_u32_le(sh.sh_name);
-            out.put_u32_le(sh.sh_type);
-            out.put_u64_le(sh.sh_flags);
-            out.put_u64_le(sh.sh_addr);
-            out.put_u64_le(sh.sh_offset);
-            out.put_u64_le(sh.sh_size);
-            out.put_u32_le(sh.sh_link);
-            out.put_u32_le(sh.sh_info);
-            out.put_u64_le(1); // sh_addralign
-            out.put_u64_le(sh.sh_entsize);
+            out.extend_from_slice(&sh.sh_name.to_le_bytes());
+            out.extend_from_slice(&sh.sh_type.to_le_bytes());
+            out.extend_from_slice(&sh.sh_flags.to_le_bytes());
+            out.extend_from_slice(&sh.sh_addr.to_le_bytes());
+            out.extend_from_slice(&sh.sh_offset.to_le_bytes());
+            out.extend_from_slice(&sh.sh_size.to_le_bytes());
+            out.extend_from_slice(&sh.sh_link.to_le_bytes());
+            out.extend_from_slice(&sh.sh_info.to_le_bytes());
+            out.extend_from_slice(&1u64.to_le_bytes()); // sh_addralign
+            out.extend_from_slice(&sh.sh_entsize.to_le_bytes());
         }
 
-        Ok(out.to_vec())
+        Ok(out)
     }
 
     /// Section index assigned to defined symbols: `.text` is always
@@ -665,13 +664,13 @@ fn align_up(v: usize, align: usize) -> usize {
     v.div_ceil(align) * align
 }
 
-fn pad_to(out: &mut BytesMut, offset: usize) {
+fn pad_to(out: &mut Vec<u8>, offset: usize) {
     assert!(
         out.len() <= offset,
         "layout overflow: {} > {offset}",
         out.len()
     );
-    out.put_slice(&vec![0u8; offset - out.len()]);
+    out.resize(offset, 0);
 }
 
 fn push_dyn(bytes: &mut Vec<u8>, tag: i64, val: u64) {

@@ -3,10 +3,13 @@
 //! bound that holds a client which pipelines requests but never reads.
 
 use bside_serve::protocol::write_message;
+use bside_serve::server::AnalysisHook;
 use bside_serve::{Endpoint, PolicyClient, PolicyServer, Reply, ServeOptions, Source};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -26,13 +29,29 @@ fn path_of(unit: &(String, PathBuf)) -> &str {
     unit.1.to_str().expect("utf8 path")
 }
 
-/// Blocks (bounded) until the daemon has parsed `n` requests.
-fn await_requests(server: &bside_serve::ServerHandle, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().requests < n && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
+/// Counts the cold analyses the daemon enters and holds each one inside
+/// its flight, so a test acts while the analysis is known to be running.
+#[derive(Default)]
+struct Analyses(Arc<AtomicU64>);
+
+impl Analyses {
+    /// An analysis hook that counts the analysis, then holds it `hold`.
+    fn hook(&self, hold: Duration) -> AnalysisHook {
+        let entered = Arc::clone(&self.0);
+        Arc::new(move |_key: &str| {
+            entered.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(hold);
+        })
     }
-    assert!(server.stats().requests >= n, "{n} requests parsed");
+
+    /// Blocks (bounded) until `n` analyses have entered the hook.
+    fn await_count(&self, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.0.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(self.0.load(Ordering::SeqCst) >= n, "{n} analyses entered");
+    }
 }
 
 /// A connection that speaks raw lines, past its hello.
@@ -84,11 +103,12 @@ fn canonical_policy(raw: &str) -> (Source, String) {
 fn a_store_hit_does_not_wait_for_a_busy_worker() {
     let dir = scratch("busy");
     let units = corpus_units(&dir.join("corpus"), 2);
+    let analyses = Analyses::default();
     let server = PolicyServer::spawn(
         &Endpoint::Unix(dir.join("bside.sock")),
         ServeOptions {
             threads: 1,
-            analysis_delay: Some(Duration::from_secs(2)),
+            analysis_hook: Some(analyses.hook(Duration::from_secs(2))),
             read_timeout: Duration::from_secs(30),
             ..ServeOptions::default()
         },
@@ -99,7 +119,6 @@ fn a_store_hit_does_not_wait_for_a_busy_worker() {
     assert_eq!(a.source, Source::Analyzed);
 
     // The only worker goes into B's cold analysis.
-    let parsed = server.stats().requests;
     let cold = {
         let endpoint = server.endpoint().clone();
         let path = path_of(&units[1]).to_string();
@@ -108,7 +127,7 @@ fn a_store_hit_does_not_wait_for_a_busy_worker() {
             client.fetch_path(&path).expect("cold B").source
         })
     };
-    await_requests(&server, parsed + 1);
+    analyses.await_count(2);
 
     let started = Instant::now();
     let mut hot = PolicyClient::connect(server.endpoint()).expect("connect");
@@ -142,13 +161,14 @@ fn a_store_hit_does_not_wait_for_a_busy_worker() {
 fn policy_replies_on_the_wire_are_canonically_encoded() {
     let dir = scratch("wire");
     let units = corpus_units(&dir.join("corpus"), 1);
+    let analyses = Analyses::default();
     let socket = dir.join("bside.sock");
     let server = PolicyServer::spawn(
         &Endpoint::Unix(socket.clone()),
         ServeOptions {
             store_dir: Some(dir.join("store")),
             threads: 2,
-            analysis_delay: Some(Duration::from_millis(500)),
+            analysis_hook: Some(analyses.hook(Duration::from_millis(500))),
             read_timeout: Duration::from_secs(30),
             ..ServeOptions::default()
         },
@@ -163,7 +183,7 @@ fn policy_replies_on_the_wire_are_canonically_encoded() {
     let mut leader = Raw::connect(&socket);
     let mut follower = Raw::connect(&socket);
     leader.send(&request);
-    await_requests(&server, 1);
+    analyses.await_count(1);
     follower.send(&request);
     let (source, key) = canonical_policy(&leader.recv());
     assert_eq!(source, Source::Analyzed);

@@ -35,6 +35,7 @@ use bside::fleet::{analyze_corpus_fleet, run_agent_loop, AgentOptions, AgentRepo
 use bside::fleet::{FleetCoordinator, FleetHandle, FleetOptions};
 use bside::gen::corpus::{corpus_with_size, DEFAULT_SEED};
 use bside::gen::profiles::{all_profiles, hello_world, nginx};
+use bside::gen::GeneratedProgram;
 use bside::serve::{Endpoint, PolicyClient, PolicyServer, RemoteAnalyzer, Request, ServeOptions};
 use bside::serve::{ServerHandle as Server, Source, StatsSnapshot};
 use serde::{impl_serde_struct, Value};
@@ -606,10 +607,11 @@ fn per_iteration<T>(mut case: impl FnMut() -> Res<T>) -> Res<Runs<f64>> {
     })
 }
 
-/// A micro-case input: an ELF and, for a dynamic binary, the library
-/// store it resolves against.
+/// A micro-case input: an ELF, its image and, for a dynamic binary, the
+/// library store it resolves against.
 struct MicroInput {
     name: String,
+    image: Vec<u8>,
     elf: Elf,
     libs: Option<LibraryStore>,
 }
@@ -639,7 +641,7 @@ fn micro_inputs() -> Res<Vec<MicroInput>> {
         let kind = corpus.binaries.iter().filter(|b| b.is_static == is_static);
         let binary = kind.min_by_key(|b| text_len(&b.program.elf).abs_diff(median));
         binary
-            .map(|b| b.program.elf.clone())
+            .map(|b| b.program.clone())
             .ok_or("corpus lacks a binary kind")
     };
     let libraries = corpus
@@ -649,25 +651,45 @@ fn micro_inputs() -> Res<Vec<MicroInput>> {
     let libraries: Vec<(&str, &Elf)> = libraries.collect();
     let libs = Analyzer::new(AnalyzerOptions::default()).analyze_libraries(&libraries);
     let libs = libs.map_err(ctx("library store"))?;
-    let input = |name: &str, elf, libs| MicroInput {
+    let input = |name: &str, program: GeneratedProgram, libs| MicroInput {
         name: name.to_string(),
-        elf,
+        image: program.image,
+        elf: program.elf,
         libs,
     };
     Ok(vec![
-        input("hello", hello_world().program.elf, None),
-        input("nginx", nginx().program.elf, None),
+        input("hello", hello_world().program, None),
+        input("nginx", nginx().program, None),
         input("median_static", nearest(true)?, None),
         input("median_dynamic", nearest(false)?, Some(libs)),
     ])
 }
 
+/// One micro case: its per-iteration runs and, for a codec case, the
+/// size in bytes of the frame it moves.
+struct MicroCase {
+    name: String,
+    runs: Runs<f64>,
+    frame_bytes: Option<usize>,
+}
+
+impl MicroCase {
+    fn timed(name: impl Into<String>, runs: Runs<f64>) -> MicroCase {
+        MicroCase {
+            name: name.into(),
+            runs,
+            frame_bytes: None,
+        }
+    }
+}
+
 /// The micro cases, each timed per iteration by [`per_iteration`]:
 /// decoder throughput, CFG recovery under each indirect-branch mode
-/// (§4.3), identification with the wrapper heuristic and directed
-/// search on and off (§4.4), and the phase automaton against naive CFG
-/// navigation (§4.7).
-fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
+/// (§4.3), identification with the wrapper heuristic on and off and
+/// with directed search on and off (§4.4; `wrappers_on` is the directed
+/// figure), the phase automaton against naive CFG navigation (§4.7),
+/// and the wire codec of a fleet unit, its result and a policy reply.
+fn run_micro() -> Res<Vec<MicroCase>> {
     use bside::cfg::{Cfg, CfgOptions, FunctionSym, IndirectResolution};
     use bside::core::phase::{detect_phases, detect_phases_naive, PhaseOptions};
     let mut cases = Vec::new();
@@ -676,7 +698,7 @@ fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
     let nginx = &inputs[1];
     let (code, vaddr) = nginx.text()?;
     let decode = per_iteration(|| Ok(bside::x86::decode_all(std::hint::black_box(code), vaddr)));
-    cases.push(("decode_all/nginx".to_string(), decode?));
+    cases.push(MicroCase::timed("decode_all/nginx", decode?));
 
     for input in &inputs {
         let (code, vaddr) = input.text()?;
@@ -696,7 +718,10 @@ fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
         ] {
             let options = CfgOptions { indirect };
             let build = per_iteration(|| Ok(Cfg::build(code, vaddr, &entry, &funcs, &options)));
-            cases.push((format!("cfg_recovery/{label}/{}", input.name), build?));
+            cases.push(MicroCase::timed(
+                format!("cfg_recovery/{label}/{}", input.name),
+                build?,
+            ));
         }
     }
 
@@ -710,7 +735,6 @@ fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
     for (label, detect_wrappers, undirected) in [
         ("wrappers_on", true, false),
         ("wrappers_off", false, false),
-        ("directed", true, false),
         ("undirected", true, true),
     ] {
         let analyzer = Analyzer::new(AnalyzerOptions {
@@ -722,7 +746,10 @@ fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
             Err(e) if !undirected => Err(format!("identification/{label}: {e}")),
             result => Ok(result.is_ok()),
         };
-        cases.push((format!("identification/{label}"), per_iteration(analyze)?));
+        cases.push(MicroCase::timed(
+            format!("identification/{label}"),
+            per_iteration(analyze)?,
+        ));
     }
 
     let analyzer = Analyzer::new(AnalyzerOptions::default());
@@ -741,10 +768,105 @@ fn run_micro() -> Res<Vec<(String, Runs<f64>)>> {
         let automaton = per_iteration(|| Ok(detect_phases(&analysis.cfg, &sites, &options)))?;
         let naive = per_iteration(|| Ok(detect_phases_naive(&analysis.cfg, &sites)))?;
         let name = &input.name;
-        cases.push((format!("phase_methods/automaton/{name}"), automaton));
-        cases.push((format!("phase_methods/naive_navigation/{name}"), naive));
+        cases.push(MicroCase::timed(
+            format!("phase_methods/automaton/{name}"),
+            automaton,
+        ));
+        cases.push(MicroCase::timed(
+            format!("phase_methods/naive_navigation/{name}"),
+            naive,
+        ));
     }
+
+    cases.extend(codec_cases(&inputs[2], nginx)?);
     Ok(cases)
+}
+
+/// The wire codec on its own: a sealed fleet unit frame and result frame
+/// of `unit` (`seal`, `write_message`, `read_message_capped`, `unseal`,
+/// as one link does), and the client's decode of `policy`'s store-hit
+/// reply.
+fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
+    use bside::dist::protocol::{read_message, read_message_capped, write_message};
+    use bside::fleet::protocol::{seal, seal_down, unseal, unseal_down, FromAgent, ToAgent};
+    use bside::fleet::{Want, MAX_FLEET_LINE_BYTES};
+    use bside::serve::Reply;
+    let key = bside::fleet::auth::session_key("bench", "nonce");
+    let options = AnalyzerOptions::default();
+    fn frame<T: serde::Serialize>(sealed: std::io::Result<T>) -> Res<Vec<u8>> {
+        let mut line = Vec::new();
+        write_message(&mut line, &sealed.map_err(|e| e.to_string())?)
+            .map(|()| line)
+            .map_err(|e| e.to_string())
+    }
+    fn read<T: for<'de> serde::Deserialize<'de>>(line: &[u8]) -> Res<Option<T>> {
+        read_message_capped(&mut &line[..], MAX_FLEET_LINE_BYTES).map_err(|e| e.to_string())
+    }
+    let down = ToAgent::Unit {
+        id: 1,
+        name: unit.name.clone(),
+        path: unit.name.clone(),
+        want: Want::Analysis,
+        elf: unit.image.clone(),
+        options: options.clone(),
+        trace: None,
+    };
+    let unit_trip = || -> Res<ToAgent> {
+        let line = frame(seal_down(&key, 1, &down))?;
+        match read(&line)? {
+            Some(ToAgent::Sealed { seq, mac, body }) => unseal_down(&key, seq, &mac, &body),
+            other => Err(format!("unit frame read back as {other:?}")),
+        }
+    };
+    let unit_bytes = frame(seal_down(&key, 1, &down))?.len();
+    let unit_name = format!("codec/unit_frame/{}", unit.name);
+    let unit_case = codec_case(unit_name, unit_bytes, unit_trip)?;
+
+    let analysis = Analyzer::new(options.clone()).analyze_static(&unit.elf);
+    let up = FromAgent::Result {
+        id: 1,
+        analysis: Box::new(analysis.map_err(|e| format!("{}: {e}", unit.name))?),
+        trace: None,
+        spans: Vec::new(),
+    };
+    let result_trip = || -> Res<FromAgent> {
+        let line = frame(seal(&key, 1, &up))?;
+        match read(&line)? {
+            Some(FromAgent::Sealed { seq, mac, body }) => unseal(&key, seq, &mac, &body),
+            other => Err(format!("result frame read back as {other:?}")),
+        }
+    };
+    let result_bytes = frame(seal(&key, 1, &up))?.len();
+    let result_name = format!("codec/result_frame/{}", unit.name);
+    let result_case = codec_case(result_name, result_bytes, result_trip)?;
+
+    let bundle = bside::serve::derive_bundle(&policy.name, &policy.image, &options, None);
+    let reply = Reply::Policy {
+        key: "0".repeat(64),
+        source: Source::Store,
+        generation: 1,
+        bundle: Box::new(bundle?),
+    };
+    let mut line = Vec::new();
+    write_message(&mut line, &reply).map_err(ctx("policy reply"))?;
+    let decode = || match read_message::<Reply>(&mut &line[..]) {
+        Ok(Some(Reply::Policy { bundle, .. })) => Ok(bundle),
+        other => Err(format!("policy reply read back as {other:?}")),
+    };
+    let reply_name = format!("codec/policy_reply_decode/{}", policy.name);
+    let reply_case = codec_case(reply_name, line.len(), decode)?;
+    Ok(vec![unit_case, result_case, reply_case])
+}
+
+/// A codec case: `trip` timed per iteration, reported with the size of
+/// the frame it moves.
+fn codec_case<T>(name: String, bytes: usize, trip: impl FnMut() -> Res<T>) -> Res<MicroCase> {
+    let runs = per_iteration(trip).map_err(|e| format!("{name}: {e}"))?;
+    Ok(MicroCase {
+        name,
+        runs,
+        frame_bytes: Some(bytes),
+    })
 }
 
 /// Declares a report struct and its serde impls from one field list, so
@@ -777,10 +899,16 @@ impl Obj {
     }
 }
 
-/// `micro`: each case's per-iteration `<case>_us` median and range.
-fn micro_report(cases: &[(String, Runs<f64>)]) -> Value {
-    let case = |o: Obj, (name, runs): &(String, Runs<f64>)| {
-        o.timed(&format!("{name}_us"), runs.sample(|us| *us).places(2))
+/// `micro`: each case's per-iteration `<case>_us` median and range, and
+/// a codec case's `<case>_bytes`.
+fn micro_report(cases: &[MicroCase]) -> Value {
+    let case = |o: Obj, case: &MicroCase| {
+        let name = &case.name;
+        let o = o.timed(&format!("{name}_us"), case.runs.sample(|us| *us).places(2));
+        match case.frame_bytes {
+            Some(bytes) => o.put(&format!("{name}_bytes"), bytes),
+            None => o,
+        }
     };
     Value::Object(cases.iter().fold(Obj::default(), case).0)
 }
@@ -1367,7 +1495,14 @@ mod tests {
                 fleet: Value::Object(Vec::new()),
             },
             filter_replay: vec![leg],
-            micro: micro_report(&[("decode_all/nginx".to_string(), Runs(vec![12.0, 9.5, 15.25]))]),
+            micro: micro_report(&[
+                MicroCase::timed("decode_all/nginx", Runs(vec![12.0, 9.5, 15.25])),
+                MicroCase {
+                    name: "codec/unit_frame/median_static".to_string(),
+                    runs: Runs(vec![40.0]),
+                    frame_bytes: Some(12_700),
+                },
+            ]),
         }
     }
 
@@ -1444,7 +1579,12 @@ mod tests {
         let micro = serde_json::to_string(&snapshot.micro).expect("serializes");
         assert_eq!(
             micro,
-            r#"{"decode_all/nginx_us":12.0,"decode_all/nginx_us_range":[9.5,15.25]}"#
+            concat!(
+                r#"{"decode_all/nginx_us":12.0,"decode_all/nginx_us_range":[9.5,15.25],"#,
+                r#""codec/unit_frame/median_static_us":40.0,"#,
+                r#""codec/unit_frame/median_static_us_range":[40.0,40.0],"#,
+                r#""codec/unit_frame/median_static_bytes":12700}"#
+            )
         );
     }
 

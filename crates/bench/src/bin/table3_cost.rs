@@ -26,13 +26,14 @@ fn main() {
             .analyze_static(&profile.program.elf)
             .unwrap_or_else(|e| panic!("{} failed: {e}", profile.name));
         let s = &analysis.stats;
+        let peak_rss = bside::core::report::peak_rss_bytes();
         rows.push(vec![
             profile.name.to_string(),
             fmt_ms(s.timings.cfg_recovery),
             fmt_ms(s.timings.wrapper_identification),
             fmt_ms(s.timings.syscall_identification),
             fmt_ms(s.timings.total),
-            s.peak_rss_bytes
+            peak_rss
                 .map(|b| format!("{:.1} MB", b as f64 / 1e6))
                 .unwrap_or_else(|| "n/a".into()),
             s.cfg.blocks.to_string(),

@@ -445,7 +445,7 @@ impl Analyzer {
             cfg: cfg.stats(),
             sites: outcome.sites.len(),
             blocks_explored: outcome.blocks_explored,
-            peak_rss_bytes: report::peak_rss_bytes(),
+            peak_rss_bytes: None,
         };
 
         Ok(BinaryAnalysis {

@@ -28,7 +28,9 @@ pub struct AnalysisStats {
     /// Basic blocks executed symbolically during identification — the
     /// "BBs explored in identification phase" column of Table 3.
     pub blocks_explored: usize,
-    /// Peak resident set size of the process, if the platform exposes it.
+    /// Peak resident set size of the process. The analyzer leaves it
+    /// `None`, because reading it costs a `/proc` read per analysis; a
+    /// caller that wants it fills it from [`peak_rss_bytes`].
     pub peak_rss_bytes: Option<u64>,
 }
 

@@ -191,6 +191,14 @@ fn thousand_parked_keyed_watches_keep_active_throughput() {
     reference.shutdown();
     ratios.sort_by(f64::total_cmp);
     let ratio = ratios[PAIRS / 2];
+    eprintln!(
+        "parked-watch throughput ratio over {PAIRS} pairs: p10 {:.3} p25 {:.3} median {ratio:.3} \
+         p75 {:.3} p90 {:.3}",
+        ratios[PAIRS / 10],
+        ratios[PAIRS / 4],
+        ratios[PAIRS * 3 / 4],
+        ratios[PAIRS * 9 / 10]
+    );
     assert!(
         ratio >= 0.90,
         "active throughput with {IDLERS} parked watches fell to {:.1}% of the idle-free \

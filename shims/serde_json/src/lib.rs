@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 
 use serde::{de, Deserialize, Serialize, Value, ValueDeserializer};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Errors from rendering or parsing JSON.
 #[derive(Debug, Clone)]
@@ -75,18 +75,68 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
 // Rendering
 // ---------------------------------------------------------------------------
 
+/// Repeats a byte in every lane of a little-endian word.
+const fn lanes(byte: u8) -> u64 {
+    u64::from_le_bytes([byte; 8])
+}
+
+/// Whether one of the eight bytes of `word` is `"`, `\` or a control byte
+/// (below 0x20), by the "has a zero byte" bit trick on little-endian lanes.
+/// A matching lane always sets its top bit; a borrow out of it can also
+/// flag a lane above it. The answer for the word is therefore exact, but
+/// the flags do not say which byte matched: the byte path finds that.
+fn word_needs_care(word: &[u8]) -> bool {
+    let word = u64::from_le_bytes(word.try_into().expect("an eight-byte word"));
+    let zero_lane = |w: u64| w.wrapping_sub(lanes(1)) & !w;
+    let below_space = word.wrapping_sub(lanes(0x20)) & !word;
+    (zero_lane(word ^ lanes(b'"')) | zero_lane(word ^ lanes(b'\\')) | below_space) & lanes(0x80)
+        != 0
+}
+
+/// The index of the first byte at or after `from` that `is_special`
+/// accepts, or `bytes.len()` if there is none. Words that
+/// [`word_needs_care`] clears are skipped whole; the bytes of any other
+/// word, and of the short tail, are tested one at a time. `is_special`
+/// must accept only bytes that `word_needs_care` looks for.
+fn next_special(bytes: &[u8], mut from: usize, is_special: impl Fn(u8) -> bool) -> usize {
+    while from < bytes.len() {
+        let end = match bytes.get(from..from + 8) {
+            Some(word) if !word_needs_care(word) => {
+                from += 8;
+                continue;
+            }
+            Some(_) => from + 8,
+            None => bytes.len(),
+        };
+        if let Some(n) = bytes[from..end].iter().position(|&b| is_special(b)) {
+            return from + n;
+        }
+        from = end;
+    }
+    bytes.len()
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let bytes = s.as_bytes();
+    // `bytes[clean..at]` needs no escaping. Every special byte is ASCII,
+    // so both ends always fall on character boundaries.
+    let mut clean = 0;
+    loop {
+        let at = next_special(bytes, clean, |b| b == b'"' || b == b'\\' || b < 0x20);
+        out.push_str(&s[clean..at]);
+        let Some(&b) = bytes.get(at) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        clean = at + 1;
     }
     out.push('"');
 }
@@ -104,8 +154,12 @@ fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut Str
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(v) => out.push_str(&v.to_string()),
-        Value::Int(v) => out.push_str(&v.to_string()),
+        Value::UInt(v) => {
+            let _ = write!(out, "{v}");
+        }
+        Value::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
         Value::Float(v) => {
             if v.fract() == 0.0 && v.is_finite() {
                 out.push_str(&format!("{v:.1}"));
@@ -271,8 +325,16 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let digits = &self.bytes[start..self.pos];
+        // Nineteen digits stay below 10^19 < u64::MAX, so they cannot
+        // overflow; a sign, a fraction or a longer number goes to `parse`.
+        if !is_float && digits[0] != b'-' && digits.len() <= 19 {
+            let value = digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            return Ok(Value::UInt(value));
+        }
+        let text = std::str::from_utf8(digits).expect("number bytes are ASCII");
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -293,13 +355,21 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote or escape in one
+            // step. Both delimiters are ASCII, so the run ends on a
+            // character boundary of the (already valid) input. Raw control
+            // bytes are accepted as content.
+            let run = next_special(self.bytes, self.pos, |b| b == b'"' || b == b'\\');
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(Error::new("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -330,17 +400,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(Error::new("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or escape in
-                    // one step. Both delimiters are ASCII, so the run ends
-                    // on a character boundary of the (already valid) input.
-                    let run = self.bytes[self.pos..]
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .map_or(self.bytes.len(), |n| self.pos + n);
-                    out.push_str(&self.text[self.pos..run]);
-                    self.pos = run;
                 }
             }
         }
@@ -488,6 +547,119 @@ mod tests {
         assert_eq!(parsed, "é\"ß\\中/𝄞\n\r\t\u{8}\u{c}\u{1}é end");
         let back: String = from_str(&to_string(&parsed).unwrap()).unwrap();
         assert_eq!(back, parsed);
+    }
+
+    /// Reference escaper, one character at a time.
+    fn escape_bytewise(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Reference unescaper, one character at a time, for the escapes
+    /// `escape_bytewise` writes; anything else is taken as content.
+    fn unescape_bytewise(json: &str) -> String {
+        let body = &json[1..json.len() - 1];
+        let mut out = String::new();
+        let mut chars = body.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            out.push(match chars.next().expect("an escaped character") {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap()
+                }
+                c => c,
+            });
+        }
+        out
+    }
+
+    /// Every ASCII byte and a 2-, 3- and 4-byte character, at each offset
+    /// 0..=16 of fillers 0..=24 bytes long, so each lands in every lane of
+    /// a first and second word and in the short tail. The filler holds the
+    /// near misses of each word test: a space, `!` and `#` around `"`, and
+    /// `[` and `]` around `\`.
+    #[test]
+    fn strings_encode_and_decode_like_the_bytewise_reference_at_every_word_offset() {
+        let filler: Vec<char> = "x !#[]".chars().collect();
+        let specials = (0u8..0x80).map(char::from).chain(['é', '中', '𝄞']);
+        for c in specials {
+            for len in 0..=24 {
+                for at in 0..=len.min(16) {
+                    let mut s: String = filler.iter().cycle().take(len).collect();
+                    s.insert(at, c);
+                    let encoded = to_string(&s).unwrap();
+                    assert_eq!(encoded, escape_bytewise(&s), "{c:?} at {at} of {len}");
+                    let decoded: String = from_str(&encoded).unwrap();
+                    assert_eq!(decoded, s, "{c:?} at {at} of {len}");
+                    assert_eq!(decoded, unescape_bytewise(&encoded));
+                    if c != '"' && c != '\\' {
+                        // Raw in the input, control bytes included.
+                        let raw = format!("\"{s}\"");
+                        assert_eq!(from_str::<String>(&raw).unwrap(), s, "raw {c:?} at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reference integer parser: every integer through `str::parse`.
+    fn integer_by_str_parse(text: &str) -> Option<serde::Value> {
+        match text.strip_prefix('-') {
+            Some(magnitude) => magnitude.parse::<i64>().ok().map(|v| Value::Int(-v)),
+            None => text.parse::<u64>().ok().map(Value::UInt),
+        }
+    }
+
+    #[test]
+    fn integers_parse_or_fail_exactly_as_through_str_parse() {
+        let cases = [
+            "0",
+            "9",
+            "10",
+            "1000000000000000000",
+            "9999999999999999999",
+            "10000000000000000000",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999",
+            "007",
+            "-0",
+            "-9223372036854775807",
+            "-9223372036854775808",
+        ];
+        for text in cases {
+            let parsed = from_str::<serde::Value>(text).ok();
+            assert_eq!(parsed, integer_by_str_parse(text), "`{text}`");
+            let in_array = from_str::<serde::Value>(&format!("[{text}]")).ok();
+            assert_eq!(in_array, parsed.map(|v| Value::Seq(vec![v])), "`[{text}]`");
+        }
+        assert_eq!(
+            from_str::<serde::Value>("9999999999999999999").unwrap(),
+            Value::UInt(9_999_999_999_999_999_999)
+        );
+        assert_eq!(from_str::<serde::Value>("007").unwrap(), Value::UInt(7));
+        assert_eq!(from_str::<serde::Value>("-0").unwrap(), Value::Int(0));
+        // The magnitude of i64::MIN does not fit an i64, so it is refused.
+        assert!(from_str::<serde::Value>("-9223372036854775808").is_err());
     }
 
     #[test]

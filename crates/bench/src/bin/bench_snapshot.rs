@@ -784,10 +784,11 @@ fn run_micro() -> Res<Vec<MicroCase>> {
 
 /// The wire codec on its own: a sealed fleet unit frame and result frame
 /// of `unit` (`seal`, `write_message`, `read_message_capped`, `unseal`,
-/// as one link does), and the client's decode of `policy`'s store-hit
-/// reply.
+/// as one link does), the MAC of the unit frame's body on its own, and
+/// the client's decode of `policy`'s store-hit reply.
 fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
     use bside::dist::protocol::{read_message, read_message_capped, write_message};
+    use bside::fleet::auth::frame_mac;
     use bside::fleet::protocol::{seal, seal_down, unseal, unseal_down, FromAgent, ToAgent};
     use bside::fleet::{Want, MAX_FLEET_LINE_BYTES};
     use bside::serve::Reply;
@@ -822,6 +823,12 @@ fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
     let unit_name = format!("codec/unit_frame/{}", unit.name);
     let unit_case = codec_case(unit_name, unit_bytes, unit_trip)?;
 
+    // The hash stage alone: one MAC of the unit frame's body.
+    let body = serde_json::to_string(&down).map_err(ctx("unit frame body"))?;
+    let mac = || Ok(frame_mac(&key, 1, std::hint::black_box(&body)));
+    let mac_name = "codec/frame_mac/unit_frame".to_string();
+    let mac_case = codec_case(mac_name, body.len(), mac)?;
+
     let analysis = Analyzer::new(options.clone()).analyze_static(&unit.elf);
     let up = FromAgent::Result {
         id: 1,
@@ -855,7 +862,7 @@ fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
     };
     let reply_name = format!("codec/policy_reply_decode/{}", policy.name);
     let reply_case = codec_case(reply_name, line.len(), decode)?;
-    Ok(vec![unit_case, result_case, reply_case])
+    Ok(vec![unit_case, mac_case, result_case, reply_case])
 }
 
 /// A codec case: `trip` timed per iteration, reported with the size of
@@ -1502,6 +1509,11 @@ mod tests {
                     runs: Runs(vec![40.0]),
                     frame_bytes: Some(12_700),
                 },
+                MicroCase {
+                    name: "codec/frame_mac/unit_frame".to_string(),
+                    runs: Runs(vec![12.0, 11.5]),
+                    frame_bytes: Some(12_600),
+                },
             ]),
         }
     }
@@ -1583,7 +1595,10 @@ mod tests {
                 r#"{"decode_all/nginx_us":12.0,"decode_all/nginx_us_range":[9.5,15.25],"#,
                 r#""codec/unit_frame/median_static_us":40.0,"#,
                 r#""codec/unit_frame/median_static_us_range":[40.0,40.0],"#,
-                r#""codec/unit_frame/median_static_bytes":12700}"#
+                r#""codec/unit_frame/median_static_bytes":12700,"#,
+                r#""codec/frame_mac/unit_frame_us":11.75,"#,
+                r#""codec/frame_mac/unit_frame_us_range":[11.5,12.0],"#,
+                r#""codec/frame_mac/unit_frame_bytes":12600}"#
             )
         );
     }

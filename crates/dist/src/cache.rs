@@ -13,9 +13,15 @@
 //! The coordinator reads each corpus file once: the same bytes are
 //! hashed for the key and shipped to the agent, so an entry always
 //! describes the bytes it is filed under.
+//!
+//! The digest comes from the vendored `sha2` shim, the workspace's only
+//! SHA-256, which runs on the CPU's SHA extensions where it has them and
+//! on a portable block function elsewhere; [`sha256_hex`] only renders
+//! it as the lowercase hex that keys, store entries and fleet nonces use.
 
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
 use serde::{to_value, Value};
+use sha2::Sha256;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -125,110 +131,22 @@ pub fn options_fingerprint(options: &AnalyzerOptions) -> String {
     serde_json::to_string(&value).expect("fingerprint serializes")
 }
 
-// ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4). The build environment has no registry access, so
-// the digest is implemented here; it is only used for content addressing.
-// ---------------------------------------------------------------------------
-
-const K: [u32; 64] = [
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-];
-
-fn compress(state: &mut [u32; 8], block: &[u8]) {
-    debug_assert_eq!(block.len(), 64);
-    let mut w = [0u32; 64];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    for i in 16..64 {
-        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16]
-            .wrapping_add(s0)
-            .wrapping_add(w[i - 7])
-            .wrapping_add(s1);
-    }
-    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-    for i in 0..64 {
-        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-        let ch = (e & f) ^ (!e & g);
-        let t1 = h
-            .wrapping_add(s1)
-            .wrapping_add(ch)
-            .wrapping_add(K[i])
-            .wrapping_add(w[i]);
-        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-        let maj = (a & b) ^ (a & c) ^ (b & c);
-        let t2 = s0.wrapping_add(maj);
-        h = g;
-        g = f;
-        f = e;
-        e = d.wrapping_add(t1);
-        d = c;
-        c = b;
-        b = a;
-        a = t1.wrapping_add(t2);
-    }
-    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
-        *s = s.wrapping_add(v);
-    }
-}
-
 /// SHA-256 over the concatenation of `chunks`, as lowercase hex.
 pub fn sha256_hex(chunks: &[&[u8]]) -> String {
-    let mut state: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    let total_len: u64 = chunks.iter().map(|c| c.len() as u64).sum();
-
-    // Stream the chunks through a 64-byte block buffer.
-    let mut buf = [0u8; 64];
-    let mut buffered = 0usize;
+    let mut hasher = Sha256::new();
     for chunk in chunks {
-        let mut rest = *chunk;
-        if buffered > 0 {
-            let need = 64 - buffered;
-            let take = need.min(rest.len());
-            buf[buffered..buffered + take].copy_from_slice(&rest[..take]);
-            buffered += take;
-            rest = &rest[take..];
-            if buffered < 64 {
-                continue; // chunk fully absorbed into the partial block
-            }
-            compress(&mut state, &buf);
-        }
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            compress(&mut state, block);
-        }
-        let tail = blocks.remainder();
-        buf[..tail.len()].copy_from_slice(tail);
-        buffered = tail.len();
+        hasher.update(chunk);
     }
+    to_hex(&hasher.finalize())
+}
 
-    // Padding: 0x80, zeros, then the bit length as a big-endian u64.
-    let mut pad = Vec::with_capacity(128);
-    pad.extend_from_slice(&buf[..buffered]);
-    pad.push(0x80);
-    while pad.len() % 64 != 56 {
-        pad.push(0);
-    }
-    pad.extend_from_slice(&(total_len * 8).to_be_bytes());
-    for block in pad.chunks_exact(64) {
-        compress(&mut state, block);
-    }
-
-    let mut out = String::with_capacity(64);
-    for word in state {
-        out.push_str(&format!("{word:08x}"));
+/// `bytes` as lowercase hex, two digits per byte.
+pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }

@@ -620,10 +620,7 @@ fn run_session(shared: &Arc<FleetShared>, conn: Conn) {
             } else if let Some(secret) = &shared.options.secret {
                 let expected = crate::auth::hello_mac(secret, &nonce, version, slots, cache_format);
                 match auth {
-                    // The comparison leaks timing, but the MAC is
-                    // per-connection (fresh nonce): a byte-at-a-time
-                    // oracle has nothing stable to probe.
-                    Some(mac) if mac == expected => (slots, None),
+                    Some(mac) if crate::auth::mac_matches(&expected, &mac) => (slots, None),
                     Some(_) => (
                         0,
                         Some("agent failed authentication (wrong fleet secret?)".to_string()),

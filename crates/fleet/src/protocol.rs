@@ -67,11 +67,13 @@
 //! traced `fleet_tcp` pairs, seed 1, one pinned CPU of a 2-vCPU VM). With
 //! strings scanned eight bytes at a time, integers built in place and
 //! table-driven base64 they take about 75 and 85 µs. Sealing, i.e. the
-//! MAC of both bodies on each end, stays about 2 × 110 µs, and is now the
-//! largest share. Raw-byte attachments would drop the base64 and the
-//! escaping of the sealed body, but they wait for a change to the
-//! benchmark: its fleet probe builds `ToAgent::Sealed { body: String }`
-//! and calls `frame_mac(.., &str)`.
+//! MAC of both bodies on each end, took about 2 × 110 µs on the portable
+//! SHA-256 and was then the largest share; on the CPU's SHA extensions,
+//! which the `sha2` shim uses where it finds them, it takes about
+//! 2 × 15 µs (traced `fleet_tcp`, seed 1). Raw-byte attachments would
+//! drop the base64 and the escaping of the sealed body, but they wait
+//! for a change to the benchmark: its fleet probe builds
+//! `ToAgent::Sealed { body: String }` and calls `frame_mac(.., &str)`.
 //!
 //! **Heartbeats are the liveness channel.** A dedicated agent thread
 //! sends `heartbeat` at the cadence the `welcome` prescribes; the
@@ -361,7 +363,7 @@ fn unseal_body<T: for<'de> serde::Deserialize<'de>>(
     mac: &str,
     body: &str,
 ) -> Result<T, String> {
-    if crate::auth::frame_mac(session_key, seq, body) != mac {
+    if !crate::auth::mac_matches(&crate::auth::frame_mac(session_key, seq, body), mac) {
         return Err("sealed frame failed MAC verification".to_string());
     }
     serde_json::from_str(body).map_err(|e| format!("sealed frame body did not parse: {e}"))

@@ -339,10 +339,11 @@ impl<'a> Parser<'a> {
             text.parse::<f64>()
                 .map(Value::Float)
                 .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
-                .parse::<i64>()
-                .map(|v| Value::Int(-v))
+        } else if text.starts_with('-') {
+            // Parsed with its sign, so i64::MIN, whose magnitude is no
+            // i64, is accepted.
+            text.parse::<i64>()
+                .map(Value::Int)
                 .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
         } else {
             text.parse::<u64>()
@@ -623,9 +624,10 @@ mod tests {
 
     /// Reference integer parser: every integer through `str::parse`.
     fn integer_by_str_parse(text: &str) -> Option<serde::Value> {
-        match text.strip_prefix('-') {
-            Some(magnitude) => magnitude.parse::<i64>().ok().map(|v| Value::Int(-v)),
-            None => text.parse::<u64>().ok().map(Value::UInt),
+        if text.starts_with('-') {
+            text.parse::<i64>().ok().map(Value::Int)
+        } else {
+            text.parse::<u64>().ok().map(Value::UInt)
         }
     }
 
@@ -658,8 +660,18 @@ mod tests {
         );
         assert_eq!(from_str::<serde::Value>("007").unwrap(), Value::UInt(7));
         assert_eq!(from_str::<serde::Value>("-0").unwrap(), Value::Int(0));
-        // The magnitude of i64::MIN does not fit an i64, so it is refused.
-        assert!(from_str::<serde::Value>("-9223372036854775808").is_err());
+        assert_eq!(
+            from_str::<serde::Value>("-9223372036854775808").unwrap(),
+            Value::Int(i64::MIN)
+        );
+        assert!(from_str::<serde::Value>("-9223372036854775809").is_err());
+        assert!(from_str::<serde::Value>("-").is_err());
+        // Negative integers round-trip, as a `Value` and as an i64.
+        for v in [i64::MIN, i64::MIN + 1, -1] {
+            let json = to_string(&Value::Int(v)).unwrap();
+            assert_eq!(from_str::<serde::Value>(&json).unwrap(), Value::Int(v));
+            assert_eq!(from_str::<i64>(&to_string(&v).unwrap()).unwrap(), v);
+        }
     }
 
     #[test]

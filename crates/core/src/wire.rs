@@ -19,7 +19,9 @@ use crate::identify::{SiteOutcome, SiteReport};
 use crate::report::{AnalysisStats, PhaseTimings, PipelineTimings};
 use crate::wrapper::{WrapperInfo, WrapperParam};
 use crate::{AnalyzerOptions, BinaryAnalysis};
-use serde::{de, to_value, Value};
+use serde::de::{self, Visitor};
+use serde::ser::SerializeMap;
+use serde::Value;
 
 serde::impl_serde_unit_enum!(SiteOutcome {
     Exact,
@@ -38,39 +40,73 @@ serde::impl_serde_struct!(SiteReport {
 // variants become single-entry objects, the unit variant its name.
 impl serde::Serialize for WrapperParam {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let value = match self {
-            WrapperParam::Reg(r) => Value::Object(vec![("Reg".to_string(), to_value(r))]),
-            WrapperParam::StackSlot(off) => {
-                Value::Object(vec![("StackSlot".to_string(), to_value(off))])
-            }
-            WrapperParam::Unknown => Value::Str("Unknown".to_string()),
+        let mut map = match self {
+            WrapperParam::Unknown => return serializer.serialize_str("Unknown"),
+            _ => serializer.serialize_map(Some(1))?,
         };
-        serializer.serialize_value(value)
+        match self {
+            WrapperParam::Reg(r) => map.serialize_entry("Reg", r)?,
+            WrapperParam::StackSlot(off) => map.serialize_entry("StackSlot", off)?,
+            WrapperParam::Unknown => unreachable!("written as a string above"),
+        }
+        map.end()
+    }
+}
+
+struct WrapperParamVisitor;
+
+impl<'de> Visitor<'de> for WrapperParamVisitor {
+    type Value = WrapperParam;
+
+    fn expecting(&self) -> &str {
+        "WrapperParam"
+    }
+
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<WrapperParam, E> {
+        match v {
+            "Unknown" => Ok(WrapperParam::Unknown),
+            other => self.visit_value(Value::Str(other.to_owned())),
+        }
+    }
+
+    fn visit_value<E: de::Error>(self, found: Value) -> Result<WrapperParam, E> {
+        Err(E::custom(format!("expected WrapperParam, found {found:?}")))
+    }
+
+    fn visit_seq<A: de::SeqAccess<'de>>(self, seq: A) -> Result<WrapperParam, A::Error> {
+        self.visit_value(de::seq_to_value(seq)?)
+    }
+
+    /// A variant is an object of exactly one entry. The entry's value is
+    /// held as a [`Value`] until no second entry follows, since an
+    /// object of any other size is reported whole.
+    fn visit_map<A: de::MapAccess<'de>>(self, mut map: A) -> Result<WrapperParam, A::Error> {
+        let Some(tag) = map.next_key_with(str::to_owned)? else {
+            return self.visit_value(Value::Object(Vec::new()));
+        };
+        let inner: Value = map.next_value()?;
+        if let Some(key) = map.next_key_with(str::to_owned)? {
+            let mut entries = vec![(tag, inner), (key, map.next_value()?)];
+            let Value::Object(rest) = de::map_to_value(map)? else {
+                unreachable!("a map reads as an object");
+            };
+            entries.extend(rest);
+            return self.visit_value(Value::Object(entries));
+        }
+        match tag.as_str() {
+            "Reg" => serde::from_value(inner).map(WrapperParam::Reg),
+            "StackSlot" => serde::from_value(inner).map(WrapperParam::StackSlot),
+            other => Err(de::Error::custom(format!(
+                "unknown WrapperParam variant `{other}`"
+            ))),
+        }
+        .map_err(de::Error::custom)
     }
 }
 
 impl<'de> serde::Deserialize<'de> for WrapperParam {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Str(s) if s == "Unknown" => Ok(WrapperParam::Unknown),
-            Value::Object(entries) if entries.len() == 1 => {
-                let (tag, inner) = entries.into_iter().next().expect("len 1");
-                match tag.as_str() {
-                    "Reg" => serde::from_value(inner)
-                        .map(WrapperParam::Reg)
-                        .map_err(de::Error::custom),
-                    "StackSlot" => serde::from_value(inner)
-                        .map(WrapperParam::StackSlot)
-                        .map_err(de::Error::custom),
-                    other => Err(de::Error::custom(format!(
-                        "unknown WrapperParam variant `{other}`"
-                    ))),
-                }
-            }
-            other => Err(de::Error::custom(format!(
-                "expected WrapperParam, found {other:?}"
-            ))),
-        }
+        deserializer.deserialize_any(WrapperParamVisitor)
     }
 }
 

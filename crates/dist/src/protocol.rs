@@ -14,126 +14,299 @@
 //! display path.
 
 use bside_obs::{SpanRecord, TraceContext};
-use serde::{de, Value};
+use serde::de::{self, FieldCodec, MapAccess, SeqAccess, Visitor};
+use serde::ser::SerializeMap;
+use serde::{Serialize, Serializer, Value};
 use std::io::{BufRead, Write};
 
-/// Appends a trace context's run/unit/span ids to a message's field
-/// list; a no-op for `None`, so frames without telemetry are
+/// A lenient integer: any non-negative integer literal; any other value
+/// reads as `None`, never as an error.
+struct LenientU64;
+
+impl<'de> Visitor<'de> for LenientU64 {
+    type Value = Option<u64>;
+
+    fn expecting(&self) -> &str {
+        "unsigned integer"
+    }
+
+    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<u64>, E> {
+        Ok(None)
+    }
+
+    fn visit_u64<E: de::Error>(self, v: u64) -> Result<Option<u64>, E> {
+        Ok(Some(v))
+    }
+
+    fn visit_str<E: de::Error>(self, _: &str) -> Result<Option<u64>, E> {
+        Ok(None)
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
+        Ok(None)
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
+        Ok(None)
+    }
+}
+
+/// Reads the value of a just-read key into `slot` leniently, if the key
+/// is the first of its name; a later duplicate is skipped. A read error
+/// is left to the deserializer, which reports a syntax error however
+/// the value is taken.
+fn read_lenient<'de, A: MapAccess<'de>, V: Visitor<'de>>(
+    slot: &mut Option<V::Value>,
+    map: &mut A,
+    visitor: V,
+) -> Result<(), A::Error>
+where
+    V::Value: Default,
+{
+    if slot.is_some() {
+        return map.skip_value();
+    }
+    *slot = Some(map.next_value_with(visitor).unwrap_or_default());
+    Ok(())
+}
+
+/// The field codec of a message's trace context: the run/unit/span ids
+/// as three fields, none for `None`, so frames without telemetry are
 /// byte-identical to the previous protocol revision (which is why no
 /// version bump is needed).
-pub fn push_trace(entries: &mut Vec<(String, Value)>, trace: &Option<TraceContext>) {
-    if let Some(ctx) = trace {
-        entries.push(("trace_run".to_string(), Value::UInt(ctx.run_id)));
-        entries.push(("trace_unit".to_string(), Value::UInt(ctx.unit_id)));
-        entries.push(("trace_span".to_string(), Value::UInt(ctx.span_id)));
-    }
-}
-
-fn take_u64_lenient(entries: &mut Vec<(String, Value)>, name: &str) -> Option<u64> {
-    let pos = entries.iter().position(|(k, _)| k == name)?;
-    match entries.remove(pos).1 {
-        Value::UInt(v) => Some(v),
-        _ => None,
-    }
-}
-
-/// Removes the trace-context fields from a message's field list.
-/// Deliberately lenient, unlike every other field in these protocols:
-/// absent, partial, malformed, or all-zero ids yield `None` — the
-/// receiver's spans become orphans, but the frame still parses.
+///
+/// Deliberately lenient on read, unlike every other field in these
+/// protocols: absent, partial, malformed, or all-zero ids yield `None` —
+/// the receiver's spans become orphans, but the frame still parses.
 /// Telemetry corruption must never sever a working link, so this never
 /// returns an error.
-pub fn take_trace(
-    entries: &mut Vec<(String, Value)>,
-) -> Result<Option<TraceContext>, de::ValueError> {
-    let (Some(run_id), Some(unit_id), Some(span_id)) = (
-        take_u64_lenient(entries, "trace_run"),
-        take_u64_lenient(entries, "trace_unit"),
-        take_u64_lenient(entries, "trace_span"),
-    ) else {
-        return Ok(None);
-    };
-    let ctx = TraceContext {
-        run_id,
-        unit_id,
-        span_id,
-    };
-    Ok((ctx != TraceContext::default()).then_some(ctx))
-}
+#[derive(Default)]
+pub struct TraceCodec([Option<Option<u64>>; 3]);
 
-/// Appends the `spans` field only when there is something to ship, so a
-/// telemetry-disabled peer's frames stay byte-identical to pre-trace
-/// revisions.
-pub fn push_spans(entries: &mut Vec<(String, Value)>, spans: &[SpanRecord]) {
-    if !spans.is_empty() {
-        entries.push(("spans".to_string(), spans_to_value(spans)));
+const TRACE_KEYS: [&str; 3] = ["trace_run", "trace_unit", "trace_span"];
+
+impl FieldCodec for TraceCodec {
+    type Value = Option<TraceContext>;
+
+    fn key_index(key: &str) -> Option<u8> {
+        TRACE_KEYS.iter().position(|k| *k == key).map(|i| i as u8)
+    }
+
+    fn write<M: SerializeMap>(trace: &Option<TraceContext>, map: &mut M) -> Result<(), M::Error> {
+        let Some(ctx) = trace else {
+            return Ok(());
+        };
+        let ids = [ctx.run_id, ctx.unit_id, ctx.span_id];
+        TRACE_KEYS
+            .iter()
+            .zip(ids)
+            .try_for_each(|(key, id)| map.serialize_entry(key, &id))
+    }
+
+    fn read<'de, A: MapAccess<'de>>(&mut self, key: u8, map: &mut A) -> Result<(), A::Error> {
+        read_lenient(&mut self.0[usize::from(key)], map, LenientU64)
+    }
+
+    fn finish<E: de::Error>(self) -> Result<Option<TraceContext>, E> {
+        let [Some(Some(run_id)), Some(Some(unit_id)), Some(Some(span_id))] = self.0 else {
+            return Ok(None);
+        };
+        let ctx = TraceContext {
+            run_id,
+            unit_id,
+            span_id,
+        };
+        Ok((ctx != TraceContext::default()).then_some(ctx))
     }
 }
 
-/// Renders shipped spans as a JSON array for a result frame's `spans`
-/// field — one object per span, field names matching [`take_spans`].
-fn spans_to_value(spans: &[SpanRecord]) -> Value {
-    Value::Seq(
-        spans
-            .iter()
-            .map(|s| {
-                Value::Object(vec![
-                    ("name".to_string(), Value::Str(s.name.clone())),
-                    ("id".to_string(), Value::UInt(s.id)),
-                    ("parent".to_string(), Value::UInt(s.parent)),
-                    ("run_id".to_string(), Value::UInt(s.run_id)),
-                    ("unit_id".to_string(), Value::UInt(s.unit_id)),
-                    ("start_us".to_string(), Value::UInt(s.start_us)),
-                    ("dur_us".to_string(), Value::UInt(s.dur_us)),
-                    ("tid".to_string(), Value::UInt(s.tid)),
-                ])
-            })
-            .collect(),
-    )
+/// One shipped span as a JSON object, field names matching
+/// [`SpanVisitor`].
+struct SpanOut<'a>(&'a SpanRecord);
+
+impl Serialize for SpanOut<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let s = self.0;
+        let mut map = serializer.serialize_map(Some(8))?;
+        map.serialize_entry("name", &s.name)?;
+        for (key, v) in [
+            ("id", s.id),
+            ("parent", s.parent),
+            ("run_id", s.run_id),
+            ("unit_id", s.unit_id),
+            ("start_us", s.start_us),
+            ("dur_us", s.dur_us),
+            ("tid", s.tid),
+        ] {
+            map.serialize_entry(key, &v)?;
+        }
+        map.end()
+    }
 }
 
-/// Removes and parses a `spans` field shipped by [`push_spans`], with
-/// the same leniency as [`take_trace`]: an absent field or a malformed
-/// entry yields fewer spans, never an error.
-pub fn take_spans(entries: &mut Vec<(String, Value)>) -> Result<Vec<SpanRecord>, de::ValueError> {
-    let Some(pos) = entries.iter().position(|(k, _)| k == "spans") else {
-        return Ok(Vec::new());
-    };
-    let Value::Seq(items) = entries.remove(pos).1 else {
-        return Ok(Vec::new());
-    };
-    let mut spans = Vec::with_capacity(items.len());
-    for item in items {
-        let mut fields = match item {
-            Value::Object(fields) => fields,
-            _ => continue,
-        };
-        let name = match fields
-            .iter()
-            .position(|(k, _)| k == "name")
-            .map(|pos| fields.remove(pos).1)
-        {
-            Some(Value::Str(name)) => name,
-            _ => continue,
-        };
-        let mut num = |key: &str| take_u64_lenient(&mut fields, key);
-        let (Some(id), Some(parent), Some(run_id), Some(unit_id)) =
-            (num("id"), num("parent"), num("run_id"), num("unit_id"))
+/// A lenient string: any other value reads as `None`.
+struct LenientString;
+
+impl<'de> Visitor<'de> for LenientString {
+    type Value = Option<String>;
+
+    fn expecting(&self) -> &str {
+        "string"
+    }
+
+    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<String>, E> {
+        Ok(None)
+    }
+
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<Option<String>, E> {
+        Ok(Some(v.to_owned()))
+    }
+
+    fn visit_string<E: de::Error>(self, v: String) -> Result<Option<String>, E> {
+        Ok(Some(v))
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<String>, A::Error> {
+        Ok(None)
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Option<String>, A::Error> {
+        Ok(None)
+    }
+}
+
+const SPAN_NUMBERS: [&str; 7] = [
+    "id", "parent", "run_id", "unit_id", "start_us", "dur_us", "tid",
+];
+
+/// One shipped span, or `None` when the entry is malformed: not an
+/// object, or without a string `name` or an integer `id`, `parent`,
+/// `run_id` or `unit_id`. The first entry of each name counts.
+struct SpanVisitor;
+
+impl<'de> Visitor<'de> for SpanVisitor {
+    type Value = Option<SpanRecord>;
+
+    fn expecting(&self) -> &str {
+        "span object"
+    }
+
+    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<SpanRecord>, E> {
+        Ok(None)
+    }
+
+    fn visit_str<E: de::Error>(self, _: &str) -> Result<Option<SpanRecord>, E> {
+        Ok(None)
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<SpanRecord>, A::Error> {
+        Ok(None)
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Option<SpanRecord>, A::Error> {
+        let mut name = None;
+        let mut nums = [None; 7];
+        while let Some(key) = map.next_key_with(|k| {
+            (k == "name")
+                .then_some(7)
+                .or_else(|| SPAN_NUMBERS.iter().position(|n| *n == k))
+        })? {
+            match key {
+                Some(7) => read_lenient(&mut name, &mut map, LenientString)?,
+                Some(i) => read_lenient(&mut nums[i], &mut map, LenientU64)?,
+                None => map.skip_value()?,
+            }
+        }
+        let num = |i: usize| nums[i].flatten();
+        let (Some(name), Some(id), Some(parent), Some(run_id), Some(unit_id)) =
+            (name.flatten(), num(0), num(1), num(2), num(3))
         else {
-            continue;
+            return Ok(None);
         };
-        spans.push(SpanRecord {
+        Ok(Some(SpanRecord {
             name,
             id,
             parent,
             run_id,
             unit_id,
-            start_us: num("start_us").unwrap_or(0),
-            dur_us: num("dur_us").unwrap_or(0),
-            tid: num("tid").unwrap_or(0),
-        });
+            start_us: num(4).unwrap_or(0),
+            dur_us: num(5).unwrap_or(0),
+            tid: num(6).unwrap_or(0),
+        }))
     }
-    Ok(spans)
+}
+
+/// Shipped spans: an array of span objects, of which malformed entries
+/// are dropped; anything else reads as no spans.
+struct SpansVisitor;
+
+impl<'de> Visitor<'de> for SpansVisitor {
+    type Value = Vec<SpanRecord>;
+
+    fn expecting(&self) -> &str {
+        "span array"
+    }
+
+    fn visit_value<E: de::Error>(self, _: Value) -> Result<Vec<SpanRecord>, E> {
+        Ok(Vec::new())
+    }
+
+    fn visit_str<E: de::Error>(self, _: &str) -> Result<Vec<SpanRecord>, E> {
+        Ok(Vec::new())
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Vec<SpanRecord>, A::Error> {
+        let mut spans = Vec::new();
+        while let Some(span) = seq.next_element::<Span>()? {
+            spans.extend(span.0);
+        }
+        Ok(spans)
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Vec<SpanRecord>, A::Error> {
+        Ok(Vec::new())
+    }
+}
+
+/// One element of a shipped span array, read by [`SpanVisitor`].
+struct Span(Option<SpanRecord>);
+
+impl<'de> serde::Deserialize<'de> for Span {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(SpanVisitor).map(Span)
+    }
+}
+
+/// The field codec of a result frame's shipped spans: a `spans` array
+/// only when there is something to ship, so a telemetry-disabled peer's
+/// frames stay byte-identical to pre-trace revisions. Read with the same
+/// leniency as [`TraceCodec`]: an absent field or a malformed entry
+/// yields fewer spans, never an error.
+#[derive(Default)]
+pub struct SpansCodec(Option<Vec<SpanRecord>>);
+
+impl FieldCodec for SpansCodec {
+    type Value = Vec<SpanRecord>;
+
+    fn key_index(key: &str) -> Option<u8> {
+        (key == "spans").then_some(0)
+    }
+
+    fn write<M: SerializeMap>(spans: &Vec<SpanRecord>, map: &mut M) -> Result<(), M::Error> {
+        if spans.is_empty() {
+            return Ok(());
+        }
+        let spans: Vec<SpanOut<'_>> = spans.iter().map(SpanOut).collect();
+        map.serialize_entry("spans", &spans)
+    }
+
+    fn read<'de, A: MapAccess<'de>>(&mut self, _: u8, map: &mut A) -> Result<(), A::Error> {
+        read_lenient(&mut self.0, map, SpansVisitor)
+    }
+
+    fn finish<E: de::Error>(self) -> Result<Vec<SpanRecord>, E> {
+        Ok(self.0.unwrap_or_default())
+    }
 }
 
 /// Writes one message as a single JSON line and flushes — flushing per
@@ -200,8 +373,24 @@ pub fn read_message_capped<T: for<'de> serde::Deserialize<'de>>(
 mod tests {
     use super::*;
 
-    fn fields(json: &str) -> Vec<(String, Value)> {
-        serde::object_entries(serde_json::from_str(json).unwrap()).unwrap()
+    /// A message with both lenient codecs, as the fleet frames use them.
+    #[derive(Debug, PartialEq)]
+    enum Probe {
+        Error {
+            id: u64,
+            trace: Option<TraceContext>,
+            spans: Vec<SpanRecord>,
+        },
+    }
+
+    serde::impl_serde_tagged_enum!(Probe, tag = "type" {
+        Error = "error" { id, trace with TraceCodec, spans with SpansCodec },
+    });
+
+    fn probe(json: &str) -> (Option<TraceContext>, Vec<SpanRecord>) {
+        match serde_json::from_str(json).expect("the frame parses") {
+            Probe::Error { trace, spans, .. } => (trace, spans),
+        }
     }
 
     #[test]
@@ -211,26 +400,35 @@ mod tests {
             unit_id: 7,
             span_id: 13,
         };
-        let mut entries = vec![("type".to_string(), Value::Str("error".to_string()))];
-        push_trace(&mut entries, &Some(ctx));
-        assert_eq!(take_trace(&mut entries), Ok(Some(ctx)));
-        assert_eq!(entries.len(), 1, "trace fields consumed");
+        let msg = Probe::Error {
+            id: 3,
+            trace: Some(ctx),
+            spans: Vec::new(),
+        };
+        let json = serde_json::to_string(&msg).unwrap();
+        assert_eq!(
+            json,
+            r#"{"type":"error","id":3,"trace_run":11,"trace_unit":7,"trace_span":13}"#
+        );
+        assert_eq!(serde_json::from_str::<Probe>(&json).unwrap(), msg);
 
         // A frame from a pre-telemetry peer: no trace fields.
-        assert_eq!(
-            take_trace(&mut fields(r#"{"type":"error","id":3}"#)),
-            Ok(None)
-        );
+        assert_eq!(probe(r#"{"type":"error","id":3}"#).0, None);
         // Corrupted: the span id is a string. Only the context is
         // dropped (orphan span downstream); the frame's other fields
         // are untouched.
-        let mut bad =
-            fields(r#"{"type":"error","id":3,"trace_run":5,"trace_unit":3,"trace_span":"xx"}"#);
-        assert_eq!(take_trace(&mut bad), Ok(None));
-        assert!(serde::take_required::<u64>(&mut bad, "id").is_ok());
+        let bad = r#"{"type":"error","id":3,"trace_run":5,"trace_unit":3,"trace_span":"xx"}"#;
+        assert!(matches!(
+            serde_json::from_str::<Probe>(bad),
+            Ok(Probe::Error {
+                id: 3,
+                trace: None,
+                ..
+            })
+        ));
         // All-zero means "no context", same as absent.
-        let mut zero = fields(r#"{"type":"error","trace_run":0,"trace_unit":0,"trace_span":0}"#);
-        assert_eq!(take_trace(&mut zero), Ok(None));
+        let zero = r#"{"type":"error","id":3,"trace_run":0,"trace_unit":0,"trace_span":0}"#;
+        assert_eq!(probe(zero).0, None);
     }
 
     #[test]
@@ -245,23 +443,20 @@ mod tests {
             dur_us: 50,
             tid: 1,
         }];
-        let mut fields = vec![("spans".to_string(), spans_to_value(&spans))];
-        assert_eq!(take_spans(&mut fields), Ok(spans.clone()));
-        assert!(fields.is_empty(), "field consumed");
+        let msg = Probe::Error {
+            id: 3,
+            trace: None,
+            spans: spans.clone(),
+        };
+        let json = serde_json::to_string(&msg).unwrap();
+        assert_eq!(serde_json::from_str::<Probe>(&json).unwrap(), msg);
 
         // One malformed entry in a shipped batch drops that entry, not
         // the batch — and an absent field is simply zero spans.
-        let good = match spans_to_value(&spans) {
-            Value::Seq(mut items) => items.remove(0),
-            other => panic!("spans_to_value must yield a sequence: {other:?}"),
-        };
-        let mut fields = vec![(
-            "spans".to_string(),
-            Value::Seq(vec![Value::Str("garbage".to_string()), good]),
-        )];
-        let parsed = take_spans(&mut fields);
-        assert_eq!(parsed, Ok(spans));
-        assert_eq!(take_spans(&mut Vec::new()), Ok(Vec::new()));
+        let good = &json[json.find("[{").unwrap() + 1..json.len() - 2];
+        let mixed = format!(r#"{{"type":"error","id":3,"spans":["garbage",{good}]}}"#);
+        assert_eq!(probe(&mixed).1, spans);
+        assert_eq!(probe(r#"{"type":"error","id":3}"#).1, Vec::new());
     }
 
     #[test]

@@ -70,7 +70,12 @@
 //! MAC of both bodies on each end, took about 2 × 110 µs on the portable
 //! SHA-256 and was then the largest share; on the CPU's SHA extensions,
 //! which the `sha2` shim uses where it finds them, it takes about
-//! 2 × 15 µs (traced `fleet_tcp`, seed 1). Raw-byte attachments would
+//! 2 × 15 µs (traced `fleet_tcp`, seed 1). Since the codec writes text
+//! straight from the frame types and reads it straight into them, with
+//! no `serde::Value` tree between, encode reads about 53–68 µs (was
+//! 68–98 in the same runs) and decode about 57–73 µs (was 75–105; two
+//! traced pairs, seed 1). Most of what is left is the base64 of the ELF
+//! and the escaping of the sealed unit body. Raw-byte attachments would
 //! drop the base64 and the escaping of the sealed body, but they wait
 //! for a change to the benchmark: its fleet probe builds
 //! `ToAgent::Sealed { body: String }` and calls `frame_mac(.., &str)`.
@@ -84,9 +89,10 @@
 use bside_core::{AnalyzerOptions, BinaryAnalysis};
 use bside_dist::PolicyBundle;
 use bside_obs::{SpanRecord, TraceContext};
-use serde::{de, Value};
+use serde::de::{self, FieldCodec, MapAccess, Visitor};
+use serde::ser::SerializeMap;
 
-use bside_dist::protocol::{push_spans, push_trace, take_spans, take_trace};
+use bside_dist::protocol::{SpansCodec, TraceCodec};
 
 pub use bside_dist::cache::CACHE_FORMAT_VERSION;
 pub use bside_dist::protocol::{read_message_capped, write_message};
@@ -270,9 +276,9 @@ serde::impl_serde_tagged_enum!(ToAgent, tag = "type" {
         name,
         path,
         want,
-        elf with (push_elf, take_elf),
+        elf with ElfCodec,
         options,
-        trace with (push_trace, take_trace),
+        trace with TraceCodec,
     },
     Shutdown = "shutdown",
     Sealed = "sealed" { seq, mac, body },
@@ -285,32 +291,71 @@ serde::impl_serde_tagged_enum!(FromAgent, tag = "type" {
     Result = "result" {
         id,
         analysis,
-        trace with (push_trace, take_trace),
-        spans with (push_spans, take_spans),
+        trace with TraceCodec,
+        spans with SpansCodec,
     },
     Bundle = "bundle" {
         id,
         bundle,
-        trace with (push_trace, take_trace),
-        spans with (push_spans, take_spans),
+        trace with TraceCodec,
+        spans with SpansCodec,
     },
     Error = "error" {
         id,
         message,
-        trace with (push_trace, take_trace),
-        spans with (push_spans, take_spans),
+        trace with TraceCodec,
+        spans with SpansCodec,
     },
     Sealed = "sealed" { seq, mac, body },
 });
 
-/// A unit's ELF image travels as one base64 string.
-fn push_elf(entries: &mut Vec<(String, Value)>, elf: &[u8]) {
-    entries.push(("elf".to_string(), Value::Str(base64_encode(elf))));
+/// The field codec of a unit's ELF image: one base64 string, decoded
+/// straight from the frame's text.
+#[derive(Default)]
+struct ElfCodec(Option<Result<Vec<u8>, String>>);
+
+/// A base64 string as the bytes it encodes; a malformed one as the
+/// decoder's message.
+struct Base64Visitor;
+
+impl<'de> Visitor<'de> for Base64Visitor {
+    type Value = Result<Vec<u8>, String>;
+
+    fn expecting(&self) -> &str {
+        "string"
+    }
+
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<Self::Value, E> {
+        Ok(base64_decode(v))
+    }
 }
 
-fn take_elf(entries: &mut Vec<(String, Value)>) -> Result<Vec<u8>, de::ValueError> {
-    let encoded: String = serde::take_required(entries, "elf")?;
-    base64_decode(&encoded).map_err(|e| de::Error::custom(format!("field `elf`: {e}")))
+impl FieldCodec for ElfCodec {
+    type Value = Vec<u8>;
+
+    fn key_index(key: &str) -> Option<u8> {
+        (key == "elf").then_some(0)
+    }
+
+    fn write<M: SerializeMap>(elf: &Vec<u8>, map: &mut M) -> Result<(), M::Error> {
+        map.serialize_entry("elf", &base64_encode(elf))
+    }
+
+    fn read<'de, A: MapAccess<'de>>(&mut self, _: u8, map: &mut A) -> Result<(), A::Error> {
+        if self.0.is_some() {
+            return map.skip_value();
+        }
+        let elf = map.next_value_with(Base64Visitor);
+        self.0 = Some(elf.unwrap_or_else(|e| Err(e.to_string())));
+        Ok(())
+    }
+
+    fn finish<E: de::Error>(self) -> Result<Vec<u8>, E> {
+        match self.0 {
+            None => Err(E::custom("missing field `elf`")),
+            Some(elf) => elf.map_err(|e| E::custom(format!("field `elf`: {e}"))),
+        }
+    }
 }
 
 /// Seals an agent frame for a secured session: serializes it, MACs the

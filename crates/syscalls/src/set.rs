@@ -215,17 +215,43 @@ impl serde::Serialize for SyscallSet {
     }
 }
 
+/// Reads a set from an array of numbers. A number out of range is
+/// reported only once every element has parsed, so a malformed element
+/// later in the array takes precedence, as for a `Vec<u32>`.
+struct SyscallSetVisitor;
+
+impl<'de> serde::de::Visitor<'de> for SyscallSetVisitor {
+    type Value = SyscallSet;
+
+    fn expecting(&self) -> &str {
+        "sequence"
+    }
+
+    fn visit_seq<A: serde::de::SeqAccess<'de>>(self, mut seq: A) -> Result<SyscallSet, A::Error> {
+        let mut set = SyscallSet::new();
+        let mut out_of_range = None;
+        while let Some(raw) = seq.next_element::<u32>()? {
+            match Sysno::new(raw) {
+                Some(sysno) => {
+                    set.insert(sysno);
+                }
+                None => {
+                    out_of_range.get_or_insert(raw);
+                }
+            }
+        }
+        match out_of_range {
+            Some(raw) => Err(serde::de::Error::custom(format!(
+                "system call number {raw} out of range"
+            ))),
+            None => Ok(set),
+        }
+    }
+}
+
 impl<'de> serde::Deserialize<'de> for SyscallSet {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let raws: Vec<u32> = Vec::deserialize(deserializer)?;
-        let mut set = SyscallSet::new();
-        for raw in raws {
-            let sysno = Sysno::new(raw).ok_or_else(|| {
-                serde::de::Error::custom(format!("system call number {raw} out of range"))
-            })?;
-            set.insert(sysno);
-        }
-        Ok(set)
+        deserializer.deserialize_any(SyscallSetVisitor)
     }
 }
 

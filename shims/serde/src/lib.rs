@@ -2,27 +2,37 @@
 //!
 //! The build environment for this repository has no access to a crate
 //! registry, so the workspace vendors a minimal serialization framework
-//! under the `serde` name instead of the real crate. It keeps the trait
-//! surface the workspace actually uses source-compatible:
+//! under the `serde` name instead of the real crate. Like real serde, its
+//! data model is a stream of events, not a tree:
 //!
-//! * [`Serialize`] / [`Serializer`] with `collect_seq` (the manual impl in
-//!   `bside-syscalls` uses exactly this);
-//! * [`Deserialize`] / [`Deserializer`] with [`de::Error::custom`];
-//! * a self-describing [`Value`] tree as the data model, which the
-//!   `serde_json` shim renders to and parses from JSON.
+//! * a [`Serializer`] receives scalars, and sequences and maps entry by
+//!   entry through [`ser::SerializeSeq`] and [`ser::SerializeMap`], so a
+//!   format writes text straight from a type;
+//! * a [`Deserializer`] hands each value to a [`de::Visitor`] by its JSON
+//!   type, and sequences and maps through [`de::SeqAccess`] and
+//!   [`de::MapAccess`], so a type pulls its fields straight out of the
+//!   text.
+//!
+//! [`Value`] is one more type in that model, with one [`Serialize`] and
+//! one [`Deserialize`] impl, plus [`ValueSerializer`] and
+//! [`ValueDeserializer`] behind [`to_value`] and [`from_value`]. A tree is
+//! built only when a caller asks for a `Value`, or when a tagged object
+//! does not start with its tag (see [`impl_serde_tagged_enum!`]).
 //!
 //! Instead of derive macros (which would require a proc-macro crate and
 //! its ecosystem), struct and enum impls are generated by the declarative
 //! macros [`impl_serde_struct!`], [`impl_serde_unit_enum!`],
-//! [`impl_serde_tagged_enum!`] and [`impl_serde_transparent!`]; hand-written
-//! codecs take objects apart with [`object_entries`], [`take_optional`]
-//! and [`take_required`].
+//! [`impl_serde_tagged_enum!`] and [`impl_serde_transparent!`]; a field
+//! with a wire form of its own implements [`de::FieldCodec`].
 
 #![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The self-describing data model every (de)serialization goes through.
+use de::{MapAccess, SeqAccess, Visitor};
+use ser::{SerializeMap, SerializeSeq};
+
+/// A self-describing JSON value, for callers that want a tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -45,7 +55,9 @@ pub enum Value {
 }
 
 impl Value {
-    fn type_name(&self) -> &'static str {
+    /// The JSON type this value has, as "expected X, found Y" errors name
+    /// it.
+    pub fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -56,36 +68,60 @@ impl Value {
             Value::Object(_) => "object",
         }
     }
+}
 
-    fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Value::UInt(v) => Some(v),
-            Value::Int(v) => u64::try_from(v).ok(),
-            _ => None,
-        }
+/// The serializing half of the data model.
+pub mod ser {
+    use crate::Serialize;
+
+    /// The elements of a sequence, one at a time.
+    pub trait SerializeSeq {
+        /// The serializer's success type.
+        type Ok;
+        /// The serializer's error type.
+        type Error: crate::de::Error;
+        /// Serializes one element.
+        fn serialize_element<T: Serialize + ?Sized>(
+            &mut self,
+            value: &T,
+        ) -> Result<(), Self::Error>;
+        /// Closes the sequence.
+        fn end(self) -> Result<Self::Ok, Self::Error>;
     }
 
-    fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::Int(v) => Some(v),
-            Value::UInt(v) => i64::try_from(v).ok(),
-            _ => None,
-        }
+    /// The entries of a map, one at a time. Keys are strings, the only
+    /// keys JSON has.
+    pub trait SerializeMap {
+        /// The serializer's success type.
+        type Ok;
+        /// The serializer's error type.
+        type Error: crate::de::Error;
+        /// Serializes one entry.
+        fn serialize_entry<T: Serialize + ?Sized>(
+            &mut self,
+            key: &str,
+            value: &T,
+        ) -> Result<(), Self::Error>;
+        /// Closes the map.
+        fn end(self) -> Result<Self::Ok, Self::Error>;
     }
 }
 
-/// Error types raised while building or taking apart [`Value`]s.
+/// The deserializing half of the data model, and the error trait both
+/// halves share.
 pub mod de {
+    use crate::{Deserialize, Deserializer, Value, ValueDeserializer};
     use std::fmt;
 
-    /// The error-construction trait deserialization code relies on
+    /// The error-construction trait (de)serialization code relies on
     /// (`serde::de::Error::custom`).
     pub trait Error: Sized + fmt::Display + fmt::Debug {
         /// Builds an error from an arbitrary message.
         fn custom<T: fmt::Display>(msg: T) -> Self;
     }
 
-    /// A plain message error; the `D::Error` of [`crate::ValueDeserializer`].
+    /// A plain message error; the `Error` of [`crate::ValueSerializer`]
+    /// and [`crate::ValueDeserializer`].
     #[derive(Debug, Clone, PartialEq)]
     pub struct ValueError(pub String);
 
@@ -102,23 +138,414 @@ pub mod de {
             ValueError(msg.to_string())
         }
     }
+
+    fn unexpected<E: Error>(expecting: &str, found: &str) -> E {
+        E::custom(format!("expected {expecting}, found {found}"))
+    }
+
+    /// Receives one value from a [`Deserializer`], by its JSON type.
+    ///
+    /// Every scalar `visit_*` a visitor does not override passes the
+    /// scalar as a [`Value`] to [`Visitor::visit_value`], which by default
+    /// fails with "expected X, found Y"; a sequence or map it does not
+    /// override fails the same way without reading its contents.
+    pub trait Visitor<'de>: Sized {
+        /// What the visitor builds.
+        type Value;
+
+        /// What the visitor accepts: the X of "expected X, found Y".
+        fn expecting(&self) -> &str;
+
+        /// A scalar the visitor has no `visit_*` of its own for.
+        fn visit_value<E: Error>(self, found: Value) -> Result<Self::Value, E> {
+            Err(unexpected(self.expecting(), found.type_name()))
+        }
+
+        /// `null`.
+        fn visit_null<E: Error>(self) -> Result<Self::Value, E> {
+            self.visit_value(Value::Null)
+        }
+
+        /// A boolean.
+        fn visit_bool<E: Error>(self, v: bool) -> Result<Self::Value, E> {
+            self.visit_value(Value::Bool(v))
+        }
+
+        /// A non-negative integer.
+        fn visit_u64<E: Error>(self, v: u64) -> Result<Self::Value, E> {
+            self.visit_value(Value::UInt(v))
+        }
+
+        /// A negative integer (or `-0`).
+        fn visit_i64<E: Error>(self, v: i64) -> Result<Self::Value, E> {
+            self.visit_value(Value::Int(v))
+        }
+
+        /// A number with a fraction or an exponent.
+        fn visit_f64<E: Error>(self, v: f64) -> Result<Self::Value, E> {
+            self.visit_value(Value::Float(v))
+        }
+
+        /// A string the deserializer only lends.
+        fn visit_str<E: Error>(self, v: &str) -> Result<Self::Value, E> {
+            self.visit_value(Value::Str(v.to_owned()))
+        }
+
+        /// A string the deserializer hands over.
+        fn visit_string<E: Error>(self, v: String) -> Result<Self::Value, E> {
+            self.visit_str(&v)
+        }
+
+        /// A sequence, element by element. The deserializer skips any
+        /// elements the visitor leaves unread.
+        fn visit_seq<A: SeqAccess<'de>>(self, seq: A) -> Result<Self::Value, A::Error> {
+            let _ = seq;
+            Err(unexpected(self.expecting(), "sequence"))
+        }
+
+        /// A map, entry by entry. The deserializer skips any entries the
+        /// visitor leaves unread.
+        fn visit_map<A: MapAccess<'de>>(self, map: A) -> Result<Self::Value, A::Error> {
+            let _ = map;
+            Err(unexpected(self.expecting(), "object"))
+        }
+
+        /// Anything but `null`, from [`Deserializer::deserialize_option`].
+        fn visit_some<D: Deserializer<'de>>(
+            self,
+            deserializer: D,
+        ) -> Result<Self::Value, D::Error> {
+            deserializer.deserialize_any(self)
+        }
+    }
+
+    /// The elements of a sequence being deserialized.
+    pub trait SeqAccess<'de> {
+        /// The deserializer's error type.
+        type Error: Error;
+        /// The next element, or `None` past the last one.
+        fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, Self::Error>;
+    }
+
+    /// The entries of a map being deserialized: each key, then its value.
+    pub trait MapAccess<'de> {
+        /// The deserializer's error type.
+        type Error: Error;
+        /// Reads the next key and returns what `classify` makes of it
+        /// (the key is only lent), or `None` past the last entry. A value
+        /// left unread is skipped first.
+        fn next_key_with<R>(
+            &mut self,
+            classify: impl FnOnce(&str) -> R,
+        ) -> Result<Option<R>, Self::Error>;
+        /// The value of the key just read.
+        fn next_value<T: Deserialize<'de>>(&mut self) -> Result<T, Self::Error>;
+        /// The value of the key just read, through `visitor`.
+        fn next_value_with<V: Visitor<'de>>(&mut self, visitor: V)
+            -> Result<V::Value, Self::Error>;
+        /// Skips the value of the key just read.
+        fn skip_value(&mut self) -> Result<(), Self::Error> {
+            self.next_value::<IgnoredAny>().map(drop)
+        }
+    }
+
+    /// Any value, read and dropped. A deserializer still checks what it
+    /// skips: text must be well-formed and within the nesting cap.
+    #[derive(Debug, Clone, Copy)]
+    pub struct IgnoredAny;
+
+    impl<'de> Visitor<'de> for IgnoredAny {
+        type Value = IgnoredAny;
+
+        fn expecting(&self) -> &str {
+            "anything"
+        }
+
+        fn visit_value<E: Error>(self, _: Value) -> Result<IgnoredAny, E> {
+            Ok(IgnoredAny)
+        }
+
+        fn visit_str<E: Error>(self, _: &str) -> Result<IgnoredAny, E> {
+            Ok(IgnoredAny)
+        }
+
+        fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<IgnoredAny, A::Error> {
+            Ok(IgnoredAny)
+        }
+
+        fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<IgnoredAny, A::Error> {
+            Ok(IgnoredAny)
+        }
+    }
+
+    impl<'de> Deserialize<'de> for IgnoredAny {
+        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+            deserializer.deserialize_any(IgnoredAny)
+        }
+    }
+
+    /// Builds the [`Value`] of any input.
+    struct ValueVisitor;
+
+    impl<'de> Visitor<'de> for ValueVisitor {
+        type Value = Value;
+
+        fn expecting(&self) -> &str {
+            "any value"
+        }
+
+        fn visit_value<E: Error>(self, found: Value) -> Result<Value, E> {
+            Ok(found)
+        }
+
+        fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Value, A::Error> {
+            let mut items = Vec::new();
+            while let Some(item) = seq.next_element()? {
+                items.push(item);
+            }
+            Ok(Value::Seq(items))
+        }
+
+        fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Value, A::Error> {
+            let mut entries = Vec::new();
+            while let Some(key) = map.next_key_with(str::to_owned)? {
+                entries.push((key, map.next_value()?));
+            }
+            Ok(Value::Object(entries))
+        }
+    }
+
+    impl<'de> Deserialize<'de> for Value {
+        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+            deserializer.deserialize_any(ValueVisitor)
+        }
+    }
+
+    /// The rest of a sequence as a tree, for error messages that show
+    /// the input.
+    pub fn seq_to_value<'de, A: SeqAccess<'de>>(seq: A) -> Result<Value, A::Error> {
+        ValueVisitor.visit_seq(seq)
+    }
+
+    /// The rest of a map as a tree, for error messages that show the
+    /// input.
+    pub fn map_to_value<'de, A: MapAccess<'de>>(map: A) -> Result<Value, A::Error> {
+        ValueVisitor.visit_map(map)
+    }
+
+    /// A [`SeqAccess`] over the items of a [`Value::Seq`].
+    pub struct ValueSeqAccess(std::vec::IntoIter<Value>);
+
+    impl ValueSeqAccess {
+        /// Hands out `items` in order.
+        pub fn new(items: Vec<Value>) -> Self {
+            ValueSeqAccess(items.into_iter())
+        }
+    }
+
+    impl<'de> SeqAccess<'de> for ValueSeqAccess {
+        type Error = ValueError;
+
+        fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, ValueError> {
+            self.0
+                .next()
+                .map(|item| T::deserialize(ValueDeserializer(item)))
+                .transpose()
+        }
+    }
+
+    /// A [`MapAccess`] over the entries of a [`Value::Object`].
+    pub struct ValueMapAccess {
+        entries: std::vec::IntoIter<(String, Value)>,
+        value: Option<Value>,
+    }
+
+    impl ValueMapAccess {
+        /// Hands out `entries` in order.
+        pub fn new(entries: Vec<(String, Value)>) -> Self {
+            ValueMapAccess {
+                entries: entries.into_iter(),
+                value: None,
+            }
+        }
+
+        fn value(&mut self) -> Result<ValueDeserializer, ValueError> {
+            self.value
+                .take()
+                .map(ValueDeserializer)
+                .ok_or_else(|| ValueError::custom("a map value read before its key"))
+        }
+    }
+
+    impl<'de> MapAccess<'de> for ValueMapAccess {
+        type Error = ValueError;
+
+        fn next_key_with<R>(
+            &mut self,
+            classify: impl FnOnce(&str) -> R,
+        ) -> Result<Option<R>, ValueError> {
+            Ok(self.entries.next().map(|(key, value)| {
+                self.value = Some(value);
+                classify(&key)
+            }))
+        }
+
+        fn next_value<T: Deserialize<'de>>(&mut self) -> Result<T, ValueError> {
+            T::deserialize(self.value()?)
+        }
+
+        fn next_value_with<V: Visitor<'de>>(&mut self, visitor: V) -> Result<V::Value, ValueError> {
+            self.value()?.deserialize_any(visitor)
+        }
+    }
+
+    /// One field of an object being read: not seen yet, read, or failed.
+    /// A failed field keeps its error until the object is complete, so
+    /// that of several bad fields the first in declaration order is the
+    /// one reported, whatever order the input lists them in. Only the
+    /// first occurrence of a key is read; later ones are skipped.
+    pub enum Slot<T, E> {
+        /// No entry for the field yet.
+        Absent,
+        /// The field's value.
+        Present(T),
+        /// The field's entry did not parse.
+        Failed(E),
+    }
+
+    impl<T, E: Error> Slot<T, E> {
+        /// Reads the value of the field's key, just read from `map`.
+        pub fn read<'de, A>(&mut self, map: &mut A) -> Result<(), E>
+        where
+            A: MapAccess<'de, Error = E>,
+            T: Deserialize<'de>,
+        {
+            if !matches!(self, Slot::Absent) {
+                return map.skip_value();
+            }
+            *self = match map.next_value() {
+                Ok(value) => Slot::Present(value),
+                Err(e) => Slot::Failed(e),
+            };
+            Ok(())
+        }
+
+        /// The field's value, `None` when absent; an error naming the
+        /// field when its entry did not parse.
+        pub fn optional(self, name: &str) -> Result<Option<T>, E> {
+            match self {
+                Slot::Absent => Ok(None),
+                Slot::Present(value) => Ok(Some(value)),
+                Slot::Failed(e) => Err(E::custom(format!("field `{name}`: {e}"))),
+            }
+        }
+
+        /// [`Slot::optional`] for a field that must be present.
+        pub fn required(self, name: &str) -> Result<T, E> {
+            self.optional(name)?
+                .ok_or_else(|| E::custom(format!("missing field `{name}`")))
+        }
+    }
+
+    /// A field of [`impl_serde_tagged_enum!`](crate::impl_serde_tagged_enum)
+    /// with a wire form of its own: any number of entries of the
+    /// enclosing object (flattened, lenient, or re-encoded fields). The
+    /// codec value collects the entries it claims while the object is
+    /// read, then builds the field.
+    pub trait FieldCodec: Default {
+        /// The field's type.
+        type Value;
+        /// Which of the codec's keys `key` is, if any.
+        fn key_index(key: &str) -> Option<u8>;
+        /// Writes the field's entries.
+        fn write<M: crate::ser::SerializeMap>(
+            value: &Self::Value,
+            map: &mut M,
+        ) -> Result<(), M::Error>;
+        /// Reads the value of the codec's `key`-th key, just read from
+        /// `map`. It must read or skip that value, and should leave a bad
+        /// value for [`FieldCodec::finish`] to report: the first error in
+        /// declaration order wins.
+        fn read<'de, A: MapAccess<'de>>(&mut self, key: u8, map: &mut A) -> Result<(), A::Error>;
+        /// The field, once the object is read.
+        fn finish<E: Error>(self) -> Result<Self::Value, E>;
+    }
+
+    /// Reads a tag's string as one of `names`: the matching name, or the
+    /// string itself when it matches none.
+    pub struct TagVisitor(pub &'static [&'static str]);
+
+    impl<'de> Visitor<'de> for TagVisitor {
+        type Value = Result<&'static str, String>;
+
+        fn expecting(&self) -> &str {
+            "string"
+        }
+
+        fn visit_str<E: Error>(self, v: &str) -> Result<Self::Value, E> {
+            Ok(self
+                .0
+                .iter()
+                .find(|name| **name == v)
+                .copied()
+                .ok_or_else(|| v.to_owned()))
+        }
+    }
+
+    /// The slow path of a tagged object whose first key, `first`, is not
+    /// its `tag`: the rest of the object as a tree, with the first `tag`
+    /// entry moved to the front so the tag-first code can run over it.
+    pub fn buffer_tagged<'de, A: MapAccess<'de>>(
+        map: &mut A,
+        first: String,
+        tag: &str,
+    ) -> Result<Vec<(String, Value)>, A::Error> {
+        let mut entries = vec![(first, map.next_value::<Value>()?)];
+        while let Some(key) = map.next_key_with(str::to_owned)? {
+            entries.push((key, map.next_value()?));
+        }
+        let Some(pos) = entries.iter().position(|(k, _)| k == tag) else {
+            return Err(A::Error::custom(format!("missing field `{tag}`")));
+        };
+        let entry = entries.remove(pos);
+        entries.insert(0, entry);
+        Ok(entries)
+    }
 }
 
-/// A type that can render itself into the data model.
+/// A type that can write itself to a [`Serializer`].
 pub trait Serialize {
     /// Serializes `self` into the given serializer.
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
 }
 
-/// A sink for the data model.
+/// A sink for the data model's events.
 pub trait Serializer: Sized {
     /// The success type.
     type Ok;
     /// The error type.
     type Error: de::Error;
+    /// What [`Serializer::serialize_seq`] returns.
+    type SerializeSeq: SerializeSeq<Ok = Self::Ok, Error = Self::Error>;
+    /// What [`Serializer::serialize_map`] returns.
+    type SerializeMap: SerializeMap<Ok = Self::Ok, Error = Self::Error>;
 
-    /// Consumes a fully-built [`Value`].
-    fn serialize_value(self, value: Value) -> Result<Self::Ok, Self::Error>;
+    /// `null`.
+    fn serialize_null(self) -> Result<Self::Ok, Self::Error>;
+    /// A boolean.
+    fn serialize_bool(self, v: bool) -> Result<Self::Ok, Self::Error>;
+    /// An unsigned integer.
+    fn serialize_u64(self, v: u64) -> Result<Self::Ok, Self::Error>;
+    /// A signed integer.
+    fn serialize_i64(self, v: i64) -> Result<Self::Ok, Self::Error>;
+    /// A floating-point number.
+    fn serialize_f64(self, v: f64) -> Result<Self::Ok, Self::Error>;
+    /// A string.
+    fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error>;
+    /// Opens a sequence; `len` is a hint.
+    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, Self::Error>;
+    /// Opens a map; `len` is a hint.
+    fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap, Self::Error>;
 
     /// Serializes every item of an iterator as a sequence.
     fn collect_seq<I>(self, iter: I) -> Result<Self::Ok, Self::Error>
@@ -126,49 +553,152 @@ pub trait Serializer: Sized {
         I: IntoIterator,
         I::Item: Serialize,
     {
-        let mut seq = Vec::new();
+        let mut seq = self.serialize_seq(None)?;
         for item in iter {
-            seq.push(to_value(&item));
+            seq.serialize_element(&item)?;
         }
-        self.serialize_value(Value::Seq(seq))
+        seq.end()
     }
 }
 
-/// A type that can be rebuilt from the data model.
+/// A type that can be read from a [`Deserializer`].
 pub trait Deserialize<'de>: Sized {
     /// Deserializes `Self` from the given deserializer.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
 }
 
-/// A source of [`Value`]s.
+/// A source of the data model's events.
+///
+/// On success and on a type error alike, a deserializer has consumed the
+/// whole value when it returns, so the caller can read on: a struct can
+/// report its fields' errors in declaration order, and a format can still
+/// find a syntax error later in its input.
 pub trait Deserializer<'de>: Sized {
     /// The error type.
     type Error: de::Error;
 
-    /// Surrenders the underlying value tree.
-    fn into_value(self) -> Result<Value, Self::Error>;
+    /// Hands the next value to `visitor` by its type.
+    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+
+    /// [`Visitor::visit_null`] for `null`, [`Visitor::visit_some`] with
+    /// the deserializer for anything else.
+    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+
+    /// [`Deserializer::deserialize_any`] for a visitor that expects an
+    /// unsigned integer, which a format may read by a shorter path.
+    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error> {
+        self.deserialize_any(visitor)
+    }
 }
 
-/// The canonical serializer: produces a [`Value`] and never fails.
+/// The serializer behind [`to_value`]: builds a [`Value`] and never fails.
 pub struct ValueSerializer;
+
+/// The sequence and map builders of [`ValueSerializer`].
+pub struct ValueBuilder<T>(Vec<T>);
 
 impl Serializer for ValueSerializer {
     type Ok = Value;
     type Error = de::ValueError;
+    type SerializeSeq = ValueBuilder<Value>;
+    type SerializeMap = ValueBuilder<(String, Value)>;
 
-    fn serialize_value(self, value: Value) -> Result<Value, de::ValueError> {
-        Ok(value)
+    fn serialize_null(self) -> Result<Value, de::ValueError> {
+        Ok(Value::Null)
+    }
+
+    fn serialize_bool(self, v: bool) -> Result<Value, de::ValueError> {
+        Ok(Value::Bool(v))
+    }
+
+    fn serialize_u64(self, v: u64) -> Result<Value, de::ValueError> {
+        Ok(Value::UInt(v))
+    }
+
+    fn serialize_i64(self, v: i64) -> Result<Value, de::ValueError> {
+        Ok(match u64::try_from(v) {
+            Ok(v) => Value::UInt(v),
+            Err(_) => Value::Int(v),
+        })
+    }
+
+    fn serialize_f64(self, v: f64) -> Result<Value, de::ValueError> {
+        Ok(Value::Float(v))
+    }
+
+    fn serialize_str(self, v: &str) -> Result<Value, de::ValueError> {
+        Ok(Value::Str(v.to_owned()))
+    }
+
+    fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq, de::ValueError> {
+        Ok(ValueBuilder(Vec::with_capacity(len.unwrap_or(0))))
+    }
+
+    fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap, de::ValueError> {
+        Ok(ValueBuilder(Vec::with_capacity(len.unwrap_or(0))))
     }
 }
 
-/// The canonical deserializer: wraps an already-parsed [`Value`].
+impl SerializeSeq for ValueBuilder<Value> {
+    type Ok = Value;
+    type Error = de::ValueError;
+
+    fn serialize_element<T: Serialize + ?Sized>(
+        &mut self,
+        value: &T,
+    ) -> Result<(), de::ValueError> {
+        self.0.push(to_value(value));
+        Ok(())
+    }
+
+    fn end(self) -> Result<Value, de::ValueError> {
+        Ok(Value::Seq(self.0))
+    }
+}
+
+impl SerializeMap for ValueBuilder<(String, Value)> {
+    type Ok = Value;
+    type Error = de::ValueError;
+
+    fn serialize_entry<T: Serialize + ?Sized>(
+        &mut self,
+        key: &str,
+        value: &T,
+    ) -> Result<(), de::ValueError> {
+        self.0.push((key.to_owned(), to_value(value)));
+        Ok(())
+    }
+
+    fn end(self) -> Result<Value, de::ValueError> {
+        Ok(Value::Object(self.0))
+    }
+}
+
+/// The deserializer behind [`from_value`]: reads an already-built
+/// [`Value`].
 pub struct ValueDeserializer(pub Value);
 
 impl<'de> Deserializer<'de> for ValueDeserializer {
     type Error = de::ValueError;
 
-    fn into_value(self) -> Result<Value, de::ValueError> {
-        Ok(self.0)
+    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, de::ValueError> {
+        match self.0 {
+            Value::Null => visitor.visit_null(),
+            Value::Bool(v) => visitor.visit_bool(v),
+            Value::UInt(v) => visitor.visit_u64(v),
+            Value::Int(v) => visitor.visit_i64(v),
+            Value::Float(v) => visitor.visit_f64(v),
+            Value::Str(v) => visitor.visit_string(v),
+            Value::Seq(items) => visitor.visit_seq(de::ValueSeqAccess::new(items)),
+            Value::Object(entries) => visitor.visit_map(de::ValueMapAccess::new(entries)),
+        }
+    }
+
+    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, de::ValueError> {
+        match self.0 {
+            Value::Null => visitor.visit_null(),
+            value => visitor.visit_some(ValueDeserializer(value)),
+        }
     }
 }
 
@@ -192,7 +722,7 @@ macro_rules! impl_ser_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                serializer.serialize_value(Value::UInt(*self as u64))
+                serializer.serialize_u64(*self as u64)
             }
         }
     )*};
@@ -203,9 +733,7 @@ macro_rules! impl_ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                let v = *self as i64;
-                let value = if v < 0 { Value::Int(v) } else { Value::UInt(v as u64) };
-                serializer.serialize_value(value)
+                serializer.serialize_i64(*self as i64)
             }
         }
     )*};
@@ -214,25 +742,25 @@ impl_ser_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Bool(*self))
+        serializer.serialize_bool(*self)
     }
 }
 
 impl Serialize for f64 {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Float(*self))
+        serializer.serialize_f64(*self)
     }
 }
 
 impl Serialize for str {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Str(self.to_string()))
+        serializer.serialize_str(self)
     }
 }
 
 impl Serialize for String {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Str(self.clone()))
+        serializer.serialize_str(self)
     }
 }
 
@@ -252,7 +780,7 @@ impl<T: Serialize> Serialize for Option<T> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         match self {
             Some(v) => v.serialize(serializer),
-            None => serializer.serialize_value(Value::Null),
+            None => serializer.serialize_null(),
         }
     }
 }
@@ -271,30 +799,51 @@ impl<T: Serialize> Serialize for BTreeSet<T> {
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let entries = self.iter().map(|(k, v)| (k.clone(), to_value(v))).collect();
-        serializer.serialize_value(Value::Object(entries))
+        let mut map = serializer.serialize_map(Some(self.len()))?;
+        for (key, value) in self {
+            map.serialize_entry(key, value)?;
+        }
+        map.end()
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Seq(vec![to_value(&self.0), to_value(&self.1)]))
+        let mut seq = serializer.serialize_seq(Some(2))?;
+        seq.serialize_element(&self.0)?;
+        seq.serialize_element(&self.1)?;
+        seq.end()
     }
 }
 
 impl Serialize for Value {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(self.clone())
+        match self {
+            Value::Null => serializer.serialize_null(),
+            Value::Bool(v) => serializer.serialize_bool(*v),
+            Value::UInt(v) => serializer.serialize_u64(*v),
+            Value::Int(v) => serializer.serialize_i64(*v),
+            Value::Float(v) => serializer.serialize_f64(*v),
+            Value::Str(v) => serializer.serialize_str(v),
+            Value::Seq(items) => serializer.collect_seq(items),
+            Value::Object(entries) => {
+                let mut map = serializer.serialize_map(Some(entries.len()))?;
+                for (key, value) in entries {
+                    map.serialize_entry(key, value)?;
+                }
+                map.end()
+            }
+        }
     }
 }
 
 // Matches real serde's representation: `{"secs": u64, "nanos": u32}`.
 impl Serialize for std::time::Duration {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(Value::Object(vec![
-            ("secs".to_string(), Value::UInt(self.as_secs())),
-            ("nanos".to_string(), Value::UInt(self.subsec_nanos() as u64)),
-        ]))
+        let mut map = serializer.serialize_map(Some(2))?;
+        map.serialize_entry("secs", &self.as_secs())?;
+        map.serialize_entry("nanos", &self.subsec_nanos())?;
+        map.end()
     }
 }
 
@@ -302,154 +851,314 @@ impl Serialize for std::time::Duration {
 // Deserialize impls.
 // ---------------------------------------------------------------------------
 
-fn type_err<E: de::Error>(expected: &str, got: &Value) -> E {
-    E::custom(format!("expected {expected}, found {}", got.type_name()))
+/// One visitor per primitive: `$visit` converts what arrives, and `$name`
+/// is what it expects.
+macro_rules! primitive_visitor {
+    ($visitor:ident, $t:ty, $name:literal, { $($visit:item)* }) => {
+        primitive_visitor!($visitor, $t, $name, deserialize_any, { $($visit)* });
+    };
+    ($visitor:ident, $t:ty, $name:literal, $entry:ident, { $($visit:item)* }) => {
+        struct $visitor;
+
+        impl<'de> Visitor<'de> for $visitor {
+            type Value = $t;
+
+            fn expecting(&self) -> &str {
+                $name
+            }
+
+            $($visit)*
+        }
+
+        impl<'de> Deserialize<'de> for $t {
+            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+                deserializer.$entry($visitor)
+            }
+        }
+    };
+}
+
+fn out_of_range<E: de::Error>(raw: impl std::fmt::Display) -> E {
+    E::custom(format!("integer {raw} out of range"))
 }
 
 macro_rules! impl_de_uint {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                let v = deserializer.into_value()?;
-                let raw = v.as_u64().ok_or_else(|| type_err::<D::Error>("unsigned integer", &v))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| de::Error::custom(format!("integer {raw} out of range")))
+    ($($visitor:ident $t:ty),*) => {$(
+        primitive_visitor!($visitor, $t, "unsigned integer", deserialize_u64, {
+            fn visit_u64<E: de::Error>(self, v: u64) -> Result<$t, E> {
+                <$t>::try_from(v).map_err(|_| out_of_range(v))
             }
-        }
+
+            fn visit_i64<E: de::Error>(self, v: i64) -> Result<$t, E> {
+                match u64::try_from(v) {
+                    Ok(raw) => self.visit_u64(raw),
+                    Err(_) => self.visit_value(Value::Int(v)),
+                }
+            }
+        });
     )*};
 }
-impl_de_uint!(u8, u16, u32, u64, usize);
+impl_de_uint!(U8Visitor u8, U16Visitor u16, U32Visitor u32, U64Visitor u64, UsizeVisitor usize);
 
 macro_rules! impl_de_int {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                let v = deserializer.into_value()?;
-                let raw = v.as_i64().ok_or_else(|| type_err::<D::Error>("integer", &v))?;
-                <$t>::try_from(raw)
-                    .map_err(|_| de::Error::custom(format!("integer {raw} out of range")))
+    ($($visitor:ident $t:ty),*) => {$(
+        primitive_visitor!($visitor, $t, "integer", {
+            fn visit_i64<E: de::Error>(self, v: i64) -> Result<$t, E> {
+                <$t>::try_from(v).map_err(|_| out_of_range(v))
             }
-        }
+
+            fn visit_u64<E: de::Error>(self, v: u64) -> Result<$t, E> {
+                match i64::try_from(v) {
+                    Ok(raw) => self.visit_i64(raw),
+                    Err(_) => self.visit_value(Value::UInt(v)),
+                }
+            }
+        });
     )*};
 }
-impl_de_int!(i8, i16, i32, i64, isize);
+impl_de_int!(I8Visitor i8, I16Visitor i16, I32Visitor i32, I64Visitor i64, IsizeVisitor isize);
 
-impl<'de> Deserialize<'de> for bool {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Bool(b) => Ok(b),
-            other => Err(type_err("bool", &other)),
-        }
+primitive_visitor!(BoolVisitor, bool, "bool", {
+    fn visit_bool<E: de::Error>(self, v: bool) -> Result<bool, E> {
+        Ok(v)
     }
-}
+});
 
-impl<'de> Deserialize<'de> for f64 {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Float(f) => Ok(f),
-            Value::UInt(v) => Ok(v as f64),
-            Value::Int(v) => Ok(v as f64),
-            other => Err(type_err("number", &other)),
-        }
+primitive_visitor!(F64Visitor, f64, "number", {
+    fn visit_f64<E: de::Error>(self, v: f64) -> Result<f64, E> {
+        Ok(v)
     }
-}
 
-impl<'de> Deserialize<'de> for String {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Str(s) => Ok(s),
-            other => Err(type_err("string", &other)),
-        }
+    fn visit_u64<E: de::Error>(self, v: u64) -> Result<f64, E> {
+        Ok(v as f64)
     }
-}
 
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Box<T> {
+    fn visit_i64<E: de::Error>(self, v: i64) -> Result<f64, E> {
+        Ok(v as f64)
+    }
+});
+
+primitive_visitor!(StringVisitor, String, "string", {
+    fn visit_str<E: de::Error>(self, v: &str) -> Result<String, E> {
+        Ok(v.to_owned())
+    }
+
+    fn visit_string<E: de::Error>(self, v: String) -> Result<String, E> {
+        Ok(v)
+    }
+});
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         T::deserialize(deserializer).map(Box::new)
     }
 }
 
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Option<T> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Null => Ok(None),
-            other => from_value(other).map(Some).map_err(de::Error::custom),
-        }
+struct OptionVisitor<T>(std::marker::PhantomData<T>);
+
+impl<'de, T: Deserialize<'de>> Visitor<'de> for OptionVisitor<T> {
+    type Value = Option<T>;
+
+    fn expecting(&self) -> &str {
+        "option"
+    }
+
+    fn visit_null<E: de::Error>(self) -> Result<Option<T>, E> {
+        Ok(None)
+    }
+
+    fn visit_some<D: Deserializer<'de>>(self, deserializer: D) -> Result<Option<T>, D::Error> {
+        T::deserialize(deserializer).map(Some)
     }
 }
 
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Vec<T> {
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Seq(items) => items
-                .into_iter()
-                .map(|item| from_value(item).map_err(de::Error::custom))
-                .collect(),
-            other => Err(type_err("sequence", &other)),
-        }
+        deserializer.deserialize_option(OptionVisitor(std::marker::PhantomData))
     }
 }
 
-impl<'de, T: for<'a> Deserialize<'a> + Ord> Deserialize<'de> for BTreeSet<T> {
+struct VecVisitor<T>(std::marker::PhantomData<T>);
+
+impl<'de, T: Deserialize<'de>> Visitor<'de> for VecVisitor<T> {
+    type Value = Vec<T>;
+
+    fn expecting(&self) -> &str {
+        "sequence"
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Vec<T>, A::Error> {
+        let mut items = Vec::new();
+        while let Some(item) = seq.next_element()? {
+            if items.is_empty() {
+                // Wire sequences are mostly short: one allocation for the
+                // first eight elements instead of two.
+                items.reserve(8);
+            }
+            items.push(item);
+        }
+        Ok(items)
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(VecVisitor(std::marker::PhantomData))
+    }
+}
+
+impl<'de, T: Deserialize<'de> + Ord> Deserialize<'de> for BTreeSet<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         Ok(Vec::<T>::deserialize(deserializer)?.into_iter().collect())
     }
 }
 
-impl<'de, V: for<'a> Deserialize<'a>> Deserialize<'de> for BTreeMap<String, V> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Object(entries) => entries
-                .into_iter()
-                .map(|(k, v)| Ok((k, from_value(v).map_err(de::Error::custom)?)))
-                .collect(),
-            other => Err(type_err("object", &other)),
+struct MapVisitor<V>(std::marker::PhantomData<V>);
+
+impl<'de, V: Deserialize<'de>> Visitor<'de> for MapVisitor<V> {
+    type Value = BTreeMap<String, V>;
+
+    fn expecting(&self) -> &str {
+        "object"
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
+        let mut out = BTreeMap::new();
+        while let Some(key) = map.next_key_with(str::to_owned)? {
+            out.insert(key, map.next_value()?);
         }
+        Ok(out)
     }
 }
 
-impl<'de> Deserialize<'de> for Value {
+impl<'de, V: Deserialize<'de>> Deserialize<'de> for BTreeMap<String, V> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.into_value()
+        deserializer.deserialize_any(MapVisitor(std::marker::PhantomData))
+    }
+}
+
+/// A lenient `u64` read: any non-negative integer, `-0` included;
+/// anything else reads as `None`.
+struct AnyU64;
+
+impl<'de> Visitor<'de> for AnyU64 {
+    type Value = Option<u64>;
+
+    fn expecting(&self) -> &str {
+        "integer"
+    }
+
+    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<u64>, E> {
+        Ok(None)
+    }
+
+    fn visit_u64<E: de::Error>(self, v: u64) -> Result<Option<u64>, E> {
+        Ok(Some(v))
+    }
+
+    fn visit_i64<E: de::Error>(self, v: i64) -> Result<Option<u64>, E> {
+        Ok(u64::try_from(v).ok())
+    }
+
+    fn visit_str<E: de::Error>(self, _: &str) -> Result<Option<u64>, E> {
+        Ok(None)
+    }
+
+    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
+        Ok(None)
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
+        Ok(None)
+    }
+}
+
+struct DurationVisitor;
+
+impl<'de> Visitor<'de> for DurationVisitor {
+    type Value = std::time::Duration;
+
+    fn expecting(&self) -> &str {
+        "Duration object"
+    }
+
+    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Self::Value, A::Error> {
+        use de::Error;
+        // The first `secs` and the first `nanos` count, each as an
+        // integer or not at all.
+        let (mut secs, mut nanos) = (None, None);
+        while let Some(key) = map.next_key_with(|k| match k {
+            "secs" => Some(0),
+            "nanos" => Some(1),
+            _ => None,
+        })? {
+            let slot = match key {
+                Some(0) => &mut secs,
+                Some(_) => &mut nanos,
+                None => {
+                    map.skip_value()?;
+                    continue;
+                }
+            };
+            match slot {
+                None => *slot = Some(map.next_value_with(AnyU64)?),
+                Some(_) => map.skip_value()?,
+            }
+        }
+        let field = |slot: Option<Option<u64>>, name: &str| {
+            slot.flatten()
+                .ok_or_else(|| A::Error::custom(format!("Duration missing field `{name}`")))
+        };
+        let secs = field(secs, "secs")?;
+        // `Duration::new` panics when a >= 1s nanos value carries past
+        // u64::MAX secs; reject instead (deserialization must not abort
+        // the process on malformed input).
+        let nanos = u32::try_from(field(nanos, "nanos")?)
+            .ok()
+            .filter(|&n| n < 1_000_000_000)
+            .ok_or_else(|| A::Error::custom("Duration nanos out of range"))?;
+        Ok(std::time::Duration::new(secs, nanos))
     }
 }
 
 impl<'de> Deserialize<'de> for std::time::Duration {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let v = deserializer.into_value()?;
-        let Value::Object(entries) = &v else {
-            return Err(type_err("Duration object", &v));
-        };
-        let field = |name: &str| -> Result<u64, D::Error> {
-            entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .and_then(|(_, v)| v.as_u64())
-                .ok_or_else(|| de::Error::custom(format!("Duration missing field `{name}`")))
-        };
-        let secs = field("secs")?;
-        // `Duration::new` panics when a >= 1s nanos value carries past
-        // u64::MAX secs; reject instead (deserialization must not abort
-        // the process on malformed input).
-        let nanos = u32::try_from(field("nanos")?)
-            .ok()
-            .filter(|&n| n < 1_000_000_000)
-            .ok_or_else(|| de::Error::custom("Duration nanos out of range"))?;
-        Ok(std::time::Duration::new(secs, nanos))
+        deserializer.deserialize_any(DurationVisitor)
     }
 }
 
-impl<'de, A: for<'a> Deserialize<'a>, B: for<'a> Deserialize<'a>> Deserialize<'de> for (A, B) {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.into_value()? {
-            Value::Seq(items) if items.len() == 2 => {
-                let mut it = items.into_iter();
-                let a = from_value(it.next().expect("len 2")).map_err(de::Error::custom)?;
-                let b = from_value(it.next().expect("len 2")).map_err(de::Error::custom)?;
-                Ok((a, b))
-            }
-            other => Err(type_err("2-element sequence", &other)),
+struct PairVisitor<A, B>(std::marker::PhantomData<(A, B)>);
+
+impl<'de, A: Deserialize<'de>, B: Deserialize<'de>> Visitor<'de> for PairVisitor<A, B> {
+    type Value = (A, B);
+
+    fn expecting(&self) -> &str {
+        "2-element sequence"
+    }
+
+    fn visit_seq<S: SeqAccess<'de>>(self, mut seq: S) -> Result<(A, B), S::Error> {
+        use de::Error;
+        // The length is checked before either element's error is
+        // reported.
+        let wrong_length = || S::Error::custom("expected 2-element sequence, found sequence");
+        let a = seq.next_element::<A>();
+        if matches!(a, Ok(None)) {
+            return Err(wrong_length());
         }
+        let b = seq.next_element::<B>();
+        if matches!(b, Ok(None)) || seq.next_element::<de::IgnoredAny>()?.is_some() {
+            return Err(wrong_length());
+        }
+        match (a?, b?) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => unreachable!("both elements were present"),
+        }
+    }
+}
+
+impl<'de, A: Deserialize<'de>, B: Deserialize<'de>> Deserialize<'de> for (A, B) {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(PairVisitor(std::marker::PhantomData))
     }
 }
 
@@ -457,45 +1166,13 @@ impl<'de, A: for<'a> Deserialize<'a>, B: for<'a> Deserialize<'a>> Deserialize<'d
 // Impl-generating macros (the shim's replacement for #[derive(...)]).
 // ---------------------------------------------------------------------------
 
-/// The entries of an object [`Value`], in wire order — the field list
-/// [`take_optional`] and [`take_required`] consume.
-pub fn object_entries(value: Value) -> Result<Vec<(String, Value)>, de::ValueError> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        other => Err(type_err("object", &other)),
-    }
-}
-
-/// Removes the first entry named `name` from an object's field list and
-/// parses it as `T`: `Ok(None)` when absent, an error naming the field
-/// when present but not a `T`.
-pub fn take_optional<T: for<'de> Deserialize<'de>>(
-    entries: &mut Vec<(String, Value)>,
-    name: &str,
-) -> Result<Option<T>, de::ValueError> {
-    let Some(pos) = entries.iter().position(|(k, _)| k == name) else {
-        return Ok(None);
-    };
-    from_value(entries.remove(pos).1)
-        .map(Some)
-        .map_err(|e| de::Error::custom(format!("field `{name}`: {e}")))
-}
-
-/// [`take_optional`] for a field that must be present.
-pub fn take_required<T: for<'de> Deserialize<'de>>(
-    entries: &mut Vec<(String, Value)>,
-    name: &str,
-) -> Result<T, de::ValueError> {
-    take_optional(entries, name)?
-        .ok_or_else(|| de::Error::custom(format!("missing field `{name}`")))
-}
-
 /// Implements `Serialize`/`Deserialize` for a struct with named fields,
 /// mapping it to a JSON object keyed by field name (what
 /// `#[derive(Serialize, Deserialize)]` produces for such structs).
 /// Fields in a trailing `skip { .. }` list are never written and are
 /// rebuilt with `Default::default()` on read (serde's `#[serde(skip)]`).
-/// Unknown fields are ignored on read.
+/// Unknown fields are ignored on read, and of two entries with one key
+/// the first counts.
 #[macro_export]
 macro_rules! impl_serde_struct {
     ($ty:ident { $($field:ident),+ $(,)? } $(skip { $($skip:ident),+ $(,)? })?) => {
@@ -504,10 +1181,10 @@ macro_rules! impl_serde_struct {
                 &self,
                 serializer: S,
             ) -> Result<S::Ok, S::Error> {
-                let fields = vec![
-                    $( (stringify!($field).to_string(), $crate::to_value(&self.$field)), )+
-                ];
-                serializer.serialize_value($crate::Value::Object(fields))
+                use $crate::ser::SerializeMap as _;
+                let mut map = serializer.serialize_map(None)?;
+                $( map.serialize_entry(stringify!($field), &self.$field)?; )+
+                map.end()
             }
         }
 
@@ -515,14 +1192,24 @@ macro_rules! impl_serde_struct {
             fn deserialize<D: $crate::Deserializer<'de>>(
                 deserializer: D,
             ) -> Result<Self, D::Error> {
-                let parse = |value| -> Result<Self, $crate::de::ValueError> {
-                    let mut entries = $crate::object_entries(value)?;
-                    Ok($ty {
-                        $( $field: $crate::take_required(&mut entries, stringify!($field))?, )+
-                        $($( $skip: Default::default(), )+)?
-                    })
-                };
-                parse(deserializer.into_value()?).map_err(|e| {
+                struct Visitor;
+
+                impl<'de> $crate::de::Visitor<'de> for Visitor {
+                    type Value = $ty;
+
+                    fn expecting(&self) -> &str {
+                        "object"
+                    }
+
+                    fn visit_map<A: $crate::de::MapAccess<'de>>(
+                        self,
+                        mut map: A,
+                    ) -> Result<$ty, A::Error> {
+                        $crate::__fields!(@read map [$ty] [$( ($field [req]) )+] [$($($skip)+)?])
+                    }
+                }
+
+                deserializer.deserialize_any(Visitor).map_err(|e| {
                     <D::Error as $crate::de::Error>::custom(format!("{}: {e}", stringify!($ty)))
                 })
             }
@@ -537,20 +1224,22 @@ macro_rules! impl_serde_struct {
 /// then its fields in the order listed, each keyed by its name. A field
 /// is written in one of four modes:
 ///
-/// * `field` — required, through [`to_value`]/[`from_value`] (so
-///   integers are range-checked against the field's type);
+/// * `field` — required (integers are range-checked against the field's
+///   type);
 /// * `field?` — an `Option<T>` left out when `None`; absent parses as
 ///   `None`, and a present value must parse as `T` (`null` is an error);
 /// * `field = default` — always written; absent parses as `default`, and
 ///   a present value must parse;
-/// * `field with (push, take)` — a custom codec over the object's field
-///   list: `push(&mut entries, &value)` appends any number of fields and
-///   `take(&mut entries) -> Result<T, de::ValueError>` removes and parses
-///   them (flattened, lenient, or re-encoded fields).
+/// * `field with Codec` — a [`de::FieldCodec`] writes and reads the
+///   field's entries (flattened, lenient, or re-encoded fields).
 ///
 /// Unknown fields are ignored on read, so a peer may add optional
-/// fields without breaking older readers. Errors name the variant and
-/// the field.
+/// fields without breaking older readers; of two entries with one key
+/// the first counts. Errors name the variant and the field, and of
+/// several bad fields the first listed is reported. The tag may sit
+/// anywhere in its object: when it is not first, the object is read into
+/// a [`Value`] tree, the tag moved to the front, and the same code run
+/// over the tree.
 ///
 /// ```
 /// #[derive(Debug, PartialEq)]
@@ -584,14 +1273,15 @@ macro_rules! impl_serde_tagged_enum {
                 &self,
                 serializer: S,
             ) -> Result<S::Ok, S::Error> {
-                let mut entries = Vec::new();
+                use $crate::ser::SerializeMap as _;
+                let mut map = serializer.serialize_map(None)?;
                 match self {
                     $( $crate::__tagged_fields!(@bind $variant [] $($($fields)*)?) => {
-                        entries.push(($tag.to_string(), $crate::Value::Str($name.to_string())));
-                        $crate::__tagged_fields!(@push entries $($($fields)*)?);
+                        map.serialize_entry($tag, $name)?;
+                        $crate::__fields!(@write map $($($fields)*)?);
                     } )+
                 }
-                serializer.serialize_value($crate::Value::Object(entries))
+                map.end()
             }
         }
 
@@ -599,33 +1289,73 @@ macro_rules! impl_serde_tagged_enum {
             fn deserialize<D: $crate::Deserializer<'de>>(
                 deserializer: D,
             ) -> Result<Self, D::Error> {
-                use $crate::de::{Error, ValueError};
-                #[allow(clippy::redundant_closure_call)]
-                let parse = |value| -> Result<Self, ValueError> {
-                    let mut entries = $crate::object_entries(value)?;
-                    let tag: String = $crate::take_required(&mut entries, $tag)?;
-                    match tag.as_str() {
-                        $( $name => (|| -> Result<Self, ValueError> {
-                            $crate::__tagged_fields!(@take entries $($($fields)*)?);
-                            Ok($crate::__tagged_fields!(@bind $variant [] $($($fields)*)?))
-                        })()
-                        .map_err(|e| Error::custom(format!("{}: {e}", stringify!($variant)))), )+
-                        other => Err(Error::custom(format!("unknown {} `{other}`", $tag))),
+                struct Visitor;
+
+                impl<'de> $crate::de::Visitor<'de> for Visitor {
+                    type Value = $ty;
+
+                    fn expecting(&self) -> &str {
+                        "object"
                     }
-                };
-                parse(deserializer.into_value()?)
-                    .map_err(|e| D::Error::custom(format!("{}: {e}", stringify!($ty))))
+
+                    #[allow(clippy::redundant_closure_call)]
+                    fn visit_map<A: $crate::de::MapAccess<'de>>(
+                        self,
+                        mut map: A,
+                    ) -> Result<$ty, A::Error> {
+                        use $crate::de::Error as _;
+                        let first = map.next_key_with(|k| (k != $tag).then(|| k.to_owned()))?;
+                        let name = match first {
+                            None => {
+                                return Err(A::Error::custom(format!("missing field `{}`", $tag)))
+                            }
+                            Some(Some(key)) => {
+                                let entries = $crate::de::buffer_tagged(&mut map, key, $tag)?;
+                                return self
+                                    .visit_map($crate::de::ValueMapAccess::new(entries))
+                                    .map_err(A::Error::custom);
+                            }
+                            Some(None) => {
+                                match map.next_value_with($crate::de::TagVisitor(&[$($name),+])) {
+                                    Ok(Ok(name)) => name,
+                                    Ok(Err(other)) => {
+                                        return Err(A::Error::custom(format!(
+                                            "unknown {} `{other}`",
+                                            $tag
+                                        )))
+                                    }
+                                    Err(e) => {
+                                        return Err(A::Error::custom(format!(
+                                            "field `{}`: {e}",
+                                            $tag
+                                        )))
+                                    }
+                                }
+                            }
+                        };
+                        match name {
+                            $( $name => (|| -> Result<$ty, A::Error> {
+                                $crate::__fields!(@norm map [$ty::$variant] [] $($($fields)*)?)
+                            })()
+                            .map_err(|e| A::Error::custom(format!("{}: {e}", stringify!($variant)))), )+
+                            _ => unreachable!("the tag visitor returns only listed names"),
+                        }
+                    }
+                }
+
+                deserializer.deserialize_any(Visitor).map_err(|e| {
+                    <D::Error as $crate::de::Error>::custom(format!("{}: {e}", stringify!($ty)))
+                })
             }
         }
     };
 }
 
-/// The per-field half of [`impl_serde_tagged_enum!`]: munches one
-/// variant's field list, one field mode at a time.
+/// The variant patterns of [`impl_serde_tagged_enum!`]: munches one
+/// variant's field list into `Self::Variant { a, b, .. }`.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __tagged_fields {
-    // The variant's pattern (serialize) and constructor (deserialize).
     (@bind $variant:ident []) => { Self::$variant };
     (@bind $variant:ident [$($acc:ident)+]) => { Self::$variant { $($acc),+ } };
     (@bind $variant:ident [$($acc:ident)*] $f:ident ? $(, $($rest:tt)*)?) => {
@@ -634,52 +1364,114 @@ macro_rules! __tagged_fields {
     (@bind $variant:ident [$($acc:ident)*] $f:ident = $default:expr $(, $($rest:tt)*)?) => {
         $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
     };
-    (@bind $variant:ident [$($acc:ident)*] $f:ident with ($push:path, $take:path)
-        $(, $($rest:tt)*)?) => {
+    (@bind $variant:ident [$($acc:ident)*] $f:ident with $codec:ty $(, $($rest:tt)*)?) => {
         $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
     };
     (@bind $variant:ident [$($acc:ident)*] $f:ident $(, $($rest:tt)*)?) => {
         $crate::__tagged_fields!(@bind $variant [$($acc)* $f] $($($rest)*)?)
     };
+}
 
-    // Serialize: append each bound field to `$out`.
-    (@push $out:ident) => {};
-    (@push $out:ident $f:ident ? $(, $($rest:tt)*)?) => {
+/// The per-field code of the struct and tagged-enum macros: writes a
+/// field list entry by entry, and reads an object into one slot per
+/// field (a [`de::Slot`], or the field's [`de::FieldCodec`]).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __fields {
+    // Write: one entry per field, or none for an absent `field?`.
+    (@write $map:ident) => {};
+    (@write $map:ident $f:ident ? $(, $($rest:tt)*)?) => {
         if let Some(value) = $f {
-            $out.push((stringify!($f).to_string(), $crate::to_value(value)));
+            $map.serialize_entry(stringify!($f), value)?;
         }
-        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+        $crate::__fields!(@write $map $($($rest)*)?);
     };
-    (@push $out:ident $f:ident = $default:expr $(, $($rest:tt)*)?) => {
-        $crate::__tagged_fields!(@push $out $f $(, $($rest)*)?);
+    (@write $map:ident $f:ident = $default:expr $(, $($rest:tt)*)?) => {
+        $crate::__fields!(@write $map $f $(, $($rest)*)?);
     };
-    (@push $out:ident $f:ident with ($push:path, $take:path) $(, $($rest:tt)*)?) => {
-        $push(&mut $out, $f);
-        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+    (@write $map:ident $f:ident with $codec:ty $(, $($rest:tt)*)?) => {
+        <$codec as $crate::de::FieldCodec>::write($f, &mut $map)?;
+        $crate::__fields!(@write $map $($($rest)*)?);
     };
-    (@push $out:ident $f:ident $(, $($rest:tt)*)?) => {
-        $out.push((stringify!($f).to_string(), $crate::to_value($f)));
-        $crate::__tagged_fields!(@push $out $($($rest)*)?);
+    (@write $map:ident $f:ident $(, $($rest:tt)*)?) => {
+        $map.serialize_entry(stringify!($f), $f)?;
+        $crate::__fields!(@write $map $($($rest)*)?);
     };
 
-    // Deserialize: bind each field, taken out of `$in`.
-    (@take $in:ident) => {};
-    (@take $in:ident $f:ident ? $(, $($rest:tt)*)?) => {
-        let $f = $crate::take_optional(&mut $in, stringify!($f))?;
-        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    // Read, step 1: a tagged variant's field list as `(field [mode])`.
+    (@norm $map:ident [$($ctor:tt)+] [$($acc:tt)*]) => {
+        $crate::__fields!(@read $map [$($ctor)+] [$($acc)*] [])
     };
-    (@take $in:ident $f:ident = $default:expr $(, $($rest:tt)*)?) => {
-        let $f = $crate::take_optional(&mut $in, stringify!($f))?.unwrap_or($default);
-        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    (@norm $map:ident [$($ctor:tt)+] [$($acc:tt)*] $f:ident ? $(, $($rest:tt)*)?) => {
+        $crate::__fields!(@norm $map [$($ctor)+] [$($acc)* ($f [opt])] $($($rest)*)?)
     };
-    (@take $in:ident $f:ident with ($push:path, $take:path) $(, $($rest:tt)*)?) => {
-        let $f = $take(&mut $in)?;
-        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    (@norm $map:ident [$($ctor:tt)+] [$($acc:tt)*] $f:ident = $default:expr
+        $(, $($rest:tt)*)?) => {
+        $crate::__fields!(@norm $map [$($ctor)+] [$($acc)* ($f [def $default])] $($($rest)*)?)
     };
-    (@take $in:ident $f:ident $(, $($rest:tt)*)?) => {
-        let $f = $crate::take_required(&mut $in, stringify!($f))?;
-        $crate::__tagged_fields!(@take $in $($($rest)*)?);
+    (@norm $map:ident [$($ctor:tt)+] [$($acc:tt)*] $f:ident with $codec:ty
+        $(, $($rest:tt)*)?) => {
+        $crate::__fields!(@norm $map [$($ctor)+] [$($acc)* ($f [with $codec])] $($($rest)*)?)
     };
+    (@norm $map:ident [$($ctor:tt)+] [$($acc:tt)*] $f:ident $(, $($rest:tt)*)?) => {
+        $crate::__fields!(@norm $map [$($ctor)+] [$($acc)* ($f [req])] $($($rest)*)?)
+    };
+
+    // Read, step 2: every entry into its field's slot, then the value
+    // built field by field in declaration order (the first error wins).
+    (@read $map:ident [$($ctor:tt)+] [] [$($skip:ident)*]) => {{
+        while $map.next_key_with(|_| ())?.is_some() {
+            $map.skip_value()?;
+        }
+        Ok($($ctor)+ { $($skip: Default::default(),)* })
+    }};
+    (@read $map:ident [$($ctor:tt)+] [$(($f:ident $mode:tt))+] [$($skip:ident)*]) => {{
+        #[allow(non_camel_case_types)]
+        enum Key {
+            $($f(u8),)+
+        }
+        $( let mut $f = $crate::__fields!(@slot $mode); )+
+        while let Some(key) = $map.next_key_with(|k| {
+            $(
+                if let Some(i) = $crate::__fields!(@key $mode $f k) {
+                    return Some(Key::$f(i));
+                }
+            )+
+            None
+        })? {
+            match key {
+                $( Some(Key::$f(i)) => $crate::__fields!(@take $mode $f i $map), )+
+                None => $map.skip_value()?,
+            }
+        }
+        Ok($($ctor)+ {
+            $( $f: $crate::__fields!(@finish $mode $f), )+
+            $( $skip: Default::default(), )*
+        })
+    }};
+
+    (@slot [with $codec:ty]) => { <$codec as Default>::default() };
+    (@slot $mode:tt) => { $crate::de::Slot::Absent };
+
+    (@key [with $codec:ty] $f:ident $k:ident) => {
+        <$codec as $crate::de::FieldCodec>::key_index($k)
+    };
+    (@key $mode:tt $f:ident $k:ident) => { ($k == stringify!($f)).then_some(0u8) };
+
+    (@take [with $codec:ty] $f:ident $i:ident $map:ident) => {
+        $crate::de::FieldCodec::read(&mut $f, $i, &mut $map)?
+    };
+    (@take $mode:tt $f:ident $i:ident $map:ident) => {{
+        let _ = $i;
+        $f.read(&mut $map)?
+    }};
+
+    (@finish [req] $f:ident) => { $f.required(stringify!($f))? };
+    (@finish [opt] $f:ident) => { $f.optional(stringify!($f))? };
+    (@finish [def $default:expr] $f:ident) => {
+        $f.optional(stringify!($f))?.unwrap_or($default)
+    };
+    (@finish [with $codec:ty] $f:ident) => { $crate::de::FieldCodec::finish($f)? };
 }
 
 /// Implements `Serialize`/`Deserialize` for a field-less enum, mapping
@@ -696,7 +1488,7 @@ macro_rules! impl_serde_unit_enum {
                 let name = match self {
                     $( $ty::$variant => stringify!($variant), )+
                 };
-                serializer.serialize_value($crate::Value::Str(name.to_string()))
+                serializer.serialize_str(name)
             }
         }
 
@@ -704,25 +1496,53 @@ macro_rules! impl_serde_unit_enum {
             fn deserialize<D: $crate::Deserializer<'de>>(
                 deserializer: D,
             ) -> Result<Self, D::Error> {
-                let value = deserializer.into_value()?;
-                let name = match &value {
-                    $crate::Value::Str(s) => s.as_str(),
-                    other => {
-                        return Err(<D::Error as $crate::de::Error>::custom(format!(
+                struct Visitor;
+
+                impl<'de> $crate::de::Visitor<'de> for Visitor {
+                    type Value = $ty;
+
+                    fn expecting(&self) -> &str {
+                        stringify!($ty)
+                    }
+
+                    fn visit_str<E: $crate::de::Error>(self, name: &str) -> Result<$ty, E> {
+                        match name {
+                            $( stringify!($variant) => Ok($ty::$variant), )+
+                            other => Err(E::custom(format!(
+                                "unknown {} variant `{}`",
+                                stringify!($ty),
+                                other
+                            ))),
+                        }
+                    }
+
+                    fn visit_value<E: $crate::de::Error>(
+                        self,
+                        found: $crate::Value,
+                    ) -> Result<$ty, E> {
+                        Err(E::custom(format!(
                             "expected string variant of {}, found {:?}",
                             stringify!($ty),
-                            other
+                            found
                         )))
                     }
-                };
-                match name {
-                    $( stringify!($variant) => Ok($ty::$variant), )+
-                    other => Err(<D::Error as $crate::de::Error>::custom(format!(
-                        "unknown {} variant `{}`",
-                        stringify!($ty),
-                        other
-                    ))),
+
+                    fn visit_seq<A: $crate::de::SeqAccess<'de>>(
+                        self,
+                        seq: A,
+                    ) -> Result<$ty, A::Error> {
+                        self.visit_value($crate::de::seq_to_value(seq)?)
+                    }
+
+                    fn visit_map<A: $crate::de::MapAccess<'de>>(
+                        self,
+                        map: A,
+                    ) -> Result<$ty, A::Error> {
+                        self.visit_value($crate::de::map_to_value(map)?)
+                    }
                 }
+
+                deserializer.deserialize_any(Visitor)
             }
         }
     };
@@ -806,20 +1626,40 @@ mod tests {
     }
     impl_serde_tagged_enum!(Msg, tag = "type" {
         Ping = "ping",
-        Get = "get" { key, limit?, fresh = true, span with (push_span, take_span) },
+        Get = "get" { key, limit?, fresh = true, span with SpanCodec },
     });
 
     /// A custom codec: the pair travels flattened as two fields, and an
     /// absent or malformed pair reads as `(0, 0)`.
-    fn push_span(entries: &mut Vec<(String, Value)>, span: &(u64, u64)) {
-        entries.push(("lo".into(), Value::UInt(span.0)));
-        entries.push(("hi".into(), Value::UInt(span.1)));
-    }
+    #[derive(Default)]
+    struct SpanCodec([Option<Option<u64>>; 2]);
 
-    fn take_span(entries: &mut Vec<(String, Value)>) -> Result<(u64, u64), de::ValueError> {
-        let lo = take_optional(entries, "lo").unwrap_or(None);
-        let hi = take_optional(entries, "hi").unwrap_or(None);
-        Ok((lo.unwrap_or(0), hi.unwrap_or(0)))
+    impl de::FieldCodec for SpanCodec {
+        type Value = (u64, u64);
+
+        fn key_index(key: &str) -> Option<u8> {
+            ["lo", "hi"].iter().position(|k| *k == key).map(|i| i as u8)
+        }
+
+        fn write<M: SerializeMap>(span: &(u64, u64), map: &mut M) -> Result<(), M::Error> {
+            map.serialize_entry("lo", &span.0)?;
+            map.serialize_entry("hi", &span.1)
+        }
+
+        fn read<'de, A: MapAccess<'de>>(&mut self, key: u8, map: &mut A) -> Result<(), A::Error> {
+            match &mut self.0[usize::from(key)] {
+                Some(_) => map.skip_value(),
+                slot => {
+                    *slot = Some(map.next_value().ok());
+                    Ok(())
+                }
+            }
+        }
+
+        fn finish<E: de::Error>(self) -> Result<(u64, u64), E> {
+            let [lo, hi] = self.0.map(|v| v.flatten().unwrap_or(0));
+            Ok((lo, hi))
+        }
     }
 
     fn obj(fields: &[(&str, Value)]) -> Value {

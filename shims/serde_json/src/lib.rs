@@ -1,23 +1,33 @@
-//! Offline stand-in for the `serde_json` crate: renders the serde shim's
-//! [`serde::Value`] model to JSON text and parses it back.
+//! Offline stand-in for the `serde_json` crate: a JSON writer and a pull
+//! parser for the serde shim's event model.
 //!
 //! Supports exactly the surface the workspace uses: [`to_string`],
 //! [`to_string_pretty`], [`from_str`] and an [`Error`] type. Output
 //! matches real `serde_json` conventions (compact form has no whitespace,
-//! pretty form indents by two spaces).
+//! pretty form indents by two spaces). [`to_string`] writes text straight
+//! from a type's [`Serialize`] impl, and [`from_str`] hands tokens
+//! straight to its [`Deserialize`] impl, so neither builds a
+//! [`serde::Value`] unless the type asks for one.
 
 #![forbid(unsafe_code)]
 
-use serde::{de, Deserialize, Serialize, Value, ValueDeserializer};
+use serde::de::{self, MapAccess, SeqAccess, Visitor};
+use serde::ser::{SerializeMap, SerializeSeq};
+#[cfg(test)]
+use serde::Value;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
-/// Errors from rendering or parsing JSON.
+/// Errors from rendering or parsing JSON. The message is a boxed `str`,
+/// so that a `Result` of a small value stays small on the parser's hot
+/// path.
 #[derive(Debug, Clone)]
-pub struct Error(String);
+pub struct Error(Box<str>);
 
 impl Error {
     fn new(msg: impl Into<String>) -> Self {
-        Error(msg.into())
+        Error(msg.into().into_boxed_str())
     }
 }
 
@@ -31,21 +41,21 @@ impl std::error::Error for Error {}
 
 impl de::Error for Error {
     fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error(msg.to_string())
+        Error::new(msg.to_string())
     }
 }
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&serde::to_value(value), None, 0, &mut out);
+    value.serialize(&mut Writer::new(&mut out, None, 0))?;
     Ok(out)
 }
 
 /// Serializes a value to pretty-printed JSON (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&serde::to_value(value), Some(2), 0, &mut out);
+    value.serialize(&mut Writer::new(&mut out, Some(2), 0))?;
     Ok(out)
 }
 
@@ -53,14 +63,24 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// `serde_json`'s default recursion limit. The parser recurses once per
 /// level, so without a cap one line of `[`s overflows the stack, which
 /// aborts the process (`catch_unwind` cannot catch it); past the cap
-/// parsing fails like any other malformed input.
+/// parsing fails like any other malformed input. Values the parser only
+/// skips (unknown fields) or buffers (a tagged object whose tag is not
+/// first) go through the same parser and the same cap.
 const MAX_DEPTH: usize = 128;
 
 /// Deserializes a value from JSON text.
+///
+/// A syntax error anywhere in the text, the nesting cap and trailing
+/// characters included, is reported before any type error: a type error
+/// does not stop the parser, which reads on to the end of the text (a
+/// [`Deserializer`] consumes every value it hands out), and the first
+/// syntax error it meets stays the answer.
 pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
     let mut parser = Parser::new(text);
-    parser.skip_ws();
-    let value = parser.parse_value()?;
+    let value = T::deserialize(&mut parser);
+    if let Some(e) = parser.syntax.take() {
+        return Err(e);
+    }
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(Error::new(format!(
@@ -68,14 +88,14 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    T::deserialize(ValueDeserializer(value)).map_err(|e| Error(e.to_string()))
+    value
 }
 
 // ---------------------------------------------------------------------------
 // Rendering
 // ---------------------------------------------------------------------------
-
 /// Repeats a byte in every lane of a little-endian word.
+#[inline]
 const fn lanes(byte: u8) -> u64 {
     u64::from_le_bytes([byte; 8])
 }
@@ -85,6 +105,7 @@ const fn lanes(byte: u8) -> u64 {
 /// A matching lane always sets its top bit; a borrow out of it can also
 /// flag a lane above it. The answer for the word is therefore exact, but
 /// the flags do not say which byte matched: the byte path finds that.
+#[inline]
 fn word_needs_care(word: &[u8]) -> bool {
     let word = u64::from_le_bytes(word.try_into().expect("an eight-byte word"));
     let zero_lane = |w: u64| w.wrapping_sub(lanes(1)) & !w;
@@ -98,6 +119,7 @@ fn word_needs_care(word: &[u8]) -> bool {
 /// [`word_needs_care`] clears are skipped whole; the bytes of any other
 /// word, and of the short tail, are tested one at a time. `is_special`
 /// must accept only bytes that `word_needs_care` looks for.
+#[inline]
 fn next_special(bytes: &[u8], mut from: usize, is_special: impl Fn(u8) -> bool) -> usize {
     while from < bytes.len() {
         let end = match bytes.get(from..from + 8) {
@@ -141,165 +163,332 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
-    let (nl, pad, pad_in, colon) = match indent {
-        Some(w) => (
-            "\n",
-            " ".repeat(w * depth),
-            " ".repeat(w * (depth + 1)),
-            ": ",
-        ),
-        None => ("", String::new(), String::new(), ":"),
-    };
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::UInt(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::Int(v) => {
-            let _ = write!(out, "{v}");
-        }
-        Value::Float(v) => {
-            if v.fract() == 0.0 && v.is_finite() {
-                out.push_str(&format!("{v:.1}"));
-            } else {
-                out.push_str(&v.to_string());
-            }
-        }
-        Value::Str(s) => write_escaped(s, out),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_value(item, indent, depth + 1, out);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_escaped(key, out);
-                out.push_str(colon);
-                write_value(item, indent, depth + 1, out);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push('}');
+/// Appends the decimal digits of `v`.
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("digits are ASCII"));
+}
+
+/// The JSON [`Serializer`]: appends each event's text to `out`.
+struct Writer<'a> {
+    out: &'a mut String,
+    /// Spaces per level in pretty form; `None` for compact.
+    indent: Option<usize>,
+    /// Arrays and objects open around the next value.
+    depth: usize,
+}
+
+impl<'a> Writer<'a> {
+    fn new(out: &'a mut String, indent: Option<usize>, depth: usize) -> Self {
+        Writer { out, indent, depth }
+    }
+
+    /// Starts a line at the current depth, in pretty form.
+    fn newline(&mut self) {
+        if let Some(w) = self.indent {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n(' ', w * self.depth));
+        }
+    }
+
+    fn open(&mut self, bracket: char) -> Compound<'_, 'a> {
+        self.out.push(bracket);
+        self.depth += 1;
+        Compound {
+            writer: self,
+            empty: true,
+        }
+    }
+}
+
+/// An array or object being written.
+struct Compound<'w, 'a> {
+    writer: &'w mut Writer<'a>,
+    empty: bool,
+}
+
+impl Compound<'_, '_> {
+    /// Separates the next element from the previous one.
+    fn next(&mut self) {
+        if !self.empty {
+            self.writer.out.push(',');
+        }
+        self.empty = false;
+        self.writer.newline();
+    }
+
+    fn close(self, bracket: char) -> Result<(), Error> {
+        self.writer.depth -= 1;
+        if !self.empty {
+            self.writer.newline();
+        }
+        self.writer.out.push(bracket);
+        Ok(())
+    }
+}
+
+impl<'w, 'a> Serializer for &'w mut Writer<'a> {
+    type Ok = ();
+    type Error = Error;
+    type SerializeSeq = Compound<'w, 'a>;
+    type SerializeMap = Compound<'w, 'a>;
+
+    fn serialize_null(self) -> Result<(), Error> {
+        self.out.push_str("null");
+        Ok(())
+    }
+
+    fn serialize_bool(self, v: bool) -> Result<(), Error> {
+        self.out.push_str(if v { "true" } else { "false" });
+        Ok(())
+    }
+
+    fn serialize_u64(self, v: u64) -> Result<(), Error> {
+        write_u64(v, self.out);
+        Ok(())
+    }
+
+    fn serialize_i64(self, v: i64) -> Result<(), Error> {
+        if v < 0 {
+            self.out.push('-');
+        }
+        write_u64(v.unsigned_abs(), self.out);
+        Ok(())
+    }
+
+    fn serialize_f64(self, v: f64) -> Result<(), Error> {
+        if v.fract() == 0.0 && v.is_finite() {
+            let _ = write!(self.out, "{v:.1}");
+        } else {
+            let _ = write!(self.out, "{v}");
+        }
+        Ok(())
+    }
+
+    fn serialize_str(self, v: &str) -> Result<(), Error> {
+        write_escaped(v, self.out);
+        Ok(())
+    }
+
+    fn serialize_seq(self, _: Option<usize>) -> Result<Compound<'w, 'a>, Error> {
+        Ok(self.open('['))
+    }
+
+    fn serialize_map(self, _: Option<usize>) -> Result<Compound<'w, 'a>, Error> {
+        Ok(self.open('{'))
+    }
+}
+
+impl SerializeSeq for Compound<'_, '_> {
+    type Ok = ();
+    type Error = Error;
+
+    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Error> {
+        self.next();
+        value.serialize(&mut *self.writer)
+    }
+
+    fn end(self) -> Result<(), Error> {
+        self.close(']')
+    }
+}
+
+impl SerializeMap for Compound<'_, '_> {
+    type Ok = ();
+    type Error = Error;
+
+    fn serialize_entry<T: Serialize + ?Sized>(
+        &mut self,
+        key: &str,
+        value: &T,
+    ) -> Result<(), Error> {
+        self.next();
+        write_escaped(key, self.writer.out);
+        self.writer.out.push_str(if self.writer.indent.is_some() {
+            ": "
+        } else {
+            ":"
+        });
+        value.serialize(&mut *self.writer)
+    }
+
+    fn end(self) -> Result<(), Error> {
+        self.close('}')
+    }
+}
+
+/// Renders a [`Value`] tree, `depth` levels in.
+#[cfg(test)]
+fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut String) {
+    value
+        .serialize(&mut Writer::new(out, indent, depth))
+        .expect("rendering never fails");
 }
 
 // ---------------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------------
 
-struct Parser<'a> {
-    /// The input; kept as `&str` so runs of string content can be copied
-    /// without re-validating UTF-8.
-    text: &'a str,
-    bytes: &'a [u8],
+#[cold]
+fn sticky(e: &Error) -> Error {
+    e.clone()
+}
+
+/// A number as the text spells it.
+enum Number {
+    UInt(u64),
+    Int(i64),
+    Float(f64),
+}
+
+/// The JSON [`Deserializer`]: a pull parser over one text.
+struct Parser<'de> {
+    /// The input; kept as `&str` so runs of string content can be lent or
+    /// copied without re-validating UTF-8.
+    text: &'de str,
+    bytes: &'de [u8],
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
+    /// The first syntax error met. Once set, every further read fails
+    /// with it, so no caller can read past it, and [`from_str`] reports
+    /// it in place of any type error.
+    syntax: Option<Error>,
 }
 
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
+impl<'de> Parser<'de> {
+    fn new(text: &'de str) -> Self {
         Parser {
             text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            syntax: None,
         }
     }
 
+    /// Records a syntax error and returns it.
+    #[cold]
+    fn fail(&mut self, msg: impl Into<String>) -> Error {
+        self.syntax.get_or_insert_with(|| Error::new(msg)).clone()
+    }
+
+    /// Fails with the recorded syntax error, if any.
+    #[inline]
+    fn check(&self) -> Result<(), Error> {
+        match &self.syntax {
+            Some(e) => Err(sticky(e)),
+            None => Ok(()),
+        }
+    }
+
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error::new(format!(
+            Err(self.fail(format!(
                 "expected `{}` at offset {}",
                 byte as char, self.pos
             )))
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(Error::new(format!(
-                "unexpected character `{}` at offset {}",
-                c as char, self.pos
-            ))),
-            None => Err(Error::new("unexpected end of input")),
-        }
-    }
-
-    /// Parses one array or object, one level deeper than its parent.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+    /// Opens an array or object, one level deeper than its parent.
+    #[inline]
+    fn enter(&mut self) -> Result<(), Error> {
         if self.depth == MAX_DEPTH {
-            return Err(Error::new(format!(
+            return Err(self.fail(format!(
                 "nesting deeper than {MAX_DEPTH} levels at offset {}",
                 self.pos
             )));
         }
         self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
+        self.pos += 1;
+        Ok(())
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
+    #[inline]
+    fn keyword(&mut self, word: &str) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
-            Err(Error::new(format!(
-                "invalid literal at offset {}",
-                self.pos
-            )))
+            Err(self.fail(format!("invalid literal at offset {}", self.pos)))
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    /// The error for a byte that starts no value.
+    #[cold]
+    fn unexpected(&mut self) -> Error {
+        match self.peek() {
+            Some(c) => self.fail(format!(
+                "unexpected character `{}` at offset {}",
+                c as char, self.pos
+            )),
+            None => self.fail("unexpected end of input"),
+        }
+    }
+
+    /// Skips one value, checking it as strictly as reading it would.
+    fn skip_value(&mut self) -> Result<(), Error> {
+        de::IgnoredAny::deserialize(self).map(drop)
+    }
+
+    /// Reads one value as a tree.
+    #[cfg(test)]
+    fn parse_value(&mut self) -> Result<Value, Error> {
+        Value::deserialize(self)
+    }
+
+    /// A number. Up to nineteen digits with no sign, fraction or
+    /// exponent are built in place: they stay below 10^19 < u64::MAX, so
+    /// they cannot overflow. Anything else goes to `str::parse`.
+    #[inline]
+    fn number(&mut self) -> Result<Number, Error> {
+        let mut end = self.pos;
+        let mut value = 0u64;
+        while let Some(&d) = self.bytes.get(end) {
+            if !d.is_ascii_digit() || end - self.pos == 19 {
+                break;
+            }
+            value = value * 10 + u64::from(d - b'0');
+            end += 1;
+        }
+        let next = self.bytes.get(end);
+        if end > self.pos && !matches!(next, Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            self.pos = end;
+            return Ok(Number::UInt(value));
+        }
+        self.number_slow()
+    }
+
+    /// Any number past [`Parser::number`]'s fast path, the way
+    /// `str::parse` reads it.
+    #[inline(never)]
+    fn number_slow(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -326,45 +515,54 @@ impl<'a> Parser<'a> {
             }
         }
         let digits = &self.bytes[start..self.pos];
-        // Nineteen digits stay below 10^19 < u64::MAX, so they cannot
-        // overflow; a sign, a fraction or a longer number goes to `parse`.
-        if !is_float && digits[0] != b'-' && digits.len() <= 19 {
-            let value = digits
-                .iter()
-                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
-            return Ok(Value::UInt(value));
-        }
         let text = std::str::from_utf8(digits).expect("number bytes are ASCII");
-        if is_float {
+        let number = if is_float {
             text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
+                .map(Number::Float)
+                .map_err(|e| e.to_string())
         } else if text.starts_with('-') {
             // Parsed with its sign, so i64::MIN, whose magnitude is no
             // i64, is accepted.
             text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
+                .map(Number::Int)
+                .map_err(|e| e.to_string())
         } else {
             text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error::new(format!("invalid number `{text}`: {e}")))
-        }
+                .map(Number::UInt)
+                .map_err(|e| e.to_string())
+        };
+        number.map_err(|e| self.fail(format!("invalid number `{text}`: {e}")))
     }
 
-    fn parse_string(&mut self) -> Result<String, Error> {
+    /// A string: lent from the input when it has no escapes, built
+    /// otherwise.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'de, str>, Error> {
         self.expect(b'"')?;
+        // The run up to the next quote or escape needs no copy. Both
+        // delimiters are ASCII, so the run ends on a character boundary
+        // of the (already valid) input. Raw control bytes are accepted as
+        // content.
+        let run = next_special(self.bytes, self.pos, |b| b == b'"' || b == b'\\');
+        if self.bytes.get(run) != Some(&b'"') {
+            return self.string_escaped().map(Cow::Owned);
+        }
+        let text = self.text;
+        let content = &text[self.pos..run];
+        self.pos = run + 1;
+        Ok(Cow::Borrowed(content))
+    }
+
+    /// The rest of a string that holds an escape (or never ends).
+    #[inline(never)]
+    fn string_escaped(&mut self) -> Result<String, Error> {
         let mut out = String::new();
         loop {
-            // Copy the whole run up to the next quote or escape in one
-            // step. Both delimiters are ASCII, so the run ends on a
-            // character boundary of the (already valid) input. Raw control
-            // bytes are accepted as content.
             let run = next_special(self.bytes, self.pos, |b| b == b'"' || b == b'\\');
             out.push_str(&self.text[self.pos..run]);
             self.pos = run;
             match self.peek() {
-                None => return Err(Error::new("unterminated string")),
+                None => return Err(self.fail("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -382,23 +580,10 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u code point"))?,
-                            );
+                            out.push(self.unicode_escape()?);
                             self.pos += 4;
                         }
-                        _ => return Err(Error::new("invalid escape")),
+                        _ => return Err(self.fail("invalid escape")),
                     }
                     self.pos += 1;
                 }
@@ -406,67 +591,236 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The character of the `\u` escape whose `u` is at `pos`.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let Some(hex) = self.bytes.get(self.pos + 1..self.pos + 5) else {
+            return Err(self.fail("truncated \\u escape"));
+        };
+        let code = std::str::from_utf8(hex)
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        let Some(code) = code else {
+            return Err(self.fail("invalid \\u escape"));
+        };
+        char::from_u32(code).ok_or_else(|| self.fail("invalid \\u code point"))
+    }
+}
+
+impl<'de> Deserializer<'de> for &mut Parser<'de> {
+    type Error = Error;
+
+    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        self.check()?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `]` at offset {}",
-                        self.pos
-                    )))
-                }
+        match self.peek() {
+            Some(b'{') => {
+                self.enter()?;
+                let mut object = Object::new(self);
+                let value = visitor.visit_map(&mut object);
+                object.finish()?;
+                self.depth -= 1;
+                value
             }
+            Some(b'[') => {
+                self.enter()?;
+                let mut array = Array::new(self);
+                let value = visitor.visit_seq(&mut array);
+                array.finish()?;
+                self.depth -= 1;
+                value
+            }
+            Some(b'"') => match self.string()? {
+                Cow::Borrowed(s) => visitor.visit_str(s),
+                Cow::Owned(s) => visitor.visit_string(s),
+            },
+            Some(b't') => {
+                self.keyword("true")?;
+                visitor.visit_bool(true)
+            }
+            Some(b'f') => {
+                self.keyword("false")?;
+                visitor.visit_bool(false)
+            }
+            Some(b'n') => {
+                self.keyword("null")?;
+                visitor.visit_null()
+            }
+            Some(c) if c == b'-' || c.is_ascii_digit() => match self.number()? {
+                Number::UInt(v) => visitor.visit_u64(v),
+                Number::Int(v) => visitor.visit_i64(v),
+                Number::Float(v) => visitor.visit_f64(v),
+            },
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
+    /// A plain number is read without the dispatch on every value type.
+    #[inline]
+    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        if self.syntax.is_none() {
             self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "expected `,` or `}}` at offset {}",
-                        self.pos
-                    )))
-                }
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return match self.number()? {
+                    Number::UInt(v) => visitor.visit_u64(v),
+                    Number::Int(v) => visitor.visit_i64(v),
+                    Number::Float(v) => visitor.visit_f64(v),
+                };
             }
         }
+        self.deserialize_any(visitor)
+    }
+
+    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        self.check()?;
+        self.skip_ws();
+        if self.peek() == Some(b'n') {
+            self.keyword("null")?;
+            visitor.visit_null()
+        } else {
+            visitor.visit_some(self)
+        }
+    }
+}
+
+/// The elements of an array being read.
+struct Array<'p, 'de> {
+    parser: &'p mut Parser<'de>,
+    first: bool,
+    done: bool,
+}
+
+impl<'p, 'de> Array<'p, 'de> {
+    fn new(parser: &'p mut Parser<'de>) -> Self {
+        Array {
+            parser,
+            first: true,
+            done: false,
+        }
+    }
+
+    /// Steps to the next element: `true` when one follows, `false` once
+    /// past the closing bracket.
+    #[inline]
+    fn advance(&mut self) -> Result<bool, Error> {
+        if self.done {
+            return Ok(false);
+        }
+        let p = &mut *self.parser;
+        p.check()?;
+        p.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match p.peek() {
+            Some(b']') => {
+                p.pos += 1;
+                self.done = true;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                p.pos += 1;
+                Ok(true)
+            }
+            _ => Err(p.fail(format!("expected `,` or `]` at offset {}", p.pos))),
+        }
+    }
+
+    /// Skips whatever the visitor left unread, through the bracket.
+    fn finish(&mut self) -> Result<(), Error> {
+        while self.advance()? {
+            self.parser.skip_value()?;
+        }
+        Ok(())
+    }
+}
+
+impl<'de> SeqAccess<'de> for &mut Array<'_, 'de> {
+    type Error = Error;
+
+    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, Error> {
+        if !self.advance()? {
+            return Ok(None);
+        }
+        T::deserialize(&mut *self.parser).map(Some)
+    }
+}
+
+/// The entries of an object being read.
+struct Object<'p, 'de> {
+    parser: &'p mut Parser<'de>,
+    first: bool,
+    /// A key has been read and its value has not.
+    value_due: bool,
+    done: bool,
+}
+
+impl<'p, 'de> Object<'p, 'de> {
+    fn new(parser: &'p mut Parser<'de>) -> Self {
+        Object {
+            parser,
+            first: true,
+            value_due: false,
+            done: false,
+        }
+    }
+
+    /// Reads the next key, skipping the last one's value if it went
+    /// unread; `None` once past the closing brace. Shared by every
+    /// caller rather than inlined into each, which keeps the code of the
+    /// many generated `visit_map`s small.
+    #[inline(never)]
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Error> {
+        if std::mem::replace(&mut self.value_due, false) {
+            self.parser.skip_value()?;
+        }
+        if self.done {
+            return Ok(None);
+        }
+        let p = &mut *self.parser;
+        p.check()?;
+        p.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match p.peek() {
+            Some(b'}') => {
+                p.pos += 1;
+                self.done = true;
+                return Ok(None);
+            }
+            _ if first => {}
+            Some(b',') => {
+                p.pos += 1;
+                p.skip_ws();
+            }
+            _ => return Err(p.fail(format!("expected `,` or `}}` at offset {}", p.pos))),
+        }
+        let key = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        self.value_due = true;
+        Ok(Some(key))
+    }
+
+    /// Skips whatever the visitor left unread, through the brace.
+    fn finish(&mut self) -> Result<(), Error> {
+        while self.next_key()?.is_some() {}
+        Ok(())
+    }
+}
+
+impl<'de> MapAccess<'de> for &mut Object<'_, 'de> {
+    type Error = Error;
+
+    fn next_key_with<R>(&mut self, classify: impl FnOnce(&str) -> R) -> Result<Option<R>, Error> {
+        Ok(self.next_key()?.map(|key| classify(&key)))
+    }
+
+    fn next_value<T: Deserialize<'de>>(&mut self) -> Result<T, Error> {
+        self.value_due = false;
+        T::deserialize(&mut *self.parser)
+    }
+
+    fn next_value_with<V: Visitor<'de>>(&mut self, visitor: V) -> Result<V::Value, Error> {
+        self.value_due = false;
+        (&mut *self.parser).deserialize_any(visitor)
     }
 }
 

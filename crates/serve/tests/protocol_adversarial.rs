@@ -327,3 +327,77 @@ fn a_deeply_nested_line_draws_an_error_not_an_abort() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Sends one request line on a fresh connection and returns the daemon's
+/// reply, which must be an in-band error followed by a close.
+fn error_reply(socket: &std::path::Path, payload: &str) -> String {
+    assert!((payload.len() as u64) < MAX_REQUEST_LINE_BYTES);
+    let mut conn = UnixStream::connect(socket).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("hello");
+    conn.write_all(payload.as_bytes()).expect("write the line");
+    line.clear();
+    reader.read_line(&mut line).expect("an in-band reply");
+    assert!(line.contains("\"error\""), "got: {line}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("eof"), 0, "then a close");
+    line
+}
+
+/// The decoder reads requests straight into their types, so it skips
+/// unknown fields and buffers objects whose tag is not first without
+/// building them as requests. The nesting cap must bound both, and a
+/// syntax error must still win over a type error earlier in the line.
+#[test]
+fn skipped_and_buffered_values_keep_the_nesting_cap_and_syntax_errors_first() {
+    let dir = scratch("pull");
+    let socket = dir.join("bside.sock");
+    let server = PolicyServer::spawn(
+        &Endpoint::Unix(socket.clone()),
+        ServeOptions {
+            threads: 2,
+            read_timeout: Duration::from_secs(5),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("spawn");
+
+    // A valid policy request whose unknown field opens 200k arrays.
+    let skipped = format!(
+        "{{\"type\":\"policy\",\"path\":\"/c/a.elf\",\"junk\":{}}}\n",
+        "[".repeat(200_000)
+    );
+    let reply = error_reply(&socket, &skipped);
+    assert!(reply.contains("nesting"), "got: {reply}");
+
+    // A request whose tag comes last, with a field nested past the cap.
+    let buffered = format!(
+        "{{\"path\":\"/c/a.elf\",\"junk\":{}{},\"type\":\"policy\"}}\n",
+        "[".repeat(200),
+        "]".repeat(200)
+    );
+    let reply = error_reply(&socket, &buffered);
+    assert!(reply.contains("nesting"), "got: {reply}");
+    // The same request within the cap is a request like any other.
+    let within = "{\"path\":12,\"junk\":[[1]],\"type\":\"policy\"}\n";
+    let reply = error_reply(&socket, within);
+    assert!(reply.contains("field `path`"), "got: {reply}");
+
+    // A type error (a numeric path), then a syntax error later in the
+    // line: the syntax error is the one reported.
+    let both = "{\"type\":\"policy\",\"path\":12345,\"junk\":[1,2,}\n";
+    let reply = error_reply(&socket, both);
+    assert!(
+        reply.contains("unexpected character") && !reply.contains("path"),
+        "got: {reply}"
+    );
+
+    let mut client = PolicyClient::connect(server.endpoint()).expect("next connection");
+    client.ping().expect("still serving");
+    assert_eq!(client.stats().expect("stats").panics, 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -690,9 +690,12 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
                 // outage starts the schedule from the base again.
                 backoff.reset();
                 let delay = backoff.next();
-                eprintln!(
-                    "bside-agent: link lost ({e}); reconnecting in {}ms",
-                    delay.as_millis()
+                obs::event(
+                    "agent_link_lost",
+                    format_args!(
+                        "bside-agent: link lost ({e}); reconnecting in {}ms",
+                        delay.as_millis()
+                    ),
                 );
                 std::thread::sleep(delay);
             }
@@ -701,7 +704,10 @@ pub fn run_agent_loop(endpoint: &Endpoint, options: &AgentOptions) -> std::io::R
                 if verdicts >= VERDICT_THRESHOLD {
                     return Err(e);
                 }
-                eprintln!("bside-agent: refused ({e}); retrying in case it was line noise");
+                obs::event(
+                    "agent_refused",
+                    format_args!("bside-agent: refused ({e}); retrying in case it was line noise"),
+                );
                 std::thread::sleep(backoff.next());
             }
             Err(_) => std::thread::sleep(backoff.next()),
@@ -757,14 +763,17 @@ pub fn agent_main(args: &[String], default_slots: usize) -> Result<(), String> {
     }
     let endpoint = connect_endpoint(&connect.ok_or(usage)?);
     options.secret = crate::auth::resolve_secret(secret);
-    eprintln!(
-        "bside-agent: dialing {endpoint} with {} slot(s){}",
-        options.slots,
-        if options.secret.is_some() {
-            " (authenticated)"
-        } else {
-            ""
-        }
+    obs::event(
+        "agent_dialing",
+        format_args!(
+            "bside-agent: dialing {endpoint} with {} slot(s){}",
+            options.slots,
+            if options.secret.is_some() {
+                " (authenticated)"
+            } else {
+                ""
+            }
+        ),
     );
     let outcome = if reconnect {
         run_agent_loop(&endpoint, &options)
@@ -776,10 +785,13 @@ pub fn agent_main(args: &[String], default_slots: usize) -> Result<(), String> {
     // renders — one source of truth for what this process did (a process
     // runs exactly one agent loop, so the counters and the report agree).
     let metrics = agent_metrics();
-    eprintln!(
-        "bside-agent: coordinator said goodbye after {} unit(s) over {} session(s); exiting",
-        metrics.units.get(),
-        metrics.sessions.get()
+    obs::event(
+        "agent_goodbye",
+        format_args!(
+            "bside-agent: coordinator said goodbye after {} unit(s) over {} session(s); exiting",
+            metrics.units.get(),
+            metrics.sessions.get()
+        ),
     );
     if metrics_dump {
         print!("{}", obs::global().render_prometheus());

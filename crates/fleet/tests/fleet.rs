@@ -18,7 +18,7 @@ use bside_dist::{Conn, Endpoint};
 use bside_fleet::protocol::{
     read_message_capped, write_message, FromAgent, ToAgent, MAX_FLEET_LINE_BYTES, PROTOCOL_VERSION,
 };
-use bside_fleet::{analyze_corpus_fleet, FleetCoordinator, FleetOptions};
+use bside_fleet::{analyze_corpus_fleet, AgentOptions, FleetCoordinator, FleetOptions};
 use common::{in_process_report, materialize, temp_dir, thread_agent};
 use std::io::BufReader;
 use std::time::Duration;
@@ -303,4 +303,38 @@ fn degraded_units_render_exactly_like_the_in_process_engine() {
     handle.shutdown();
     agent.join().expect("agent thread").expect("clean goodbye");
     let _ = std::fs::remove_dir_all(&corpus_dir);
+}
+
+/// A refused hello is an operational event: the reconnect loop counts
+/// each refusal it retries through the `bside-obs` event log (and prints
+/// it only where a binary installed a sink).
+#[test]
+fn an_agent_refused_at_hello_bumps_its_event_counter() {
+    let handle = FleetCoordinator::bind(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        FleetOptions {
+            secret: Some("the-secret".to_string()),
+            ..FleetOptions::default()
+        },
+    )
+    .expect("bind");
+    let before = bside_obs::event_count("agent_refused");
+    let err = bside_fleet::run_agent_loop(
+        handle.endpoint(),
+        &AgentOptions {
+            secret: Some("not-the-secret".to_string()),
+            backoff_base: Duration::from_millis(5),
+            backoff_cap: Duration::from_millis(20),
+            backoff_seed: Some(1),
+            ..AgentOptions::default()
+        },
+    )
+    .expect_err("a wrong-secret agent is refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::PermissionDenied);
+    // The loop retries twice before the third refusal ends it.
+    assert!(
+        bside_obs::event_count("agent_refused") >= before + 2,
+        "each retried refusal is counted"
+    );
+    handle.shutdown();
 }

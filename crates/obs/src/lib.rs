@@ -2,7 +2,7 @@
 //!
 //! Every layer of the pipeline — the serve daemon, the fleet
 //! coordinator and its agents, the core analysis phases — reports through this one crate instead of growing its own
-//! counter struct. Three pieces:
+//! counter struct. Four pieces:
 //!
 //! 1. **Metrics** ([`Registry`]): monotonic [`Counter`]s, [`Gauge`]s,
 //!    and fixed-bucket log-linear latency [`Histogram`]s. Registration
@@ -25,6 +25,10 @@
 //!    stitch into one tree. Remote spans re-enter the local rings via
 //!    [`record_remote`].
 //!
+//! 4. **Events** ([`event`]): the operational log of library code. Each
+//!    event bumps a counter per kind; only a binary installs a sink
+//!    ([`set_event_sink`]) that prints the lines.
+//!
 //! The build environment is offline, so the crate is dependency-free
 //! by construction — the JSON and Prometheus renderings are hand
 //! rolled, same discipline as the serde/rand shims.
@@ -41,9 +45,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod event;
 mod metrics;
 mod trace;
 
+pub use event::{event, event_count, set_event_sink, stderr_sink, EventSink, EVENTS_TOTAL};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS};
 pub use trace::{
     chrome_trace_json, collect, current_context, drain_trace, new_run_id, record_remote,

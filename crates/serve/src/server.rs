@@ -728,9 +728,12 @@ impl Shared {
                                 }
                                 Err(message) => {
                                     self.breaker.record_failure(std::time::Instant::now());
-                                    eprintln!(
-                                        "bside-serve: fleet offload failed ({message}); \
-                                         deriving {name} locally"
+                                    obs::event(
+                                        "serve_offload_failed",
+                                        format_args!(
+                                            "bside-serve: fleet offload failed ({message}); \
+                                             deriving {name} locally"
+                                        ),
                                     );
                                     derive_degraded()
                                 }
@@ -757,7 +760,10 @@ impl Shared {
                                     // not service: the freshly derived bundle
                                     // still answers this request and its
                                     // followers.
-                                    eprintln!("bside-serve: storing policy {key}: {e}");
+                                    obs::event(
+                                        "serve_store_write_failed",
+                                        format_args!("bside-serve: storing policy {key}: {e}"),
+                                    );
                                     self.store.generation()
                                 }
                             };
@@ -1579,10 +1585,13 @@ impl PolicyServer {
         if let Some(fp) = lib_fingerprint.as_deref() {
             let swept = store.sweep_stale_lib_entries(fp);
             if swept > 0 {
-                eprintln!(
-                    "bside-serve: swept {swept} store entr{} derived against a previous \
-                     library set",
-                    if swept == 1 { "y" } else { "ies" }
+                obs::event(
+                    "serve_stale_swept",
+                    format_args!(
+                        "bside-serve: swept {swept} store entr{} derived against a previous \
+                         library set",
+                        if swept == 1 { "y" } else { "ies" }
+                    ),
                 );
             }
         }

@@ -532,7 +532,10 @@ impl PolicyStore {
                         // read-only), so a later load would re-promote it:
                         // report the invalidation as NOT performed rather
                         // than acking a removal that did not stick.
-                        eprintln!("bside-serve: invalidating {key} on disk: {e}");
+                        bside_obs::event(
+                            "serve_invalidate_failed",
+                            format_args!("bside-serve: invalidating {key} on disk: {e}"),
+                        );
                         false
                     }
                 },

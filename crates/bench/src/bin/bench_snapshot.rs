@@ -785,7 +785,7 @@ fn run_micro() -> Res<Vec<MicroCase>> {
 /// The wire codec on its own: a sealed fleet unit frame and result frame
 /// of `unit` (`seal`, `write_message`, `read_message_capped`, `unseal`,
 /// as one link does), the MAC of the unit frame's body on its own, and
-/// the client's decode of `policy`'s store-hit reply.
+/// the client's decode of the store-hit replies of `policy` and `unit`.
 fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
     use bside::dist::protocol::{read_message, read_message_capped, write_message};
     use bside::fleet::auth::frame_mac;
@@ -847,22 +847,33 @@ fn codec_cases(unit: &MicroInput, policy: &MicroInput) -> Res<Vec<MicroCase>> {
     let result_name = format!("codec/result_frame/{}", unit.name);
     let result_case = codec_case(result_name, result_bytes, result_trip)?;
 
-    let bundle = bside::serve::derive_bundle(&policy.name, &policy.image, &options, None);
-    let reply = Reply::Policy {
-        key: "0".repeat(64),
-        source: Source::Store,
-        generation: 1,
-        bundle: Box::new(bundle?),
+    // A store-hit reply as the client decodes it: `policy`'s, and the
+    // ~1.8 KB one of a median static binary, the shape `serve_mixed`
+    // decodes.
+    let reply_case = |input: &MicroInput| -> Res<MicroCase> {
+        let bundle = bside::serve::derive_bundle(&input.name, &input.image, &options, None);
+        let reply = Reply::Policy {
+            key: "0".repeat(64),
+            source: Source::Store,
+            generation: 1,
+            bundle: Box::new(bundle?),
+        };
+        let mut line = Vec::new();
+        write_message(&mut line, &reply).map_err(ctx("policy reply"))?;
+        let decode = || match read_message::<Reply>(&mut &line[..]) {
+            Ok(Some(Reply::Policy { bundle, .. })) => Ok(bundle),
+            other => Err(format!("policy reply read back as {other:?}")),
+        };
+        let reply_name = format!("codec/policy_reply_decode/{}", input.name);
+        codec_case(reply_name, line.len(), decode)
     };
-    let mut line = Vec::new();
-    write_message(&mut line, &reply).map_err(ctx("policy reply"))?;
-    let decode = || match read_message::<Reply>(&mut &line[..]) {
-        Ok(Some(Reply::Policy { bundle, .. })) => Ok(bundle),
-        other => Err(format!("policy reply read back as {other:?}")),
-    };
-    let reply_name = format!("codec/policy_reply_decode/{}", policy.name);
-    let reply_case = codec_case(reply_name, line.len(), decode)?;
-    Ok(vec![unit_case, mac_case, result_case, reply_case])
+    Ok(vec![
+        unit_case,
+        mac_case,
+        result_case,
+        reply_case(policy)?,
+        reply_case(unit)?,
+    ])
 }
 
 /// A codec case: `trip` timed per iteration, reported with the size of
@@ -1514,6 +1525,11 @@ mod tests {
                     runs: Runs(vec![12.0, 11.5]),
                     frame_bytes: Some(12_600),
                 },
+                MicroCase {
+                    name: "codec/policy_reply_decode/median_static".to_string(),
+                    runs: Runs(vec![9.0, 8.5, 10.0]),
+                    frame_bytes: Some(1_800),
+                },
             ]),
         }
     }
@@ -1598,7 +1614,10 @@ mod tests {
                 r#""codec/unit_frame/median_static_bytes":12700,"#,
                 r#""codec/frame_mac/unit_frame_us":11.75,"#,
                 r#""codec/frame_mac/unit_frame_us_range":[11.5,12.0],"#,
-                r#""codec/frame_mac/unit_frame_bytes":12600}"#
+                r#""codec/frame_mac/unit_frame_bytes":12600,"#,
+                r#""codec/policy_reply_decode/median_static_us":9.0,"#,
+                r#""codec/policy_reply_decode/median_static_us_range":[8.5,10.0],"#,
+                r#""codec/policy_reply_decode/median_static_bytes":1800}"#
             )
         );
     }

@@ -14,60 +14,62 @@
 //! display path.
 
 use bside_obs::{SpanRecord, TraceContext};
-use serde::de::{self, FieldCodec, MapAccess, SeqAccess, Visitor};
+use serde::de::{self, FieldCodec, MapAccess, Visitor};
 use serde::ser::SerializeMap;
-use serde::{Serialize, Serializer, Value};
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::io::{BufRead, Write};
 
-/// A lenient integer: any non-negative integer literal; any other value
-/// reads as `None`, never as an error.
-struct LenientU64;
+/// A value read leniently: anything that does not parse as a `T` reads
+/// as `None`, never as an error. The deserializer has consumed the value
+/// either way, and a syntax error still fails the whole frame.
+struct Lenient<T>(Option<T>);
 
-impl<'de> Visitor<'de> for LenientU64 {
-    type Value = Option<u64>;
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Lenient<T> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Ok(Lenient(T::deserialize(deserializer).ok()))
+    }
+}
+
+/// Reads the value of a just-read key into `slot` if the key is the
+/// first of its name; a later duplicate is skipped.
+fn read_first<'de, A, T>(slot: &mut Option<Lenient<T>>, map: &mut A) -> Result<(), A::Error>
+where
+    A: MapAccess<'de>,
+    T: Deserialize<'de>,
+{
+    if slot.is_some() {
+        return map.skip_value();
+    }
+    *slot = Some(map.next_value()?);
+    Ok(())
+}
+
+/// A telemetry id: a non-negative integer literal (`-0` is not one).
+struct Id(u64);
+
+struct IdVisitor;
+
+impl<'de> Visitor<'de> for IdVisitor {
+    type Value = Id;
 
     fn expecting(&self) -> &str {
         "unsigned integer"
     }
 
-    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<u64>, E> {
-        Ok(None)
-    }
-
-    fn visit_u64<E: de::Error>(self, v: u64) -> Result<Option<u64>, E> {
-        Ok(Some(v))
-    }
-
-    fn visit_str<E: de::Error>(self, _: &str) -> Result<Option<u64>, E> {
-        Ok(None)
-    }
-
-    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
-        Ok(None)
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Option<u64>, A::Error> {
-        Ok(None)
+    fn visit_u64<E: de::Error>(self, v: u64) -> Result<Id, E> {
+        Ok(Id(v))
     }
 }
 
-/// Reads the value of a just-read key into `slot` leniently, if the key
-/// is the first of its name; a later duplicate is skipped. A read error
-/// is left to the deserializer, which reports a syntax error however
-/// the value is taken.
-fn read_lenient<'de, A: MapAccess<'de>, V: Visitor<'de>>(
-    slot: &mut Option<V::Value>,
-    map: &mut A,
-    visitor: V,
-) -> Result<(), A::Error>
-where
-    V::Value: Default,
-{
-    if slot.is_some() {
-        return map.skip_value();
+impl<'de> Deserialize<'de> for Id {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(IdVisitor)
     }
-    *slot = Some(map.next_value_with(visitor).unwrap_or_default());
-    Ok(())
+}
+
+/// The id a lenient slot holds, if its first entry was one.
+fn id(slot: &Option<Lenient<Id>>) -> Option<u64> {
+    slot.as_ref()?.0.as_ref().map(|id| id.0)
 }
 
 /// The field codec of a message's trace context: the run/unit/span ids
@@ -81,7 +83,7 @@ where
 /// Telemetry corruption must never sever a working link, so this never
 /// returns an error.
 #[derive(Default)]
-pub struct TraceCodec([Option<Option<u64>>; 3]);
+pub struct TraceCodec([Option<Lenient<Id>>; 3]);
 
 const TRACE_KEYS: [&str; 3] = ["trace_run", "trace_unit", "trace_span"];
 
@@ -104,11 +106,11 @@ impl FieldCodec for TraceCodec {
     }
 
     fn read<'de, A: MapAccess<'de>>(&mut self, key: u8, map: &mut A) -> Result<(), A::Error> {
-        read_lenient(&mut self.0[usize::from(key)], map, LenientU64)
+        read_first(&mut self.0[usize::from(key)], map)
     }
 
     fn finish<E: de::Error>(self) -> Result<Option<TraceContext>, E> {
-        let [Some(Some(run_id)), Some(Some(unit_id)), Some(Some(span_id))] = self.0 else {
+        let [Some(run_id), Some(unit_id), Some(span_id)] = self.0.each_ref().map(id) else {
             return Ok(None);
         };
         let ctx = TraceContext {
@@ -120,160 +122,78 @@ impl FieldCodec for TraceCodec {
     }
 }
 
-/// One shipped span as a JSON object, field names matching
-/// [`SpanVisitor`].
+/// The fields of a shipped span: `name`, then its numbers, the first four
+/// of which it cannot do without.
+const SPAN_FIELDS: [&str; 8] = [
+    "name", "id", "parent", "run_id", "unit_id", "start_us", "dur_us", "tid",
+];
+
+/// One shipped span as a JSON object.
 struct SpanOut<'a>(&'a SpanRecord);
 
 impl Serialize for SpanOut<'_> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let s = self.0;
-        let mut map = serializer.serialize_map(Some(8))?;
-        map.serialize_entry("name", &s.name)?;
-        for (key, v) in [
-            ("id", s.id),
-            ("parent", s.parent),
-            ("run_id", s.run_id),
-            ("unit_id", s.unit_id),
-            ("start_us", s.start_us),
-            ("dur_us", s.dur_us),
-            ("tid", s.tid),
-        ] {
+        let nums = [
+            s.id, s.parent, s.run_id, s.unit_id, s.start_us, s.dur_us, s.tid,
+        ];
+        let mut map = serializer.serialize_map(Some(SPAN_FIELDS.len()))?;
+        map.serialize_entry(SPAN_FIELDS[0], &s.name)?;
+        for (key, v) in SPAN_FIELDS[1..].iter().zip(nums) {
             map.serialize_entry(key, &v)?;
         }
         map.end()
     }
 }
 
-/// A lenient string: any other value reads as `None`.
-struct LenientString;
+/// One shipped span read back. An entry that is not an object, or lacks
+/// a string `name` or an id among `id`, `parent`, `run_id` and
+/// `unit_id`, fails, and the span array drops it; a malformed timing
+/// reads as 0. The first entry of each name counts.
+struct ShippedSpan(SpanRecord);
 
-impl<'de> Visitor<'de> for LenientString {
-    type Value = Option<String>;
-
-    fn expecting(&self) -> &str {
-        "string"
-    }
-
-    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<String>, E> {
-        Ok(None)
-    }
-
-    fn visit_str<E: de::Error>(self, v: &str) -> Result<Option<String>, E> {
-        Ok(Some(v.to_owned()))
-    }
-
-    fn visit_string<E: de::Error>(self, v: String) -> Result<Option<String>, E> {
-        Ok(Some(v))
-    }
-
-    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<String>, A::Error> {
-        Ok(None)
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Option<String>, A::Error> {
-        Ok(None)
-    }
-}
-
-const SPAN_NUMBERS: [&str; 7] = [
-    "id", "parent", "run_id", "unit_id", "start_us", "dur_us", "tid",
-];
-
-/// One shipped span, or `None` when the entry is malformed: not an
-/// object, or without a string `name` or an integer `id`, `parent`,
-/// `run_id` or `unit_id`. The first entry of each name counts.
 struct SpanVisitor;
 
 impl<'de> Visitor<'de> for SpanVisitor {
-    type Value = Option<SpanRecord>;
+    type Value = ShippedSpan;
 
     fn expecting(&self) -> &str {
         "span object"
     }
 
-    fn visit_value<E: de::Error>(self, _: Value) -> Result<Option<SpanRecord>, E> {
-        Ok(None)
-    }
-
-    fn visit_str<E: de::Error>(self, _: &str) -> Result<Option<SpanRecord>, E> {
-        Ok(None)
-    }
-
-    fn visit_seq<A: SeqAccess<'de>>(self, _: A) -> Result<Option<SpanRecord>, A::Error> {
-        Ok(None)
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Option<SpanRecord>, A::Error> {
-        let mut name = None;
-        let mut nums = [None; 7];
-        while let Some(key) = map.next_key_with(|k| {
-            (k == "name")
-                .then_some(7)
-                .or_else(|| SPAN_NUMBERS.iter().position(|n| *n == k))
-        })? {
-            match key {
-                Some(7) => read_lenient(&mut name, &mut map, LenientString)?,
-                Some(i) => read_lenient(&mut nums[i], &mut map, LenientU64)?,
+    fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<ShippedSpan, A::Error> {
+        let mut name: Option<Lenient<String>> = None;
+        let mut nums: [Option<Lenient<Id>>; 7] = Default::default();
+        while let Some(field) = map.next_key_with(|k| SPAN_FIELDS.iter().position(|f| *f == k))? {
+            match field {
+                Some(0) => read_first(&mut name, &mut map)?,
+                Some(i) => read_first(&mut nums[i - 1], &mut map)?,
                 None => map.skip_value()?,
             }
         }
-        let num = |i: usize| nums[i].flatten();
+        let [id, parent, run_id, unit_id, start_us, dur_us, tid] = nums.each_ref().map(id);
+        let name = name.and_then(|name| name.0);
         let (Some(name), Some(id), Some(parent), Some(run_id), Some(unit_id)) =
-            (name.flatten(), num(0), num(1), num(2), num(3))
+            (name, id, parent, run_id, unit_id)
         else {
-            return Ok(None);
+            return Err(de::Error::custom("malformed span"));
         };
-        Ok(Some(SpanRecord {
+        Ok(ShippedSpan(SpanRecord {
             name,
             id,
             parent,
             run_id,
             unit_id,
-            start_us: num(4).unwrap_or(0),
-            dur_us: num(5).unwrap_or(0),
-            tid: num(6).unwrap_or(0),
+            start_us: start_us.unwrap_or(0),
+            dur_us: dur_us.unwrap_or(0),
+            tid: tid.unwrap_or(0),
         }))
     }
 }
 
-/// Shipped spans: an array of span objects, of which malformed entries
-/// are dropped; anything else reads as no spans.
-struct SpansVisitor;
-
-impl<'de> Visitor<'de> for SpansVisitor {
-    type Value = Vec<SpanRecord>;
-
-    fn expecting(&self) -> &str {
-        "span array"
-    }
-
-    fn visit_value<E: de::Error>(self, _: Value) -> Result<Vec<SpanRecord>, E> {
-        Ok(Vec::new())
-    }
-
-    fn visit_str<E: de::Error>(self, _: &str) -> Result<Vec<SpanRecord>, E> {
-        Ok(Vec::new())
-    }
-
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Vec<SpanRecord>, A::Error> {
-        let mut spans = Vec::new();
-        while let Some(span) = seq.next_element::<Span>()? {
-            spans.extend(span.0);
-        }
-        Ok(spans)
-    }
-
-    fn visit_map<A: MapAccess<'de>>(self, _: A) -> Result<Vec<SpanRecord>, A::Error> {
-        Ok(Vec::new())
-    }
-}
-
-/// One element of a shipped span array, read by [`SpanVisitor`].
-struct Span(Option<SpanRecord>);
-
-impl<'de> serde::Deserialize<'de> for Span {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.deserialize_any(SpanVisitor).map(Span)
+impl<'de> Deserialize<'de> for ShippedSpan {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        deserializer.deserialize_any(SpanVisitor)
     }
 }
 
@@ -283,7 +203,7 @@ impl<'de> serde::Deserialize<'de> for Span {
 /// leniency as [`TraceCodec`]: an absent field or a malformed entry
 /// yields fewer spans, never an error.
 #[derive(Default)]
-pub struct SpansCodec(Option<Vec<SpanRecord>>);
+pub struct SpansCodec(Option<Lenient<Vec<Lenient<ShippedSpan>>>>);
 
 impl FieldCodec for SpansCodec {
     type Value = Vec<SpanRecord>;
@@ -301,11 +221,15 @@ impl FieldCodec for SpansCodec {
     }
 
     fn read<'de, A: MapAccess<'de>>(&mut self, _: u8, map: &mut A) -> Result<(), A::Error> {
-        read_lenient(&mut self.0, map, SpansVisitor)
+        read_first(&mut self.0, map)
     }
 
     fn finish<E: de::Error>(self) -> Result<Vec<SpanRecord>, E> {
-        Ok(self.0.unwrap_or_default())
+        let entries = self.0.and_then(|spans| spans.0).unwrap_or_default();
+        Ok(entries
+            .into_iter()
+            .filter_map(|entry| entry.0.map(|span| span.0))
+            .collect())
     }
 }
 
@@ -372,6 +296,7 @@ pub fn read_message_capped<T: for<'de> serde::Deserialize<'de>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     /// A message with both lenient codecs, as the fleet frames use them.
     #[derive(Debug, PartialEq)]

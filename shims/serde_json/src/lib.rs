@@ -654,22 +654,6 @@ impl<'de> Deserializer<'de> for &mut Parser<'de> {
         }
     }
 
-    /// A plain number is read without the dispatch on every value type.
-    #[inline]
-    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-        if self.syntax.is_none() {
-            self.skip_ws();
-            if matches!(self.peek(), Some(b'0'..=b'9')) {
-                return match self.number()? {
-                    Number::UInt(v) => visitor.visit_u64(v),
-                    Number::Int(v) => visitor.visit_i64(v),
-                    Number::Float(v) => visitor.visit_f64(v),
-                };
-            }
-        }
-        self.deserialize_any(visitor)
-    }
-
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
         self.check()?;
         self.skip_ws();

@@ -394,6 +394,13 @@ fn skipped_and_buffered_values_keep_the_nesting_cap_and_syntax_errors_first() {
         reply.contains("unexpected character") && !reply.contains("path"),
         "got: {reply}"
     );
+    // Trailing characters after a complete request with a type error.
+    let trailing = "{\"type\":\"policy\",\"path\":12345} ]\n";
+    let reply = error_reply(&socket, trailing);
+    assert!(
+        reply.contains("trailing characters") && !reply.contains("path"),
+        "got: {reply}"
+    );
 
     let mut client = PolicyClient::connect(server.endpoint()).expect("next connection");
     client.ping().expect("still serving");

@@ -57,7 +57,7 @@ pub enum Value {
 impl Value {
     /// The JSON type this value has, as "expected X, found Y" errors name
     /// it.
-    pub fn type_name(&self) -> &'static str {
+    fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -334,11 +334,11 @@ pub mod de {
     }
 
     /// A [`SeqAccess`] over the items of a [`Value::Seq`].
-    pub struct ValueSeqAccess(std::vec::IntoIter<Value>);
+    pub(crate) struct ValueSeqAccess(std::vec::IntoIter<Value>);
 
     impl ValueSeqAccess {
         /// Hands out `items` in order.
-        pub fn new(items: Vec<Value>) -> Self {
+        pub(crate) fn new(items: Vec<Value>) -> Self {
             ValueSeqAccess(items.into_iter())
         }
     }

@@ -40,16 +40,20 @@ serde::impl_serde_struct!(SiteReport {
 // variants become single-entry objects, the unit variant its name.
 impl serde::Serialize for WrapperParam {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut map = match self {
-            WrapperParam::Unknown => return serializer.serialize_str("Unknown"),
-            _ => serializer.serialize_map(Some(1))?,
-        };
-        match self {
-            WrapperParam::Reg(r) => map.serialize_entry("Reg", r)?,
-            WrapperParam::StackSlot(off) => map.serialize_entry("StackSlot", off)?,
-            WrapperParam::Unknown => unreachable!("written as a string above"),
+        fn variant<S: serde::Serializer, T: serde::Serialize>(
+            serializer: S,
+            name: &str,
+            value: &T,
+        ) -> Result<S::Ok, S::Error> {
+            let mut map = serializer.serialize_map(Some(1))?;
+            map.serialize_entry(name, value)?;
+            map.end()
         }
-        map.end()
+        match self {
+            WrapperParam::Reg(r) => variant(serializer, "Reg", r),
+            WrapperParam::StackSlot(off) => variant(serializer, "StackSlot", off),
+            WrapperParam::Unknown => serializer.serialize_str("Unknown"),
+        }
     }
 }
 

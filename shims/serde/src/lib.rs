@@ -583,6 +583,12 @@ pub trait Deserializer<'de>: Sized {
     /// [`Visitor::visit_null`] for `null`, [`Visitor::visit_some`] with
     /// the deserializer for anything else.
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
+
+    /// [`Deserializer::deserialize_any`] for a visitor that expects an
+    /// unsigned integer, which a format may read by a shorter path.
+    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error> {
+        self.deserialize_any(visitor)
+    }
 }
 
 /// The serializer behind [`to_value`]: builds a [`Value`] and never fails.
@@ -849,6 +855,9 @@ impl Serialize for std::time::Duration {
 /// is what it expects.
 macro_rules! primitive_visitor {
     ($visitor:ident, $t:ty, $name:literal, { $($visit:item)* }) => {
+        primitive_visitor!($visitor, $t, $name, deserialize_any, { $($visit)* });
+    };
+    ($visitor:ident, $t:ty, $name:literal, $entry:ident, { $($visit:item)* }) => {
         struct $visitor;
 
         impl<'de> Visitor<'de> for $visitor {
@@ -863,7 +872,7 @@ macro_rules! primitive_visitor {
 
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                deserializer.deserialize_any($visitor)
+                deserializer.$entry($visitor)
             }
         }
     };
@@ -875,7 +884,7 @@ fn out_of_range<E: de::Error>(raw: impl std::fmt::Display) -> E {
 
 macro_rules! impl_de_uint {
     ($($visitor:ident $t:ty),*) => {$(
-        primitive_visitor!($visitor, $t, "unsigned integer", {
+        primitive_visitor!($visitor, $t, "unsigned integer", deserialize_u64, {
             fn visit_u64<E: de::Error>(self, v: u64) -> Result<$t, E> {
                 <$t>::try_from(v).map_err(|_| out_of_range(v))
             }

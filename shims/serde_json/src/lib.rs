@@ -19,15 +19,16 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
-/// Errors from rendering or parsing JSON. The message is a boxed `str`,
-/// so that a `Result` of a small value stays small on the parser's hot
-/// path.
+/// Errors from rendering or parsing JSON. The message sits behind one
+/// thin pointer, so that a `Result` of a small value is returned in
+/// registers on the parser's hot path.
 #[derive(Debug, Clone)]
-pub struct Error(Box<str>);
+#[allow(clippy::box_collection)]
+pub struct Error(Box<String>);
 
 impl Error {
     fn new(msg: impl Into<String>) -> Self {
-        Error(msg.into().into_boxed_str())
+        Error(Box::new(msg.into()))
     }
 }
 
@@ -652,6 +653,22 @@ impl<'de> Deserializer<'de> for &mut Parser<'de> {
             },
             _ => Err(self.unexpected()),
         }
+    }
+
+    /// A plain number is read without the dispatch on every value type.
+    #[inline]
+    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
+        if self.syntax.is_none() {
+            self.skip_ws();
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return match self.number()? {
+                    Number::UInt(v) => visitor.visit_u64(v),
+                    Number::Int(v) => visitor.visit_i64(v),
+                    Number::Float(v) => visitor.visit_f64(v),
+                };
+            }
+        }
+        self.deserialize_any(visitor)
     }
 
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {

@@ -72,8 +72,8 @@
 //! which the `sha2` shim uses where it finds them, it takes about
 //! 2 × 15 µs (traced `fleet_tcp`, seed 1). Since the codec writes text
 //! straight from the frame types and reads it straight into them, with
-//! no `serde::Value` tree between, encode reads about 53–68 µs (was
-//! 68–98 in the same runs) and decode about 57–73 µs (was 75–105; two
+//! no `serde::Value` tree between, encode reads about 41–68 µs (was
+//! 62–98 in the same runs) and decode about 46–73 µs (was 69–105; three
 //! traced pairs, seed 1). Most of what is left is the base64 of the ELF
 //! and the escaping of the sealed unit body. Raw-byte attachments would
 //! drop the base64 and the escaping of the sealed body, but they wait

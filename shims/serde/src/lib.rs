@@ -583,12 +583,6 @@ pub trait Deserializer<'de>: Sized {
     /// [`Visitor::visit_null`] for `null`, [`Visitor::visit_some`] with
     /// the deserializer for anything else.
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error>;
-
-    /// [`Deserializer::deserialize_any`] for a visitor that expects an
-    /// unsigned integer, which a format may read by a shorter path.
-    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Self::Error> {
-        self.deserialize_any(visitor)
-    }
 }
 
 /// The serializer behind [`to_value`]: builds a [`Value`] and never fails.
@@ -855,9 +849,6 @@ impl Serialize for std::time::Duration {
 /// is what it expects.
 macro_rules! primitive_visitor {
     ($visitor:ident, $t:ty, $name:literal, { $($visit:item)* }) => {
-        primitive_visitor!($visitor, $t, $name, deserialize_any, { $($visit)* });
-    };
-    ($visitor:ident, $t:ty, $name:literal, $entry:ident, { $($visit:item)* }) => {
         struct $visitor;
 
         impl<'de> Visitor<'de> for $visitor {
@@ -872,7 +863,7 @@ macro_rules! primitive_visitor {
 
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                deserializer.$entry($visitor)
+                deserializer.deserialize_any($visitor)
             }
         }
     };
@@ -884,7 +875,7 @@ fn out_of_range<E: de::Error>(raw: impl std::fmt::Display) -> E {
 
 macro_rules! impl_de_uint {
     ($($visitor:ident $t:ty),*) => {$(
-        primitive_visitor!($visitor, $t, "unsigned integer", deserialize_u64, {
+        primitive_visitor!($visitor, $t, "unsigned integer", {
             fn visit_u64<E: de::Error>(self, v: u64) -> Result<$t, E> {
                 <$t>::try_from(v).map_err(|_| out_of_range(v))
             }
@@ -990,11 +981,6 @@ impl<'de, T: Deserialize<'de>> Visitor<'de> for VecVisitor<T> {
     fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<Vec<T>, A::Error> {
         let mut items = Vec::new();
         while let Some(item) = seq.next_element()? {
-            if items.is_empty() {
-                // Wire sequences are mostly short: one allocation for the
-                // first eight elements instead of two.
-                items.reserve(8);
-            }
             items.push(item);
         }
         Ok(items)

@@ -19,16 +19,13 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
-/// Errors from rendering or parsing JSON. The message sits behind one
-/// thin pointer, so that a `Result` of a small value is returned in
-/// registers on the parser's hot path.
+/// Errors from rendering or parsing JSON.
 #[derive(Debug, Clone)]
-#[allow(clippy::box_collection)]
-pub struct Error(Box<String>);
+pub struct Error(String);
 
 impl Error {
     fn new(msg: impl Into<String>) -> Self {
-        Error(Box::new(msg.into()))
+        Error(msg.into())
     }
 }
 
@@ -96,7 +93,6 @@ pub fn from_str<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, Error> {
 // Rendering
 // ---------------------------------------------------------------------------
 /// Repeats a byte in every lane of a little-endian word.
-#[inline]
 const fn lanes(byte: u8) -> u64 {
     u64::from_le_bytes([byte; 8])
 }
@@ -106,7 +102,6 @@ const fn lanes(byte: u8) -> u64 {
 /// A matching lane always sets its top bit; a borrow out of it can also
 /// flag a lane above it. The answer for the word is therefore exact, but
 /// the flags do not say which byte matched: the byte path finds that.
-#[inline]
 fn word_needs_care(word: &[u8]) -> bool {
     let word = u64::from_le_bytes(word.try_into().expect("an eight-byte word"));
     let zero_lane = |w: u64| w.wrapping_sub(lanes(1)) & !w;
@@ -120,7 +115,6 @@ fn word_needs_care(word: &[u8]) -> bool {
 /// [`word_needs_care`] clears are skipped whole; the bytes of any other
 /// word, and of the short tail, are tested one at a time. `is_special`
 /// must accept only bytes that `word_needs_care` looks for.
-#[inline]
 fn next_special(bytes: &[u8], mut from: usize, is_special: impl Fn(u8) -> bool) -> usize {
     while from < bytes.len() {
         let end = match bytes.get(from..from + 8) {
@@ -339,11 +333,6 @@ fn write_value(value: &Value, indent: Option<usize>, depth: usize, out: &mut Str
 // Parsing
 // ---------------------------------------------------------------------------
 
-#[cold]
-fn sticky(e: &Error) -> Error {
-    e.clone()
-}
-
 /// A number as the text spells it.
 enum Number {
     UInt(u64),
@@ -378,33 +367,28 @@ impl<'de> Parser<'de> {
     }
 
     /// Records a syntax error and returns it.
-    #[cold]
     fn fail(&mut self, msg: impl Into<String>) -> Error {
         self.syntax.get_or_insert_with(|| Error::new(msg)).clone()
     }
 
     /// Fails with the recorded syntax error, if any.
-    #[inline]
     fn check(&self) -> Result<(), Error> {
         match &self.syntax {
-            Some(e) => Err(sticky(e)),
+            Some(e) => Err(e.clone()),
             None => Ok(()),
         }
     }
 
-    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    #[inline]
     fn expect(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -418,7 +402,6 @@ impl<'de> Parser<'de> {
     }
 
     /// Opens an array or object, one level deeper than its parent.
-    #[inline]
     fn enter(&mut self) -> Result<(), Error> {
         if self.depth == MAX_DEPTH {
             return Err(self.fail(format!(
@@ -431,7 +414,6 @@ impl<'de> Parser<'de> {
         Ok(())
     }
 
-    #[inline]
     fn keyword(&mut self, word: &str) -> Result<(), Error> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -442,7 +424,6 @@ impl<'de> Parser<'de> {
     }
 
     /// The error for a byte that starts no value.
-    #[cold]
     fn unexpected(&mut self) -> Error {
         match self.peek() {
             Some(c) => self.fail(format!(
@@ -467,7 +448,6 @@ impl<'de> Parser<'de> {
     /// A number. Up to nineteen digits with no sign, fraction or
     /// exponent are built in place: they stay below 10^19 < u64::MAX, so
     /// they cannot overflow. Anything else goes to `str::parse`.
-    #[inline]
     fn number(&mut self) -> Result<Number, Error> {
         let mut end = self.pos;
         let mut value = 0u64;
@@ -488,7 +468,6 @@ impl<'de> Parser<'de> {
 
     /// Any number past [`Parser::number`]'s fast path, the way
     /// `str::parse` reads it.
-    #[inline(never)]
     fn number_slow(&mut self) -> Result<Number, Error> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -537,7 +516,6 @@ impl<'de> Parser<'de> {
 
     /// A string: lent from the input when it has no escapes, built
     /// otherwise.
-    #[inline]
     fn string(&mut self) -> Result<Cow<'de, str>, Error> {
         self.expect(b'"')?;
         // The run up to the next quote or escape needs no copy. Both
@@ -555,7 +533,6 @@ impl<'de> Parser<'de> {
     }
 
     /// The rest of a string that holds an escape (or never ends).
-    #[inline(never)]
     fn string_escaped(&mut self) -> Result<String, Error> {
         let mut out = String::new();
         loop {
@@ -655,22 +632,6 @@ impl<'de> Deserializer<'de> for &mut Parser<'de> {
         }
     }
 
-    /// A plain number is read without the dispatch on every value type.
-    #[inline]
-    fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-        if self.syntax.is_none() {
-            self.skip_ws();
-            if matches!(self.peek(), Some(b'0'..=b'9')) {
-                return match self.number()? {
-                    Number::UInt(v) => visitor.visit_u64(v),
-                    Number::Int(v) => visitor.visit_i64(v),
-                    Number::Float(v) => visitor.visit_f64(v),
-                };
-            }
-        }
-        self.deserialize_any(visitor)
-    }
-
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
         self.check()?;
         self.skip_ws();
@@ -701,7 +662,6 @@ impl<'p, 'de> Array<'p, 'de> {
 
     /// Steps to the next element: `true` when one follows, `false` once
     /// past the closing bracket.
-    #[inline]
     fn advance(&mut self) -> Result<bool, Error> {
         if self.done {
             return Ok(false);
@@ -765,10 +725,7 @@ impl<'p, 'de> Object<'p, 'de> {
     }
 
     /// Reads the next key, skipping the last one's value if it went
-    /// unread; `None` once past the closing brace. Shared by every
-    /// caller rather than inlined into each, which keeps the code of the
-    /// many generated `visit_map`s small.
-    #[inline(never)]
+    /// unread; `None` once past the closing brace.
     fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Error> {
         if std::mem::replace(&mut self.value_due, false) {
             self.parser.skip_value()?;

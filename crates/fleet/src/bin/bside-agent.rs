@@ -3,7 +3,7 @@
 //! `bside_fleet::agent` for the protocol and fault-hook story.
 
 fn main() {
-    bside_obs::set_event_sink(Some(bside_obs::stderr_sink));
+    bside_obs::print_events_to_stderr();
     // Chaos opt-in (BSIDE_NET_FAULT_PLAN) happens here in main, never
     // lazily in the codec: a malformed plan refuses to start.
     if let Err(e) = bside_dist::fault::init_from_env() {

@@ -307,7 +307,7 @@ fn degraded_units_render_exactly_like_the_in_process_engine() {
 
 /// A refused hello is an operational event: the reconnect loop counts
 /// each refusal it retries through the `bside-obs` event log (and prints
-/// it only where a binary installed a sink).
+/// it only in a binary, which turns stderr printing on).
 #[test]
 fn an_agent_refused_at_hello_bumps_its_event_counter() {
     let handle = FleetCoordinator::bind(

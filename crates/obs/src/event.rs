@@ -4,31 +4,27 @@
 //!
 //! Each [`event`] bumps `bside_events_total{kind="…"}` in the
 //! [`global`](crate::global) registry, so an embedder can count what
-//! happened without reading stderr, and hands its line to the installed
-//! sink. No sink is installed by default, so in-process users (tests,
-//! benchmarks) stay quiet; the binaries install [`stderr_sink`] at
-//! start-up, so their logs keep every line.
+//! happened without reading stderr. Its line reaches stderr only after
+//! [`print_events_to_stderr`]: in-process users (tests, benchmarks) stay
+//! quiet, and the binaries call it at start-up, so their logs keep every
+//! line.
 
 use std::fmt;
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Receives each event: its kind and its rendered line.
-pub type EventSink = fn(kind: &str, line: &str);
-
-static SINK: RwLock<Option<EventSink>> = RwLock::new(None);
+static TO_STDERR: AtomicBool = AtomicBool::new(false);
 
 /// The counter family every event bumps, labelled by kind.
 pub const EVENTS_TOTAL: &str = "bside_events_total";
 
-/// Records one event of `kind`: bumps its counter and, when a sink is
-/// installed, renders `line` for it.
+/// Records one event of `kind`: bumps its counter and, once
+/// [`print_events_to_stderr`] was called, prints `line` on stderr.
 pub fn event(kind: &str, line: fmt::Arguments<'_>) {
     crate::global()
         .counter_with(EVENTS_TOTAL, &[("kind", kind)])
         .inc();
-    let sink = *SINK.read().unwrap_or_else(|poisoned| poisoned.into_inner());
-    if let Some(sink) = sink {
-        sink(kind, &line.to_string());
+    if TO_STDERR.load(Ordering::Relaxed) {
+        eprintln!("{line}");
     }
 }
 
@@ -39,41 +35,22 @@ pub fn event_count(kind: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Installs (or, with `None`, removes) the process-wide event sink.
-pub fn set_event_sink(sink: Option<EventSink>) {
-    *SINK
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner()) = sink;
-}
-
-/// The binaries' sink: each line on stderr.
-pub fn stderr_sink(_kind: &str, line: &str) {
-    eprintln!("{line}");
+/// Prints every later event's line on stderr, for the rest of the
+/// process.
+pub fn print_events_to_stderr() {
+    TO_STDERR.store(true, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static SEEN: AtomicU64 = AtomicU64::new(0);
-
-    fn counting_sink(kind: &str, line: &str) {
-        if kind == "event_test" && line == "line 7" {
-            SEEN.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 
     #[test]
-    fn events_bump_their_counter_and_reach_the_sink() {
+    fn events_bump_their_counter() {
         let before = event_count("event_test");
         event("event_test", format_args!("line {}", 6));
-        assert_eq!(event_count("event_test"), before + 1);
-        assert_eq!(SEEN.load(Ordering::Relaxed), 0, "no sink installed yet");
-        set_event_sink(Some(counting_sink));
         event("event_test", format_args!("line {}", 7));
-        set_event_sink(None);
         assert_eq!(event_count("event_test"), before + 2);
-        assert_eq!(SEEN.load(Ordering::Relaxed), 1);
+        assert_eq!(event_count("event_test_unseen"), 0);
     }
 }

@@ -26,8 +26,8 @@
 //!    [`record_remote`].
 //!
 //! 4. **Events** ([`event`]): the operational log of library code. Each
-//!    event bumps a counter per kind; only a binary installs a sink
-//!    ([`set_event_sink`]) that prints the lines.
+//!    event bumps a counter per kind; only a binary prints the lines
+//!    ([`print_events_to_stderr`]).
 //!
 //! The build environment is offline, so the crate is dependency-free
 //! by construction — the JSON and Prometheus renderings are hand
@@ -49,7 +49,7 @@ mod event;
 mod metrics;
 mod trace;
 
-pub use event::{event, event_count, set_event_sink, stderr_sink, EventSink, EVENTS_TOTAL};
+pub use event::{event, event_count, print_events_to_stderr, EVENTS_TOTAL};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS};
 pub use trace::{
     chrome_trace_json, collect, current_context, drain_trace, new_run_id, record_remote,

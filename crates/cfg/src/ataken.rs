@@ -31,16 +31,15 @@ pub(crate) fn scan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::{disassemble, Disassembler};
+    use crate::blocks::Disassembler;
     use crate::edges::reachable_from;
     use bside_x86::{Assembler, Reg};
-    use std::collections::BTreeMap;
 
-    fn all_insns(blocks: &BTreeMap<u64, crate::BasicBlock>) -> Vec<Instruction> {
-        blocks
-            .values()
-            .flat_map(|b| b.insns.iter().copied())
-            .collect()
+    /// Every instruction of one disassembly pass from `roots`.
+    fn all_insns(code: &[u8], roots: &[u64]) -> Vec<Instruction> {
+        Disassembler::new(code, 0x1000)
+            .pass(roots.iter().copied())
+            .insns
     }
 
     #[test]
@@ -53,8 +52,7 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000]);
-        let taken = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
+        let taken = scan(&all_insns(&code, &[0x1000]), 0x1000, 0x1000 + len);
         assert_eq!(taken.len(), 1);
         assert_eq!(taken.first(), Some(&0x1008)); // lea(7) + ret(1)
     }
@@ -68,8 +66,7 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000]);
-        assert!(scan(&all_insns(&blocks), 0x1000, 0x1000 + len).is_empty());
+        assert!(scan(&all_insns(&code, &[0x1000]), 0x1000, 0x1000 + len).is_empty());
     }
 
     #[test]
@@ -81,8 +78,7 @@ mod tests {
         a.ret(); // 0x100b
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000]);
-        let taken = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
+        let taken = scan(&all_insns(&code, &[0x1000]), 0x1000, 0x1000 + len);
         assert!(taken.contains(&0x100b));
     }
 
@@ -99,8 +95,7 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap();
         let len = code.len() as u64;
-        let blocks = disassemble(&code, 0x1000, &[0x1000, 0x1001]);
-        let all = scan(&all_insns(&blocks), 0x1000, 0x1000 + len);
+        let all = scan(&all_insns(&code, &[0x1000, 0x1001]), 0x1000, 0x1000 + len);
         assert_eq!(all.len(), 1, "plain scan sees the dead lea");
         let layout = Disassembler::new(&code, 0x1000).pass([0x1000, 0x1001]);
         let reachable = reachable_from(&[0x1000], &layout, &[]);

@@ -1,19 +1,19 @@
 //! Basic-block discovery by recursive-traversal disassembly.
 
 use bside_x86::{decode, Instruction, Op};
-use std::collections::BTreeMap;
 
 /// A maximal straight-line run of instructions: entered only at the top,
-/// left only at the bottom.
-#[derive(Debug, Clone)]
-pub struct BasicBlock {
+/// left only at the bottom. It borrows its instructions from the CFG's
+/// single instruction array.
+#[derive(Debug, Clone, Copy)]
+pub struct BasicBlock<'a> {
     /// Address of the first instruction.
     pub start: u64,
     /// The instructions, in address order. Never empty.
-    pub insns: Vec<Instruction>,
+    pub insns: &'a [Instruction],
 }
 
-impl BasicBlock {
+impl<'a> BasicBlock<'a> {
     /// Address one past the last instruction.
     pub fn end(&self) -> u64 {
         self.insns.last().map(|i| i.end()).unwrap_or(self.start)
@@ -26,7 +26,7 @@ impl BasicBlock {
     }
 
     /// The final instruction.
-    pub fn terminator(&self) -> &Instruction {
+    pub fn terminator(&self) -> &'a Instruction {
         self.insns.last().expect("blocks are never empty")
     }
 
@@ -39,7 +39,9 @@ impl BasicBlock {
 /// One disassembly pass: every decoded instruction in address order, cut
 /// into blocks. Block `i` starts at `blocks[i].0` and holds the
 /// instructions from index `blocks[i].1` up to the next block's first.
-#[derive(Debug, Default)]
+/// The last pass's layout is the CFG's block store, and block `i` is the
+/// block with id `i`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Layout {
     pub(crate) insns: Vec<Instruction>,
     blocks: Vec<(u64, u32)>,
@@ -85,15 +87,12 @@ impl Layout {
         self.blocks.partition_point(|&(s, _)| s < lo)..self.blocks.partition_point(|&(s, _)| s < hi)
     }
 
-    /// The blocks as the public map, keyed by start address.
-    pub(crate) fn into_blocks(self) -> BTreeMap<u64, BasicBlock> {
-        (0..self.len())
-            .map(|i| {
-                let start = self.start(i);
-                let insns = self.insns_of(i).to_vec();
-                (start, BasicBlock { start, insns })
-            })
-            .collect()
+    /// Block `i`, borrowing its instructions.
+    pub(crate) fn block(&self, i: usize) -> BasicBlock<'_> {
+        BasicBlock {
+            start: self.start(i),
+            insns: self.insns_of(i),
+        }
     }
 }
 
@@ -212,22 +211,23 @@ impl<'a> Disassembler<'a> {
     }
 }
 
-/// One disassembly pass from `roots`, as the public block map.
-#[cfg(test)]
-pub(crate) fn disassemble(code: &[u8], base: u64, roots: &[u64]) -> BTreeMap<u64, BasicBlock> {
-    Disassembler::new(code, base)
-        .pass(roots.iter().copied())
-        .into_blocks()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bside_x86::{Assembler, Cond, Reg};
 
-    fn blocks_of(asm: Assembler, roots: &[u64]) -> BTreeMap<u64, BasicBlock> {
+    fn disassemble(code: &[u8], base: u64, roots: &[u64]) -> Layout {
+        Disassembler::new(code, base).pass(roots.iter().copied())
+    }
+
+    fn blocks_of(asm: Assembler, roots: &[u64]) -> Layout {
         let code = asm.finish().expect("assemble");
         disassemble(&code, 0x1000, roots)
+    }
+
+    /// The block starting at `addr`.
+    fn at(layout: &Layout, addr: u64) -> BasicBlock<'_> {
+        layout.block(layout.index_of(addr).expect("a block starts there"))
     }
 
     #[test]
@@ -239,10 +239,10 @@ mod tests {
         let blocks = blocks_of(a, &[0x1000]);
         // The syscall ends its block so each block holds ≤ 1 site.
         assert_eq!(blocks.len(), 2);
-        let b = &blocks[&0x1000];
+        let b = at(&blocks, 0x1000);
         assert_eq!(b.insns.len(), 2);
         assert!(b.has_syscall());
-        assert!(!blocks[&0x1009].has_syscall());
+        assert!(!at(&blocks, 0x1009).has_syscall());
     }
 
     #[test]
@@ -269,7 +269,7 @@ mod tests {
         a.ret();
         let blocks = blocks_of(a, &[0x1000]);
         assert_eq!(blocks.len(), 4, "call split + syscall split + callee ret");
-        assert!(blocks.values().any(|b| b.has_syscall()));
+        assert!((0..blocks.len()).any(|i| blocks.block(i).has_syscall()));
     }
 
     #[test]
@@ -285,8 +285,8 @@ mod tests {
         a.jmp_label(mid);
         let blocks = blocks_of(a, &[0x1000]);
         assert_eq!(blocks.len(), 2);
-        assert!(blocks.contains_key(&0x1000));
-        assert!(blocks.contains_key(&0x1001));
+        assert!(blocks.index_of(0x1000).is_some());
+        assert!(blocks.index_of(0x1001).is_some());
     }
 
     #[test]
@@ -303,7 +303,7 @@ mod tests {
         code.push(0x06); // invalid
         let blocks = disassemble(&code, 0x1000, &[0x1000]);
         assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[&0x1000].insns.len(), 1);
+        assert_eq!(at(&blocks, 0x1000).insns.len(), 1);
     }
 
     #[test]
@@ -312,6 +312,6 @@ mod tests {
         a.mov_reg_imm32(Reg::Rax, 1); // 7 bytes
         a.ret(); // 1 byte
         let blocks = blocks_of(a, &[0x1000]);
-        assert_eq!(blocks[&0x1000].byte_size(), 8);
+        assert_eq!(at(&blocks, 0x1000).byte_size(), 8);
     }
 }

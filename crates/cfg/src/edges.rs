@@ -1,9 +1,9 @@
 //! Edge construction and reachability over a disassembly [`Layout`].
 
 use crate::blocks::Layout;
-use crate::{plt_stub_got_slot, EdgeKind, FunctionSym};
+use crate::functions::Functions;
+use crate::{plt_stub_got_slot, BlockId, EdgeKind};
 use bside_x86::{Op, Target};
-use std::collections::HashMap;
 
 /// Calls `edge` for every out-edge of block `i` except `Return` edges
 /// (which only [`build`] adds), resolving indirect branches to
@@ -74,11 +74,13 @@ pub(crate) fn reachable_from(
 }
 
 /// Per-block edge lists in one flat array: block `i`'s edges are
-/// `edges[offsets[i]..offsets[i + 1]]`, sorted and deduplicated.
+/// `edges[offsets[i]..offsets[i + 1]]`, sorted and deduplicated, and
+/// `ids` holds the same edges with block ids for addresses.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EdgeLists {
     offsets: Vec<u32>,
     edges: Vec<(u64, EdgeKind)>,
+    ids: Vec<(BlockId, EdgeKind)>,
 }
 
 impl EdgeLists {
@@ -97,24 +99,39 @@ impl EdgeLists {
             .iter()
             .map(|&(_, to, kind)| (layout.start(to as usize), kind))
             .collect();
-        EdgeLists { offsets, edges }
+        let ids = triples.iter().map(|&(_, to, kind)| (to, kind)).collect();
+        EdgeLists {
+            offsets,
+            edges,
+            ids,
+        }
+    }
+
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
     }
 
     /// The edges of block `i`.
     pub(crate) fn of(&self, i: usize) -> &[(u64, EdgeKind)] {
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.edges[self.range(i)]
+    }
+
+    /// The edges of block `i`, by block id.
+    pub(crate) fn ids_of(&self, i: usize) -> &[(BlockId, EdgeKind)] {
+        &self.ids[self.range(i)]
     }
 }
 
 /// The final edges, built once after the fixpoint: successor and
-/// predecessor lists, and the PLT stubs, mapping block start to GOT slot.
+/// predecessor lists, and the PLT stubs as (block index, GOT slot),
+/// ascending.
 pub(crate) fn build(
     layout: &Layout,
-    functions: &[FunctionSym],
+    functions: &Functions,
     indirect_targets: &[u64],
-) -> (EdgeLists, EdgeLists, HashMap<u64, u64>) {
+) -> (EdgeLists, EdgeLists, Vec<(u32, u64)>) {
     let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
-    let mut plt_stubs: HashMap<u64, u64> = HashMap::new();
+    let mut plt_stubs: Vec<(u32, u64)> = Vec::new();
     // Call edges: (callee block, post-call block).
     let mut calls: Vec<(usize, u32)> = Vec::new();
 
@@ -122,7 +139,7 @@ pub(crate) fn build(
         let insns = layout.insns_of(i);
         let term = insns.last().expect("blocks are never empty");
         if let Some(slot) = plt_stub_got_slot(insns) {
-            plt_stubs.insert(layout.start(i), slot);
+            plt_stubs.push((i as u32, slot));
         }
         let post_call = match term.op {
             Op::Call(_) => layout.index_of(term.end()),
@@ -138,24 +155,8 @@ pub(crate) fn build(
 
     // Return edges: from each `ret` block of a called function back to the
     // post-call block of each caller.
-    let func_range = |entry: u64| -> (u64, u64) {
-        let f = functions.iter().find(|f| f.entry == entry);
-        match f {
-            Some(f) if f.size > 0 => (f.entry, f.entry + f.size),
-            _ => {
-                // Fall back: until the next function entry.
-                let next = functions
-                    .iter()
-                    .map(|f| f.entry)
-                    .filter(|&e| e > entry)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                (entry, next)
-            }
-        }
-    };
     for &(callee, post_call) in &calls {
-        let (lo, hi) = func_range(layout.start(callee));
+        let (lo, hi) = functions.range_from(layout.start(callee));
         for r in layout.starting_in(lo, hi) {
             let term = layout.insns_of(r).last().expect("blocks are never empty");
             if matches!(term.op, Op::Ret) {
@@ -179,7 +180,9 @@ pub(crate) fn build(
 mod tests {
     use super::*;
     use crate::blocks::Disassembler;
+    use crate::FunctionSym;
     use bside_x86::{Assembler, Cond, Reg};
+    use std::collections::HashMap;
 
     type EdgeMap = HashMap<u64, Vec<(u64, EdgeKind)>>;
 
@@ -194,7 +197,11 @@ mod tests {
             .map(|f| f.entry)
             .chain(indirect.iter().copied());
         let layout = Disassembler::new(&code, 0x1000).pass(roots.chain([0x1000]));
-        let (s, p, stubs) = build(&layout, funcs, indirect);
+        let (s, p, stubs) = build(&layout, &Functions::new(funcs), indirect);
+        let stubs = stubs
+            .iter()
+            .map(|&(i, slot)| (layout.start(i as usize), slot))
+            .collect();
         let map = |lists: &EdgeLists| -> EdgeMap {
             (0..layout.len())
                 .map(|i| (layout.start(i), lists.of(i).to_vec()))

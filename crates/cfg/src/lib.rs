@@ -55,12 +55,16 @@
 mod ataken;
 mod blocks;
 mod edges;
+mod functions;
 
 pub use blocks::BasicBlock;
 
+use blocks::Layout;
+use functions::Functions;
+
 use bside_obs as obs;
 use bside_x86::{Op, Target};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// How indirect branch targets are over-approximated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,6 +146,10 @@ serde::impl_serde_struct!(CfgStats {
     addresses_taken,
 });
 
+/// The dense id of a basic block: blocks are numbered from 0 in address
+/// order, so comparing ids compares start addresses.
+pub type BlockId = u32;
+
 /// A recovered control-flow graph.
 ///
 /// The `Default` impl builds an **empty** graph (no blocks, no edges, no
@@ -151,13 +159,12 @@ serde::impl_serde_struct!(CfgStats {
 /// that need the live graph (phase detection) must analyze in-process.
 #[derive(Debug, Clone, Default)]
 pub struct Cfg {
-    blocks: BTreeMap<u64, BasicBlock>,
-    /// Block start addresses, ascending: position `i` is block `i` of
-    /// the edge lists.
-    starts: Vec<u64>,
+    /// The block store: one instruction array cut into blocks; block `i`
+    /// of the layout is the block with id `i`.
+    layout: Layout,
     succs: edges::EdgeLists,
     preds: edges::EdgeLists,
-    functions: Vec<FunctionSym>,
+    functions: Functions,
     entries: Vec<u64>,
     reachable: BTreeSet<u64>,
     addresses_taken: BTreeSet<u64>,
@@ -165,6 +172,10 @@ pub struct Cfg {
     /// mapping block start → GOT slot address. Symbol resolution happens
     /// in `bside-core` where relocations are available.
     plt_stubs: HashMap<u64, u64>,
+    /// Per block id: is the block a PLT stub.
+    plt: Vec<bool>,
+    /// Reachable `syscall` sites, ascending.
+    sites: Vec<u64>,
     stats: CfgStats,
 }
 
@@ -186,58 +197,88 @@ impl Cfg {
         builder::build(code, base, entries, functions, options)
     }
 
-    /// All basic blocks, keyed by start address.
-    pub fn blocks(&self) -> &BTreeMap<u64, BasicBlock> {
-        &self.blocks
+    /// All basic blocks, in address order (the `i`-th has id `i`).
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = BasicBlock<'_>> + '_ {
+        (0..self.layout.len()).map(|i| self.layout.block(i))
+    }
+
+    /// The blocks starting at or after `addr`, in address order.
+    pub fn blocks_from(&self, addr: u64) -> impl Iterator<Item = BasicBlock<'_>> + '_ {
+        let first = self.layout.starting_in(0, addr).end;
+        (first..self.layout.len()).map(|i| self.layout.block(i))
+    }
+
+    /// Number of blocks; ids run from 0 up to it.
+    pub fn block_count(&self) -> usize {
+        self.layout.len()
     }
 
     /// The block starting exactly at `addr`.
-    pub fn block(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks.get(&addr)
+    pub fn block(&self, addr: u64) -> Option<BasicBlock<'_>> {
+        self.layout.index_of(addr).map(|i| self.layout.block(i))
+    }
+
+    /// The block with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// If `id` is not below [`Cfg::block_count`].
+    pub fn block_at(&self, id: BlockId) -> BasicBlock<'_> {
+        self.layout.block(id as usize)
+    }
+
+    /// The id of the block starting exactly at `addr`.
+    pub fn block_id(&self, addr: u64) -> Option<BlockId> {
+        self.layout.index_of(addr).map(|i| i as BlockId)
+    }
+
+    /// The id of the block containing `addr`.
+    pub fn block_id_containing(&self, addr: u64) -> Option<BlockId> {
+        self.layout.containing(addr).map(|i| i as BlockId)
     }
 
     /// The start address of the block containing `addr`, if any.
     pub fn block_containing(&self, addr: u64) -> Option<u64> {
-        let (&start, block) = self.blocks.range(..=addr).next_back()?;
-        (addr < block.end()).then_some(start)
+        self.layout.containing(addr).map(|i| self.layout.start(i))
     }
 
     /// Successor edges of the block starting at `addr`.
     pub fn succs(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.starts
-            .binary_search(&addr)
+        self.layout
+            .index_of(addr)
             .map_or(&[], |i| self.succs.of(i))
     }
 
     /// Predecessor edges of the block starting at `addr`.
     pub fn preds(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.starts
-            .binary_search(&addr)
+        self.layout
+            .index_of(addr)
             .map_or(&[], |i| self.preds.of(i))
+    }
+
+    /// Successor edges of block `id`, by id, in the order of
+    /// [`Cfg::succs`].
+    pub fn succ_ids(&self, id: BlockId) -> &[(BlockId, EdgeKind)] {
+        self.succs.ids_of(id as usize)
+    }
+
+    /// Predecessor edges of block `id`, by id, in the order of
+    /// [`Cfg::preds`].
+    pub fn pred_ids(&self, id: BlockId) -> &[(BlockId, EdgeKind)] {
+        self.preds.ids_of(id as usize)
     }
 
     /// The function symbols supplied at construction.
     pub fn functions(&self) -> &[FunctionSym] {
-        &self.functions
+        self.functions.syms()
     }
 
     /// The function containing `addr`, resolved by symbol ranges (with a
-    /// fallback to the nearest preceding entry when sizes are absent).
+    /// fallback to the nearest preceding entry when sizes are absent):
+    /// the containing symbol with the greatest entry, the first listed
+    /// among those sharing it. A binary search of a table built once.
     pub fn function_of(&self, addr: u64) -> Option<&FunctionSym> {
-        let mut best: Option<&FunctionSym> = None;
-        for f in &self.functions {
-            if addr >= f.entry {
-                let in_range = if f.size > 0 {
-                    addr < f.entry + f.size
-                } else {
-                    true
-                };
-                if in_range && best.is_none_or(|b| f.entry > b.entry) {
-                    best = Some(f);
-                }
-            }
-        }
-        best
+        self.functions.of(addr)
     }
 
     /// The disassembly/reachability roots.
@@ -255,35 +296,27 @@ impl Cfg {
         &self.addresses_taken
     }
 
-    /// Addresses of every *reachable* `syscall` instruction (§4.4 step F:
-    /// only occurrences reachable from the entry point are considered).
-    pub fn syscall_sites(&self) -> Vec<u64> {
-        let mut sites = Vec::new();
-        for start in &self.reachable {
-            let block = &self.blocks[start];
-            for insn in &block.insns {
-                if matches!(insn.op, Op::Syscall) {
-                    sites.push(insn.addr);
-                }
-            }
-        }
-        sites
+    /// Addresses of every *reachable* `syscall` instruction, ascending
+    /// (§4.4 step F: only occurrences reachable from the entry point are
+    /// considered).
+    pub fn syscall_sites(&self) -> &[u64] {
+        &self.sites
     }
 
     /// All `syscall` sites, reachable or not (used by baselines that skip
     /// the reachability filter).
     pub fn all_syscall_sites(&self) -> Vec<u64> {
-        self.blocks
-            .values()
-            .flat_map(|b| b.insns.iter())
-            .filter(|i| matches!(i.op, Op::Syscall))
-            .map(|i| i.addr)
-            .collect()
+        syscall_addrs(&self.layout.insns).collect()
     }
 
     /// Block starts of PLT stubs, with the GOT slot each jumps through.
     pub fn plt_stubs(&self) -> &HashMap<u64, u64> {
         &self.plt_stubs
+    }
+
+    /// `true` if block `id` is a PLT stub.
+    pub fn is_plt_stub(&self, id: BlockId) -> bool {
+        self.plt[id as usize]
     }
 
     /// Call sites (block start, call instruction) whose direct target is
@@ -303,7 +336,7 @@ impl Cfg {
 
     /// Functions reachable from the entries (by entry address).
     pub fn reachable_functions(&self) -> Vec<&FunctionSym> {
-        self.functions
+        self.functions()
             .iter()
             .filter(|f| {
                 self.block_containing(f.entry)
@@ -311,6 +344,14 @@ impl Cfg {
             })
             .collect()
     }
+}
+
+/// The addresses of the `syscall` instructions among `insns`.
+fn syscall_addrs(insns: &[bside_x86::Instruction]) -> impl Iterator<Item = u64> + '_ {
+    insns
+        .iter()
+        .filter(|i| matches!(i.op, Op::Syscall))
+        .map(|i| i.addr)
 }
 
 mod builder {
@@ -372,30 +413,43 @@ mod builder {
         fixpoint_span.finish();
 
         let edges_span = obs::span("cfg.edges");
-        let (succs, preds, plt_stubs) = edges::build(&layout, functions, &indirect_targets);
+        let functions = Functions::new(functions);
+        let (succs, preds, plt) = edges::build(&layout, &functions, &indirect_targets);
+        let plt_stubs = plt
+            .iter()
+            .map(|&(i, slot)| (layout.start(i as usize), slot))
+            .collect();
+        let mut is_plt = vec![false; layout.len()];
+        for &(i, _) in &plt {
+            is_plt[i as usize] = true;
+        }
         let live = edges::reachable_from(entries, &layout, &indirect_targets);
-        let starts: Vec<u64> = (0..layout.len()).map(|i| layout.start(i)).collect();
-        let reachable = starts.iter().zip(live).filter_map(|(&s, l)| l.then_some(s));
-        let reachable = reachable.collect();
+        let live_ids = (0..layout.len()).filter(|&i| live[i]);
+        let reachable = live_ids.clone().map(|i| layout.start(i)).collect();
+        // Blocks are disjoint and visited in address order, so the sites
+        // come out ascending.
+        let sites = live_ids
+            .flat_map(|i| syscall_addrs(layout.insns_of(i)))
+            .collect();
         let stats = CfgStats {
             blocks: layout.len(),
             instructions: layout.insns.len(),
             ataken_iterations: iterations,
             addresses_taken: indirect_targets.len(),
         };
-        let blocks = layout.into_blocks();
         edges_span.finish();
 
         Cfg {
-            blocks,
-            starts,
+            layout,
             succs,
             preds,
-            functions: functions.to_vec(),
+            functions,
             entries: entries.to_vec(),
             reachable,
             addresses_taken: indirect_targets.into_iter().collect(),
             plt_stubs,
+            plt: is_plt,
+            sites,
             stats,
         }
     }

@@ -2,7 +2,7 @@
 //! for *every* input or downstream analyses (symbolic search, phase
 //! automaton) silently break.
 
-use bside_cfg::{Cfg, CfgOptions, EdgeKind, FunctionSym, IndirectResolution};
+use bside_cfg::{BlockId, Cfg, CfgOptions, EdgeKind, FunctionSym, IndirectResolution};
 use bside_gen::corpus::corpus_with_size;
 
 fn cfgs_of_corpus(seed: u64) -> Vec<(String, Cfg)> {
@@ -36,8 +36,9 @@ fn cfgs_of_corpus(seed: u64) -> Vec<(String, Cfg)> {
 fn blocks_are_disjoint_and_sorted() {
     for (name, cfg) in cfgs_of_corpus(101) {
         let mut prev_end = 0u64;
-        for (&start, block) in cfg.blocks() {
-            assert_eq!(start, block.start, "{name}");
+        for (id, block) in cfg.blocks().enumerate() {
+            let start = block.start;
+            assert_eq!(cfg.block_id(start), Some(id as BlockId), "{name}");
             assert!(
                 start >= prev_end,
                 "{name}: block {start:#x} overlaps previous"
@@ -52,7 +53,7 @@ fn blocks_are_disjoint_and_sorted() {
 #[test]
 fn preds_are_exact_inverse_of_succs() {
     for (name, cfg) in cfgs_of_corpus(102) {
-        for &from in cfg.blocks().keys() {
+        for from in cfg.blocks().map(|b| b.start) {
             for &(to, kind) in cfg.succs(from) {
                 assert!(
                     cfg.preds(to).contains(&(from, kind)),
@@ -60,7 +61,7 @@ fn preds_are_exact_inverse_of_succs() {
                 );
             }
         }
-        for &to in cfg.blocks().keys() {
+        for to in cfg.blocks().map(|b| b.start) {
             for &(from, kind) in cfg.preds(to) {
                 assert!(
                     cfg.succs(from).contains(&(to, kind)),
@@ -74,7 +75,7 @@ fn preds_are_exact_inverse_of_succs() {
 #[test]
 fn edges_land_on_block_starts() {
     for (name, cfg) in cfgs_of_corpus(103) {
-        for &from in cfg.blocks().keys() {
+        for from in cfg.blocks().map(|b| b.start) {
             for &(to, _) in cfg.succs(from) {
                 assert!(
                     cfg.block(to).is_some(),
@@ -88,8 +89,9 @@ fn edges_land_on_block_starts() {
 #[test]
 fn block_containing_agrees_with_block_ranges() {
     for (name, cfg) in cfgs_of_corpus(104) {
-        for (&start, block) in cfg.blocks() {
-            for insn in &block.insns {
+        for block in cfg.blocks() {
+            let start = block.start;
+            for insn in block.insns {
                 assert_eq!(
                     cfg.block_containing(insn.addr),
                     Some(start),
@@ -170,7 +172,7 @@ fn syscall_sites_are_reachable_subset_of_all_sites() {
         let reachable = cfg.syscall_sites();
         let all = cfg.all_syscall_sites();
         assert!(reachable.len() <= all.len(), "{name}");
-        for site in &reachable {
+        for site in reachable {
             assert!(all.contains(site), "{name}");
             let b = cfg.block_containing(*site).expect("site in a block");
             assert!(cfg.reachable().contains(&b), "{name}");
@@ -184,7 +186,7 @@ fn return_edges_pair_with_call_edges() {
     // of some call block (the invariant that makes skipping Return edges
     // in reachability lossless).
     for (name, cfg) in cfgs_of_corpus(108) {
-        for &from in cfg.blocks().keys() {
+        for from in cfg.blocks().map(|b| b.start) {
             for &(to, kind) in cfg.succs(from) {
                 if kind != EdgeKind::Return {
                     continue;

@@ -128,12 +128,9 @@ pub(crate) fn identify_sites(
     // universe): fan the sites out across workers, in ascending address
     // order so reports and error selection are deterministic. Once any
     // site exhausts a budget, remaining sites are cancelled.
-    let mut site_addrs = cfg.syscall_sites();
-    site_addrs.sort_unstable();
-
     let results = par::run_indexed_ctx_fallible(
         options.parallelism,
-        &site_addrs,
+        cfg.syscall_sites(),
         SearchScratch::new,
         |scratch, _, &site| {
             identify_one_site(

@@ -20,11 +20,12 @@
 //! [`detect_phases_naive`] for the cost comparison the paper reports
 //! (41 s vs 700 s on a hello-world; automaton wins).
 
-use bside_cfg::{BasicBlock, Cfg};
+use bside_cfg::{BlockId, Cfg, EdgeKind};
 use bside_obs as obs;
 use bside_syscalls::{SyscallSet, Sysno};
+use bside_x86::Op;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::rc::Rc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Options for phase detection.
 #[derive(Debug, Clone)]
@@ -148,28 +149,74 @@ impl PhaseAutomaton {
     }
 }
 
-/// Per-block NFA labeling: a block's outgoing edges carry the union of
-/// its sites' system call sets; blocks without sites emit ε.
-fn block_labels(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> HashMap<u64, SyscallSet> {
-    let mut labels: HashMap<u64, SyscallSet> = HashMap::new();
+/// Per-block NFA labeling, by block id: a block's outgoing edges carry
+/// the union of its sites' system call sets; blocks without sites emit ε.
+fn block_labels(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> Vec<Option<SyscallSet>> {
+    let mut labels = vec![None; cfg.block_count()];
     for (&site, set) in site_sets {
-        // Blocks partition the decoded instructions in address order, so
-        // only the last block starting at or before a site can hold it.
-        if let Some((&start, block)) = cfg.blocks().range(..=site).next_back() {
-            if block.insns.iter().any(|i| i.addr == site) {
-                labels.entry(start).or_default().extend_from(set);
-            }
+        let Some(id) = cfg.block_id_containing(site) else {
+            continue;
+        };
+        if cfg.block_at(id).insns.iter().any(|i| i.addr == site) {
+            let label: &mut Option<SyscallSet> = &mut labels[id as usize];
+            label.get_or_insert_with(SyscallSet::new).extend_from(set);
         }
     }
     labels
+}
+
+/// Mixes an integer key into a hash whose low bits depend on every key
+/// bit (the MurmurHash3 finalizer). Hash tables pick buckets by the low
+/// bits, and a multiply alone leaves a key's high half out of them.
+fn mix(mut k: u64) -> u64 {
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    k ^= k >> 33;
+    k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    k ^ (k >> 33)
+}
+
+/// The hash of a DFA state's bitset row.
+fn row_hash(row: &[u64]) -> u64 {
+    row.iter().fold(0, |h, &w| mix(h ^ w))
+}
+
+/// Hashes the ids this module packs into keys: contexts, blocks and
+/// nodes are dense ids the analyzer assigns, never addresses read from
+/// the binary, so an unkeyed hash is safe.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 = mix(self.0 ^ k);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map from packed id pairs (see [`pack`]) to ids.
+type IdMap = HashMap<u64, u32, BuildHasherDefault<IdHasher>>;
+
+/// The pair `(hi, lo)` as one key.
+fn pack(hi: u32, lo: BlockId) -> u64 {
+    u64::from(hi) << 32 | u64::from(lo)
 }
 
 /// The context-expanded NFA graph: nodes are `(call-string, block)` pairs
 /// so that `ret` resolves to the matching caller's continuation instead
 /// of every caller's (which would fuse unrelated phases).
 struct Expanded<'a> {
-    /// Underlying block of each node.
-    block: Vec<u64>,
+    /// Underlying block id of each node.
+    block: Vec<BlockId>,
     /// Each node's label, looked up once; `None` means ε edges.
     label: Vec<Option<&'a SyscallSet>>,
     /// Successor node ids, flat: node `n`'s are
@@ -192,62 +239,61 @@ impl Expanded<'_> {
 
 /// Breadth-first builder of [`Expanded`]. Call strings are interned as
 /// a parent-pointer trie with `u32` ids: context 0 is the empty string,
-/// and context `c > 0` is context `ctx_parent[c]` followed by the call
-/// block `ctx_call[c]`.
+/// and context `c > 0` is context `ctx_parent[c]` followed by a call
+/// whose continuation block is `ctx_cont[c]`.
 struct Expander<'a> {
-    labels: &'a HashMap<u64, SyscallSet>,
+    labels: &'a [Option<SyscallSet>],
     ctx_parent: Vec<u32>,
-    ctx_call: Vec<u64>,
+    ctx_cont: Vec<Option<BlockId>>,
     ctx_depth: Vec<usize>,
-    ctx_ids: HashMap<(u32, u64), u32>,
-    node_ids: HashMap<(u32, u64), u32>,
+    /// `(context, call block)` → context.
+    ctx_ids: IdMap,
+    /// `(context, block)` → node.
+    node_ids: IdMap,
     node_ctx: Vec<u32>,
     graph: Expanded<'a>,
-    queue: VecDeque<u32>,
 }
 
 impl Expander<'_> {
-    /// The context `ctx` extended by the call in block `call`.
-    fn push_ctx(&mut self, ctx: u32, call: u64) -> u32 {
+    /// The context `ctx` extended by the call in block `call`, whose
+    /// continuation is `cont`.
+    fn push_ctx(&mut self, ctx: u32, call: BlockId, cont: Option<BlockId>) -> u32 {
         let next = self.ctx_parent.len() as u32;
-        *self.ctx_ids.entry((ctx, call)).or_insert_with(|| {
+        *self.ctx_ids.entry(pack(ctx, call)).or_insert_with(|| {
             self.ctx_parent.push(ctx);
-            self.ctx_call.push(call);
+            self.ctx_cont.push(cont);
             self.ctx_depth.push(self.ctx_depth[ctx as usize] + 1);
             next
         })
     }
 
-    /// The node `(ctx, b)`, created and queued on first sight.
-    fn node(&mut self, ctx: u32, b: u64) -> u32 {
+    /// The node `(ctx, b)`, created on first sight; nodes are expanded
+    /// in creation order.
+    fn node(&mut self, ctx: u32, b: BlockId) -> u32 {
         let next = self.graph.block.len() as u32;
-        let id = *self.node_ids.entry((ctx, b)).or_insert(next);
+        let id = *self.node_ids.entry(pack(ctx, b)).or_insert(next);
         if id == next {
             self.graph.block.push(b);
-            self.graph.label.push(self.labels.get(&b));
+            self.graph.label.push(self.labels[b as usize].as_ref());
             self.node_ctx.push(ctx);
-            self.queue.push_back(id);
         }
         id
     }
 }
 
 fn expand<'a>(
-    cfg: &'a Cfg,
-    labels: &'a HashMap<u64, SyscallSet>,
+    cfg: &Cfg,
+    labels: &'a [Option<SyscallSet>],
     depth: usize,
     max_nodes: usize,
 ) -> Expanded<'a> {
-    use bside_cfg::EdgeKind;
-    use bside_x86::Op;
-
     let mut x = Expander {
         labels,
         ctx_parent: vec![0],
-        ctx_call: vec![0],
+        ctx_cont: vec![None],
         ctx_depth: vec![0],
-        ctx_ids: HashMap::new(),
-        node_ids: HashMap::with_capacity(cfg.reachable().len()),
+        ctx_ids: IdMap::default(),
+        node_ids: IdMap::with_capacity_and_hasher(cfg.reachable().len(), Default::default()),
         node_ctx: Vec::new(),
         graph: Expanded {
             block: Vec::new(),
@@ -257,32 +303,35 @@ fn expand<'a>(
             entries: Vec::new(),
             truncated: false,
         },
-        queue: VecDeque::new(),
     };
     for &e in cfg.entries() {
-        if let Some(b) = cfg.block_containing(e) {
+        if let Some(b) = cfg.block_id_containing(e) {
             let id = x.node(0, b);
             x.graph.entries.push(id);
         }
     }
 
     let mut out: Vec<u32> = Vec::new();
-    while let Some(id) = x.queue.pop_front() {
+    let mut id = 0;
+    while id < x.graph.block.len() {
         if x.graph.block.len() > max_nodes {
             x.graph.truncated = true;
             break;
         }
-        let (b, ctx) = (x.graph.block[id as usize], x.node_ctx[id as usize]);
+        let (b, ctx) = (x.graph.block[id], x.node_ctx[id]);
+        id += 1;
         out.clear();
-        match cfg.block(b).map(|bb| bb.terminator().op) {
-            Some(Op::Call(_)) => {
+        let term = cfg.block_at(b).terminator();
+        match term.op {
+            Op::Call(_) => {
                 let mut entered = false;
-                for &(to, kind) in cfg.succs(b) {
+                let cont = cfg.block_id_containing(term.end());
+                for &(to, kind) in cfg.succ_ids(b) {
                     if matches!(kind, EdgeKind::Call | EdgeKind::Indirect)
-                        && !cfg.plt_stubs().contains_key(&to)
+                        && !cfg.is_plt_stub(to)
                         && x.ctx_depth[ctx as usize] < depth
                     {
-                        let callee_ctx = x.push_ctx(ctx, b);
+                        let callee_ctx = x.push_ctx(ctx, b, cont);
                         out.push(x.node(callee_ctx, to));
                         entered = true;
                     }
@@ -290,7 +339,7 @@ fn expand<'a>(
                 if !entered {
                     // Depth-capped, external (PLT), or unresolved: step
                     // over the call.
-                    for &(to, kind) in cfg.succs(b) {
+                    for &(to, kind) in cfg.succ_ids(b) {
                         if kind == EdgeKind::FallThrough {
                             out.push(x.node(ctx, to));
                         }
@@ -298,19 +347,15 @@ fn expand<'a>(
                 }
             }
             // Empty context: the entry function returned — halt.
-            Some(Op::Ret) if ctx != 0 => {
-                let (call_block, caller_ctx) =
-                    (x.ctx_call[ctx as usize], x.ctx_parent[ctx as usize]);
-                let cont = cfg
-                    .block(call_block)
-                    .and_then(|cb| cfg.block_containing(cb.terminator().end()));
-                if let Some(cont) = cont {
+            Op::Ret if ctx != 0 => {
+                let caller_ctx = x.ctx_parent[ctx as usize];
+                if let Some(cont) = x.ctx_cont[ctx as usize] {
                     out.push(x.node(caller_ctx, cont));
                 }
             }
-            Some(Op::Ret) | None => {}
-            Some(_) => {
-                for &(to, kind) in cfg.succs(b) {
+            Op::Ret => {}
+            _ => {
+                for &(to, kind) in cfg.succ_ids(b) {
                     if matches!(
                         kind,
                         EdgeKind::Branch | EdgeKind::FallThrough | EdgeKind::Indirect
@@ -375,6 +420,83 @@ fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// No state: the end of a hash chain.
+const NIL: u32 = u32::MAX;
+
+/// The DFA states: `width`-word bitset rows in one flat arena, interned
+/// through hash chains (`heads` per bucket, `next` per state).
+struct States {
+    width: usize,
+    rows: Vec<u64>,
+    hashes: Vec<u64>,
+    next: Vec<u32>,
+    heads: Vec<u32>,
+}
+
+impl States {
+    fn new(width: usize) -> States {
+        States {
+            width,
+            rows: Vec::new(),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            heads: vec![NIL; 16],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    fn row(&self, id: usize) -> &[u64] {
+        &self.rows[id * self.width..(id + 1) * self.width]
+    }
+
+    /// The id of the state `row`, added if new.
+    fn intern(&mut self, row: &[u64]) -> u32 {
+        let hash = row_hash(row);
+        let bucket = hash as usize & (self.heads.len() - 1);
+        let mut at = self.heads[bucket];
+        while at != NIL {
+            if self.hashes[at as usize] == hash && self.row(at as usize) == row {
+                return at;
+            }
+            at = self.next[at as usize];
+        }
+        let id = self.len() as u32;
+        self.rows.extend_from_slice(row);
+        self.hashes.push(hash);
+        self.next.push(self.heads[bucket]);
+        self.heads[bucket] = id;
+        if self.len() > self.heads.len() {
+            // Keep chains short: one bucket per state, relinked.
+            let mask = self.heads.len() * 2 - 1;
+            self.heads = vec![NIL; mask + 1];
+            for (s, &h) in self.hashes.iter().enumerate() {
+                self.next[s] = self.heads[h as usize & mask];
+                self.heads[h as usize & mask] = s as u32;
+            }
+        }
+        id
+    }
+}
+
+/// Per-state DFA edges, flat: state `s`'s `(sysno, state)` edges are
+/// `edges[offsets[s]..offsets[s + 1]]`, by ascending system call. States
+/// are expanded in id order, so a truncated construction leaves the
+/// unexpanded tail without an entry (no edges).
+struct DfaEdges {
+    offsets: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+}
+
+impl DfaEdges {
+    fn of(&self, s: usize) -> &[(u32, u32)] {
+        let range = self.offsets.get(s..s + 2);
+        range.map_or(&[], |r| &self.edges[r[0] as usize..r[1] as usize])
+    }
+}
+
 /// Builds the phase automaton from an analyzed binary's CFG and per-site
 /// system call sets.
 ///
@@ -410,26 +532,29 @@ pub fn detect_phases(
         set.insert(e as usize);
     }
     set.close();
-    let mut states: Vec<Rc<[u64]>> = vec![Rc::from(&set.bits[..])];
-    let mut state_ids: HashMap<Rc<[u64]>, usize> = HashMap::new();
-    state_ids.insert(states[0].clone(), 0);
-    let mut dfa_edges: Vec<Vec<(u32, usize)>> = vec![Vec::new()]; // (sysno.raw, state), ascending
+    let mut states = States::new(width);
+    states.intern(&set.bits);
+    let mut dfa = DfaEdges {
+        offsets: vec![0],
+        edges: Vec::new(),
+    };
     let mut truncated = expanded.truncated;
-    let mut queue: VecDeque<usize> = [0].into();
     let mut labelled: Vec<(usize, &SyscallSet)> = Vec::new();
 
-    while let Some(sid) = queue.pop_front() {
-        if dfa_edges.len() > options.max_dfa_states {
+    // States are expanded in id order, which is breadth first.
+    let mut sid = 0;
+    while sid < states.len() {
+        if states.len() > options.max_dfa_states {
             truncated = true;
             break;
         }
-        let state = states[sid].clone();
         labelled.clear();
         labelled.extend(
-            members(&state)
+            members(states.row(sid))
                 .filter(|&n| n != halt)
                 .filter_map(|n| Some((n, expanded.label[n]?))),
         );
+        sid += 1;
         let mut symbols = SyscallSet::new();
         for &(_, label) in &labelled {
             symbols.extend_from(label);
@@ -450,61 +575,48 @@ pub fn detect_phases(
                 }
             }
             set.close();
-            let next_id = match state_ids.get(&set.bits[..]) {
-                Some(&id) => id,
-                None => {
-                    let id = dfa_edges.len();
-                    let state: Rc<[u64]> = Rc::from(&set.bits[..]);
-                    state_ids.insert(state.clone(), id);
-                    states.push(state);
-                    dfa_edges.push(Vec::new());
-                    queue.push_back(id);
-                    id
-                }
-            };
-            dfa_edges[sid].push((sym.raw(), next_id));
+            let next = states.intern(&set.bits);
+            dfa.edges.push((sym.raw(), next));
         }
+        dfa.offsets.push(dfa.edges.len() as u32);
     }
-    let dfa_states = dfa_edges.len();
+    let dfa_states = states.len();
     span.finish();
 
     // ---- merge highly-connected states: SCC condensation -----------------------
     let span = obs::span("phases.merge");
-    let scc = tarjan_scc(&dfa_edges);
+    let scc = tarjan_scc(dfa_states, &dfa);
     let phase_count = scc.iter().copied().max().map(|m| m + 1).unwrap_or(0);
 
     // Each phase's node set is the union of its states' sets.
     let mut phase_nodes = vec![0u64; phase_count * width];
-    for (sid, state) in states.iter().enumerate() {
-        let union = &mut phase_nodes[scc[sid] * width..(scc[sid] + 1) * width];
-        for (acc, &w) in union.iter_mut().zip(state.iter()) {
+    for (sid, &phase) in scc.iter().enumerate() {
+        let union = &mut phase_nodes[phase * width..(phase + 1) * width];
+        for (acc, &w) in union.iter_mut().zip(states.row(sid)) {
             *acc |= w;
         }
     }
+    let mut ids: Vec<BlockId> = Vec::new();
     let mut phases: Vec<Phase> = phase_nodes
         .chunks_exact(width)
         .enumerate()
         .map(|(id, nodes)| {
-            let blocks: BTreeSet<u64> = members(nodes)
-                .filter(|&n| n != halt)
-                .map(|n| expanded.block[n])
-                .collect();
-            let code_bytes = blocks
-                .iter()
-                .map(|&b| cfg.block(b).map(BasicBlock::byte_size).unwrap_or(0))
-                .sum();
+            ids.clear();
+            ids.extend(members(nodes).filter(|&n| n != halt).map(|n| expanded.block[n]));
+            ids.sort_unstable();
+            ids.dedup();
+            let blocks = ids.iter().map(|&b| cfg.block_at(b));
             Phase {
                 id,
-                blocks,
+                blocks: blocks.clone().map(|b| b.start).collect(),
                 transitions: BTreeMap::new(),
-                code_bytes,
+                code_bytes: blocks.map(|b| b.byte_size()).sum(),
             }
         })
         .collect();
-    for (sid, edges) in dfa_edges.iter().enumerate() {
-        let from = scc[sid];
-        for &(sym, to_state) in edges {
-            let to = scc[to_state];
+    for (sid, &from) in scc.iter().enumerate() {
+        for &(sym, to_state) in dfa.of(sid) {
+            let to = scc[to_state as usize];
             if let Some(sysno) = Sysno::new(sym) {
                 phases[from]
                     .transitions
@@ -525,10 +637,10 @@ pub fn detect_phases(
     }
 }
 
-/// Tarjan's strongly-connected components of the DFA, whose state `v`
-/// has the successors `edges[v]` (in order); returns a component id per
-/// state. Iterative to survive deep DFAs.
-fn tarjan_scc(edges: &[Vec<(u32, usize)>]) -> Vec<usize> {
+/// Tarjan's strongly-connected components of the DFA's `n` states, whose
+/// state `v` has the successors `edges.of(v)` (in order); returns a
+/// component id per state. Iterative to survive deep DFAs.
+fn tarjan_scc(n: usize, edges: &DfaEdges) -> Vec<usize> {
     #[derive(Clone, Copy)]
     struct Node {
         index: usize,
@@ -536,7 +648,6 @@ fn tarjan_scc(edges: &[Vec<(u32, usize)>]) -> Vec<usize> {
         on_stack: bool,
         visited: bool,
     }
-    let n = edges.len();
     let mut nodes = vec![
         Node {
             index: 0,
@@ -567,7 +678,8 @@ fn tarjan_scc(edges: &[Vec<(u32, usize)>]) -> Vec<usize> {
 
         while let Some((v, cursor)) = call.last_mut() {
             let v = *v;
-            if let Some(&(_, w)) = edges[v].get(*cursor) {
+            if let Some(&(_, w)) = edges.of(v).get(*cursor) {
+                let w = w as usize;
                 *cursor += 1;
                 if !nodes[w].visited {
                     nodes[w].visited = true;
@@ -614,11 +726,12 @@ fn tarjan_scc(edges: &[Vec<(u32, usize)>]) -> Vec<usize> {
 /// that motivates the automaton construction.
 pub fn detect_phases_naive(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> PhaseAutomaton {
     let labels = block_labels(cfg, site_sets);
-    let syscall_blocks: Vec<u64> = {
-        let mut v: Vec<u64> = labels.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
+    // Labelled blocks in id order, which is address order.
+    let (syscall_blocks, syscall_labels): (Vec<u64>, Vec<&SyscallSet>) = labels
+        .iter()
+        .zip(cfg.blocks())
+        .filter_map(|(label, b)| Some((b.start, label.as_ref()?)))
+        .unzip();
     let n = syscall_blocks.len();
 
     // cluster id per syscall block.
@@ -700,13 +813,13 @@ pub fn detect_phases_naive(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> P
     for (i, &b) in syscall_blocks.iter().enumerate() {
         let pid = remap[&cluster[i]];
         phases[pid].blocks.insert(b);
-        phases[pid].code_bytes += cfg.block(b).map(BasicBlock::byte_size).unwrap_or(0);
+        phases[pid].code_bytes += cfg.block(b).map_or(0, |b| b.byte_size());
     }
     // Transitions: per source syscall block, the next syscall blocks
     // reachable without crossing a third block (one more navigation).
     for (i, &b) in syscall_blocks.iter().enumerate() {
         let from = remap[&cluster[i]];
-        let label = &labels[&b];
+        let label = syscall_labels[i];
         let mut seen: BTreeSet<u64> = BTreeSet::new();
         let mut queue: VecDeque<u64> = VecDeque::new();
         for &(succ, _) in cfg.succs(b) {
@@ -887,6 +1000,47 @@ mod tests {
             .phases
             .iter()
             .any(|p| p.transitions.contains_key(&p.id)));
+    }
+
+    /// The number of distinct low-16-bit buckets that `hashes` land in.
+    fn low_buckets(hashes: impl Iterator<Item = u64>) -> usize {
+        let mut seen = vec![false; 1 << 16];
+        hashes
+            .filter(|&h| !std::mem::replace(&mut seen[h as usize & 0xffff], true))
+            .count()
+    }
+
+    #[test]
+    fn id_hash_spreads_high_key_bits_over_the_low_buckets() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        // Every context of one block: keys that differ only in their
+        // high half, which a multiply alone would put in one bucket.
+        for block in [0, 1, 68, BlockId::MAX] {
+            let keys = (0..1 << 16).map(|ctx| pack(ctx, block));
+            let spread = low_buckets(keys.map(|k| hasher.hash_one(k)));
+            assert!(spread >= 1 << 15, "block {block}: {spread} buckets");
+        }
+        // One-word states that differ only in their high node bits.
+        for low in [0u64, 1, 0b1011] {
+            let rows = (0..1u64 << 16).map(|i| [low | i << 48]);
+            let spread = low_buckets(rows.map(|row| row_hash(&row)));
+            assert!(spread >= 1 << 15, "low bits {low:#b}: {spread} buckets");
+        }
+    }
+
+    #[test]
+    fn interned_states_keep_their_ids_across_growth() {
+        let mut states = States::new(2);
+        let rows: Vec<[u64; 2]> = (0..100u64).map(|i| [i, i << 40]).collect();
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(states.intern(row), i as u32);
+        }
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(states.intern(row), i as u32, "interned once");
+            assert_eq!(states.row(i), row);
+        }
+        assert_eq!(states.len(), 100);
     }
 
     #[test]

@@ -409,7 +409,7 @@ pub(crate) fn analyze_library(
         };
         let mut callees = BTreeSet::new();
         // Every call edge out of blocks of this function.
-        for &start in cfg.blocks().keys() {
+        for start in cfg.blocks().map(|b| b.start) {
             if cfg.function_of(start).is_none_or(|g| g.entry != f.entry) {
                 continue;
             }
@@ -471,7 +471,7 @@ fn analyze_one_export(
             }
         }
         if let Some(block) = cfg.block(b) {
-            for insn in &block.insns {
+            for insn in block.insns {
                 if let Some(set) = site_sets.get(&insn.addr) {
                     info.syscalls.extend_from(set);
                     info.complete &= site_complete.get(&insn.addr).copied().unwrap_or(false);

@@ -63,17 +63,16 @@ pub fn phase1_may_be_wrapper(cfg: &Cfg, func_entry: u64, site: u64) -> bool {
     if func.entry != func_entry {
         return true;
     }
-    let mut insns: Vec<&bside_x86::Instruction> = cfg
-        .blocks()
-        .range(func_entry..)
-        .take_while(|(&start, _)| {
-            cfg.function_of(start)
+    // Blocks come in address order, so the instructions do too.
+    let insns: Vec<&bside_x86::Instruction> = cfg
+        .blocks_from(func_entry)
+        .take_while(|b| {
+            cfg.function_of(b.start)
                 .is_some_and(|f| f.entry == func_entry)
         })
-        .flat_map(|(_, b)| b.insns.iter())
+        .flat_map(|b| b.insns.iter())
         .filter(|i| i.addr < site)
         .collect();
-    insns.sort_by_key(|i| i.addr);
 
     // Walk backwards resolving the register chain starting at %rax.
     let mut tracked = Reg::Rax;
@@ -195,7 +194,7 @@ fn merge_param(current: Option<WrapperParam>, new: WrapperParam) -> WrapperParam
 /// groups the positives by containing function.
 pub fn detect_wrappers(cfg: &Cfg, limits: &Limits) -> Vec<WrapperInfo> {
     let mut wrappers: Vec<WrapperInfo> = Vec::new();
-    for site in cfg.syscall_sites() {
+    for &site in cfg.syscall_sites() {
         let Some(func) = cfg.function_of(site) else {
             continue;
         };

@@ -72,7 +72,8 @@ fn functions_of(elf: &Elf) -> Vec<FunctionSym> {
 
 fn cfg_digest(cfg: &Cfg) -> u64 {
     let mut h = Fnv::new();
-    for (&start, block) in cfg.blocks() {
+    for block in cfg.blocks() {
+        let start = block.start;
         h.u64(start);
         h.all(block.insns.iter().map(|i| i.addr));
         h.all(

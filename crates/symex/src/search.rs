@@ -290,7 +290,7 @@ fn forward_exec(
 
         // Execute the block, stopping at the query target if it is here.
         let mut reached_target = false;
-        for insn in &block.insns {
+        for insn in block.insns {
             if insn.addr == query.target {
                 let v = eval_query(&mut state, query.what);
                 outcome.reached = true;
@@ -428,7 +428,7 @@ pub fn exec_within_function(
         blocks += 1;
 
         let mut reached_target = false;
-        for insn in &block.insns {
+        for insn in block.insns {
             if insn.addr == query.target {
                 let v = eval_query(&mut state, query.what);
                 result.outcomes.insert(v);

@@ -108,16 +108,20 @@ const INVALID: u32 = u32::MAX - 1;
 /// that finds new indirect targets. The bytes never change within one
 /// CFG construction, so each offset is decoded at most once: `slot` holds
 /// the offset's index into `decoded` (or `UNDECODED` / `INVALID`), a
-/// `u32` per text byte. The per-pass `visited` and `leaders` marks are a
-/// byte per text byte each.
+/// `u32` per text byte. The per-pass marks (`VISITED`, `LEADER`) are a
+/// byte per text byte.
 pub(crate) struct Disassembler<'a> {
     code: &'a [u8],
     base: u64,
     slot: Vec<u32>,
     decoded: Vec<Instruction>,
-    visited: Vec<bool>,
-    leaders: Vec<bool>,
+    marks: Vec<u8>,
 }
+
+/// Mark of an offset decoded by the current pass.
+const VISITED: u8 = 1;
+/// Mark of an offset that must start a block.
+const LEADER: u8 = 2;
 
 impl<'a> Disassembler<'a> {
     pub(crate) fn new(code: &'a [u8], base: u64) -> Disassembler<'a> {
@@ -126,8 +130,7 @@ impl<'a> Disassembler<'a> {
             base,
             slot: vec![UNDECODED; code.len()],
             decoded: Vec::new(),
-            visited: vec![false; code.len()],
-            leaders: vec![false; code.len()],
+            marks: vec![0; code.len()],
         }
     }
 
@@ -153,8 +156,14 @@ impl<'a> Disassembler<'a> {
     /// splits blocks at every discovered leader (root, branch target, or
     /// the address after a `jcc`, `call` or `syscall`).
     pub(crate) fn pass(&mut self, roots: impl IntoIterator<Item = u64>) -> Layout {
-        self.visited.fill(false);
-        self.leaders.fill(false);
+        self.marks.fill(0);
+        // Counted to size the layout: one instruction per visited offset,
+        // and about one block per leader.
+        let (mut visited, mut leaders) = (0usize, 0usize);
+        let mut lead = |marks: &mut [u8], off: usize| {
+            leaders += usize::from(marks[off] & LEADER == 0);
+            marks[off] |= LEADER;
+        };
 
         // Pass 1: discover instructions and leaders. The visited set is
         // the closure of the roots under fall-through and branch targets,
@@ -162,18 +171,19 @@ impl<'a> Disassembler<'a> {
         let mut worklist: Vec<usize> = Vec::new();
         for root in roots {
             if let Some(off) = self.offset(root) {
-                self.leaders[off] = true;
+                lead(&mut self.marks, off);
                 worklist.push(off);
             }
         }
         while let Some(mut off) = worklist.pop() {
-            while !self.visited[off] {
+            while self.marks[off] & VISITED == 0 {
                 let Some(insn) = self.decode_at(off) else {
                     break; // undecodable: stop this run
                 };
-                self.visited[off] = true;
+                self.marks[off] |= VISITED;
+                visited += 1;
                 if let Some(t) = insn.branch_target().and_then(|t| self.offset(t)) {
-                    self.leaders[t] = true;
+                    lead(&mut self.marks, t);
                     worklist.push(t);
                 }
                 let next = self.offset(insn.end());
@@ -183,7 +193,7 @@ impl<'a> Disassembler<'a> {
                 // boundary. Calls fall through (the callee returns).
                 if matches!(insn.op, Op::Jcc(..) | Op::Call(_) | Op::Syscall) {
                     if let Some(n) = next {
-                        self.leaders[n] = true;
+                        lead(&mut self.marks, n);
                     }
                 }
                 match (insn.is_terminator(), next) {
@@ -195,12 +205,15 @@ impl<'a> Disassembler<'a> {
 
         // Pass 2: group instructions, in address order, into blocks split
         // at leaders, at gaps and after block-ending instructions.
-        let mut layout = Layout::default();
+        let mut layout = Layout {
+            insns: Vec::with_capacity(visited),
+            blocks: Vec::with_capacity(leaders),
+        };
         let mut open = false;
-        for off in (0..self.code.len()).filter(|&off| self.visited[off]) {
+        for off in (0..self.code.len()).filter(|&off| self.marks[off] & VISITED != 0) {
             let insn = self.decoded[self.slot[off] as usize];
             let contiguous = layout.insns.last().is_some_and(|p| p.end() == insn.addr);
-            if !open || self.leaders[off] || !contiguous {
+            if !open || self.marks[off] & LEADER != 0 || !contiguous {
                 layout.blocks.push((insn.addr, layout.insns.len() as u32));
             }
             layout.insns.push(insn);

@@ -57,7 +57,7 @@ pub(crate) fn reachable_from(
     indirect_targets: &[u64],
 ) -> Vec<bool> {
     let mut seen = vec![false; layout.len()];
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(layout.len());
     for i in entries.iter().filter_map(|&e| layout.containing(e)) {
         if !std::mem::replace(&mut seen[i], true) {
             stack.push(i);
@@ -130,7 +130,8 @@ pub(crate) fn build(
     functions: &Functions,
     indirect_targets: &[u64],
 ) -> (EdgeLists, EdgeLists, Vec<(u32, u64)>) {
-    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
+    // Most blocks have one or two out-edges.
+    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::with_capacity(2 * layout.len());
     let mut plt_stubs: Vec<(u32, u64)> = Vec::new();
     // Call edges: (callee block, post-call block).
     let mut calls: Vec<(usize, u32)> = Vec::new();

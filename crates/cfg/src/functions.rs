@@ -38,16 +38,15 @@ impl Functions {
             let f = &syms[i as usize];
             (f.size > 0).then(|| f.entry.checked_add(f.size))
         };
-        let mut closes: Vec<(u64, u32)> = by_entry
-            .iter()
-            .filter_map(|&i| Some((end(i)??, i)))
-            .collect();
+        let mut closes: Vec<(u64, u32)> = Vec::with_capacity(syms.len());
+        closes.extend(by_entry.iter().filter_map(|&i| Some((end(i)??, i))));
         closes.sort_unstable();
 
         // Sweep the points where a symbol opens or closes, keeping the
         // open symbols ordered by (greatest entry, first listed).
         let mut active: BTreeSet<(Reverse<u64>, u32)> = BTreeSet::new();
-        let (mut cuts, mut owner) = (Vec::new(), Vec::new());
+        let points = syms.len() + closes.len();
+        let (mut cuts, mut owner) = (Vec::with_capacity(points), Vec::with_capacity(points));
         let (mut o, mut c) = (0, 0);
         while o < by_entry.len() || c < closes.len() {
             let open_at = by_entry.get(o).map(|&i| syms[i as usize].entry);

@@ -211,14 +211,22 @@ fn pack(hi: u32, lo: BlockId) -> u64 {
     u64::from(hi) << 32 | u64::from(lo)
 }
 
+/// One node of the context-expanded NFA.
+#[derive(Clone, Copy)]
+struct Node<'a> {
+    /// The underlying block.
+    block: BlockId,
+    /// The call-string context.
+    ctx: u32,
+    /// The block's label; `None` means ε edges.
+    label: Option<&'a SyscallSet>,
+}
+
 /// The context-expanded NFA graph: nodes are `(call-string, block)` pairs
 /// so that `ret` resolves to the matching caller's continuation instead
 /// of every caller's (which would fuse unrelated phases).
 struct Expanded<'a> {
-    /// Underlying block id of each node.
-    block: Vec<BlockId>,
-    /// Each node's label, looked up once; `None` means ε edges.
-    label: Vec<Option<&'a SyscallSet>>,
+    nodes: Vec<Node<'a>>,
     /// Successor node ids, flat: node `n`'s are
     /// `succ_edges[succ_offsets[n]..succ_offsets[n + 1]]`. Nodes are
     /// expanded in id order, so a truncated expansion leaves the
@@ -237,45 +245,53 @@ impl Expanded<'_> {
     }
 }
 
-/// Breadth-first builder of [`Expanded`]. Call strings are interned as
-/// a parent-pointer trie with `u32` ids: context 0 is the empty string,
-/// and context `c > 0` is context `ctx_parent[c]` followed by a call
-/// whose continuation block is `ctx_cont[c]`.
+/// A call string, interned as a node of a parent-pointer trie: context 0
+/// is the empty string, and any other is its `parent` followed by one
+/// call, which returns to the block `cont`.
+struct Context {
+    parent: u32,
+    cont: Option<BlockId>,
+    depth: usize,
+}
+
+/// Breadth-first builder of [`Expanded`].
 struct Expander<'a> {
     labels: &'a [Option<SyscallSet>],
-    ctx_parent: Vec<u32>,
-    ctx_cont: Vec<Option<BlockId>>,
-    ctx_depth: Vec<usize>,
+    contexts: Vec<Context>,
     /// `(context, call block)` → context.
     ctx_ids: IdMap,
     /// `(context, block)` → node.
     node_ids: IdMap,
-    node_ctx: Vec<u32>,
     graph: Expanded<'a>,
 }
 
 impl Expander<'_> {
-    /// The context `ctx` extended by the call in block `call`, whose
-    /// continuation is `cont`.
+    /// The context `ctx` extended by the call in block `call`, which
+    /// returns to `cont`.
     fn push_ctx(&mut self, ctx: u32, call: BlockId, cont: Option<BlockId>) -> u32 {
-        let next = self.ctx_parent.len() as u32;
+        let next = self.contexts.len() as u32;
         *self.ctx_ids.entry(pack(ctx, call)).or_insert_with(|| {
-            self.ctx_parent.push(ctx);
-            self.ctx_cont.push(cont);
-            self.ctx_depth.push(self.ctx_depth[ctx as usize] + 1);
+            let depth = self.contexts[ctx as usize].depth + 1;
+            self.contexts.push(Context {
+                parent: ctx,
+                cont,
+                depth,
+            });
             next
         })
     }
 
-    /// The node `(ctx, b)`, created on first sight; nodes are expanded
-    /// in creation order.
-    fn node(&mut self, ctx: u32, b: BlockId) -> u32 {
-        let next = self.graph.block.len() as u32;
-        let id = *self.node_ids.entry(pack(ctx, b)).or_insert(next);
+    /// The node `(ctx, block)`, created on first sight; nodes are
+    /// expanded in creation order.
+    fn node(&mut self, ctx: u32, block: BlockId) -> u32 {
+        let next = self.graph.nodes.len() as u32;
+        let id = *self.node_ids.entry(pack(ctx, block)).or_insert(next);
         if id == next {
-            self.graph.block.push(b);
-            self.graph.label.push(self.labels[b as usize].as_ref());
-            self.node_ctx.push(ctx);
+            self.graph.nodes.push(Node {
+                block,
+                ctx,
+                label: self.labels[block as usize].as_ref(),
+            });
         }
         id
     }
@@ -287,23 +303,26 @@ fn expand<'a>(
     depth: usize,
     max_nodes: usize,
 ) -> Expanded<'a> {
+    // Most binaries expand to fewer than two nodes per reachable block.
+    let hint = 2 * cfg.reachable().len();
     let mut x = Expander {
         labels,
-        ctx_parent: vec![0],
-        ctx_cont: vec![None],
-        ctx_depth: vec![0],
+        contexts: vec![Context {
+            parent: 0,
+            cont: None,
+            depth: 0,
+        }],
         ctx_ids: IdMap::default(),
-        node_ids: IdMap::with_capacity_and_hasher(cfg.reachable().len(), Default::default()),
-        node_ctx: Vec::new(),
+        node_ids: IdMap::with_capacity_and_hasher(hint, Default::default()),
         graph: Expanded {
-            block: Vec::new(),
-            label: Vec::new(),
-            succ_offsets: vec![0],
-            succ_edges: Vec::new(),
+            nodes: Vec::with_capacity(hint),
+            succ_offsets: Vec::with_capacity(hint + 1),
+            succ_edges: Vec::with_capacity(2 * hint),
             entries: Vec::new(),
             truncated: false,
         },
     };
+    x.graph.succ_offsets.push(0);
     for &e in cfg.entries() {
         if let Some(b) = cfg.block_id_containing(e) {
             let id = x.node(0, b);
@@ -313,12 +332,12 @@ fn expand<'a>(
 
     let mut out: Vec<u32> = Vec::new();
     let mut id = 0;
-    while id < x.graph.block.len() {
-        if x.graph.block.len() > max_nodes {
+    while id < x.graph.nodes.len() {
+        if x.graph.nodes.len() > max_nodes {
             x.graph.truncated = true;
             break;
         }
-        let (b, ctx) = (x.graph.block[id], x.node_ctx[id]);
+        let Node { block: b, ctx, .. } = x.graph.nodes[id];
         id += 1;
         out.clear();
         let term = cfg.block_at(b).terminator();
@@ -329,7 +348,7 @@ fn expand<'a>(
                 for &(to, kind) in cfg.succ_ids(b) {
                     if matches!(kind, EdgeKind::Call | EdgeKind::Indirect)
                         && !cfg.is_plt_stub(to)
-                        && x.ctx_depth[ctx as usize] < depth
+                        && x.contexts[ctx as usize].depth < depth
                     {
                         let callee_ctx = x.push_ctx(ctx, b, cont);
                         out.push(x.node(callee_ctx, to));
@@ -348,9 +367,9 @@ fn expand<'a>(
             }
             // Empty context: the entry function returned — halt.
             Op::Ret if ctx != 0 => {
-                let caller_ctx = x.ctx_parent[ctx as usize];
-                if let Some(cont) = x.ctx_cont[ctx as usize] {
-                    out.push(x.node(caller_ctx, cont));
+                let Context { parent, cont, .. } = x.contexts[ctx as usize];
+                if let Some(cont) = cont {
+                    out.push(x.node(parent, cont));
                 }
             }
             Op::Ret => {}
@@ -396,7 +415,7 @@ impl NodeSet<'_> {
     /// ε, and the halt node has none.
     fn close(&mut self) {
         while let Some(n) = self.stack.pop() {
-            if n == self.halt || self.expanded.label[n].is_some() {
+            if n == self.halt || self.expanded.nodes[n].label.is_some() {
                 continue;
             }
             for &to in self.expanded.succs(n) {
@@ -424,28 +443,28 @@ fn members(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
 const NIL: u32 = u32::MAX;
 
 /// The DFA states: `width`-word bitset rows in one flat arena, interned
-/// through hash chains (`heads` per bucket, `next` per state).
+/// through hash chains: `heads` holds the first state of each bucket,
+/// and `links` each state's hash and the next state in its bucket.
 struct States {
     width: usize,
     rows: Vec<u64>,
-    hashes: Vec<u64>,
-    next: Vec<u32>,
+    links: Vec<(u64, u32)>,
     heads: Vec<u32>,
 }
 
 impl States {
-    fn new(width: usize) -> States {
+    /// An empty set of states, with room for about `hint` of them.
+    fn new(width: usize, hint: usize) -> States {
         States {
             width,
-            rows: Vec::new(),
-            hashes: Vec::new(),
-            next: Vec::new(),
-            heads: vec![NIL; 16],
+            rows: Vec::with_capacity(width * hint),
+            links: Vec::with_capacity(hint),
+            heads: vec![NIL; hint.next_power_of_two().max(16)],
         }
     }
 
     fn len(&self) -> usize {
-        self.hashes.len()
+        self.links.len()
     }
 
     fn row(&self, id: usize) -> &[u64] {
@@ -458,23 +477,23 @@ impl States {
         let bucket = hash as usize & (self.heads.len() - 1);
         let mut at = self.heads[bucket];
         while at != NIL {
-            if self.hashes[at as usize] == hash && self.row(at as usize) == row {
+            let (h, next) = self.links[at as usize];
+            if h == hash && self.row(at as usize) == row {
                 return at;
             }
-            at = self.next[at as usize];
+            at = next;
         }
         let id = self.len() as u32;
         self.rows.extend_from_slice(row);
-        self.hashes.push(hash);
-        self.next.push(self.heads[bucket]);
+        self.links.push((hash, self.heads[bucket]));
         self.heads[bucket] = id;
         if self.len() > self.heads.len() {
-            // Keep chains short: one bucket per state, relinked.
+            // Keep chains short: a bucket per state, relinked.
             let mask = self.heads.len() * 2 - 1;
             self.heads = vec![NIL; mask + 1];
-            for (s, &h) in self.hashes.iter().enumerate() {
-                self.next[s] = self.heads[h as usize & mask];
-                self.heads[h as usize & mask] = s as u32;
+            for (s, (h, next)) in self.links.iter_mut().enumerate() {
+                *next = self.heads[*h as usize & mask];
+                self.heads[*h as usize & mask] = s as u32;
             }
         }
         id
@@ -520,26 +539,30 @@ pub fn detect_phases(
 
     // ---- powerset construction -------------------------------------------------
     let span = obs::span("phases.powerset");
-    let halt = expanded.block.len();
+    let halt = expanded.nodes.len();
     let width = (halt + 1).div_ceil(64);
     let mut set = NodeSet {
         expanded: &expanded,
         halt,
         bits: vec![0; width],
-        stack: Vec::new(),
+        stack: Vec::with_capacity(halt + 1),
     };
     for &e in &expanded.entries {
         set.insert(e as usize);
     }
     set.close();
-    let mut states = States::new(width);
+    // Most states are entered through one labelled node.
+    let labelled_nodes = expanded.nodes.iter().filter(|n| n.label.is_some()).count();
+    let hint = labelled_nodes + 1;
+    let mut states = States::new(width, hint);
     states.intern(&set.bits);
     let mut dfa = DfaEdges {
-        offsets: vec![0],
-        edges: Vec::new(),
+        offsets: Vec::with_capacity(hint + 1),
+        edges: Vec::with_capacity(2 * hint),
     };
+    dfa.offsets.push(0);
     let mut truncated = expanded.truncated;
-    let mut labelled: Vec<(usize, &SyscallSet)> = Vec::new();
+    let mut labelled: Vec<(usize, &SyscallSet)> = Vec::with_capacity(labelled_nodes);
 
     // States are expanded in id order, which is breadth first.
     let mut sid = 0;
@@ -552,7 +575,7 @@ pub fn detect_phases(
         labelled.extend(
             members(states.row(sid))
                 .filter(|&n| n != halt)
-                .filter_map(|n| Some((n, expanded.label[n]?))),
+                .filter_map(|n| Some((n, expanded.nodes[n].label?))),
         );
         sid += 1;
         let mut symbols = SyscallSet::new();
@@ -602,7 +625,7 @@ pub fn detect_phases(
         .enumerate()
         .map(|(id, nodes)| {
             ids.clear();
-            ids.extend(members(nodes).filter(|&n| n != halt).map(|n| expanded.block[n]));
+            ids.extend(members(nodes).filter(|&n| n != halt).map(|n| expanded.nodes[n].block));
             ids.sort_unstable();
             ids.dedup();
             let blocks = ids.iter().map(|&b| cfg.block_at(b));
@@ -657,12 +680,12 @@ fn tarjan_scc(n: usize, edges: &DfaEdges) -> Vec<usize> {
         };
         n
     ];
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
     let mut comp = vec![usize::MAX; n];
     let mut next_index = 0usize;
     let mut next_comp = 0usize;
     // Iterative DFS: each frame is a vertex and the cursor into its edges.
-    let mut call: Vec<(usize, usize)> = Vec::new();
+    let mut call: Vec<(usize, usize)> = Vec::with_capacity(n);
 
     for root in 0..n {
         if nodes[root].visited {
@@ -1031,7 +1054,7 @@ mod tests {
 
     #[test]
     fn interned_states_keep_their_ids_across_growth() {
-        let mut states = States::new(2);
+        let mut states = States::new(2, 0);
         let rows: Vec<[u64; 2]> = (0..100u64).map(|i| [i, i << 40]).collect();
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(states.intern(row), i as u32);

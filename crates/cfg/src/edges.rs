@@ -84,22 +84,54 @@ pub(crate) struct EdgeLists {
 }
 
 impl EdgeLists {
-    /// Lists `(from, to, kind)` block-index triples by `from`.
-    fn new(layout: &Layout, mut triples: Vec<(u32, u32, EdgeKind)>) -> EdgeLists {
-        triples.sort_unstable();
-        triples.dedup();
-        let mut offsets = vec![0u32; layout.len() + 1];
-        for &(from, _, _) in &triples {
-            offsets[from as usize + 1] += 1;
+    /// Lists `(from, to, kind)` block-index triples by `from`, or by `to`
+    /// (as `(to, from, kind)`) when `reverse` is set.
+    fn new(layout: &Layout, triples: &[(u32, u32, EdgeKind)], reverse: bool) -> EdgeLists {
+        let n = layout.len();
+        let ends = |&(from, to, kind): &(u32, u32, EdgeKind)| {
+            if reverse {
+                (to as usize, from, kind)
+            } else {
+                (from as usize, to, kind)
+            }
+        };
+        // Bucket by source: count, prefix-sum, then place with
+        // `offsets[i]` as block `i`'s cursor, which leaves it at the
+        // block's end; shifting by one restores the starts.
+        let mut offsets = vec![0u32; n + 1];
+        for t in triples {
+            offsets[ends(t).0 + 1] += 1;
         }
-        for i in 1..offsets.len() {
+        for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
-        let edges = triples
+        let mut ids = vec![(0, EdgeKind::Branch); triples.len()];
+        for t in triples {
+            let (from, to, kind) = ends(t);
+            ids[offsets[from] as usize] = (to, kind);
+            offsets[from] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        // Sort and deduplicate each block's few edges, compacting.
+        let mut len = 0;
+        for i in 0..n {
+            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
+            ids[lo..hi].sort_unstable();
+            offsets[i] = len as u32;
+            for k in lo..hi {
+                if len == offsets[i] as usize || ids[len - 1] != ids[k] {
+                    ids[len] = ids[k];
+                    len += 1;
+                }
+            }
+        }
+        offsets[n] = len as u32;
+        ids.truncate(len);
+        let edges = ids
             .iter()
-            .map(|&(_, to, kind)| (layout.start(to as usize), kind))
+            .map(|&(to, kind)| (layout.start(to as usize), kind))
             .collect();
-        let ids = triples.iter().map(|&(_, to, kind)| (to, kind)).collect();
         EdgeLists {
             offsets,
             edges,
@@ -166,13 +198,9 @@ pub(crate) fn build(
         }
     }
 
-    let reversed = edges
-        .iter()
-        .map(|&(from, to, kind)| (to, from, kind))
-        .collect();
     (
-        EdgeLists::new(layout, edges),
-        EdgeLists::new(layout, reversed),
+        EdgeLists::new(layout, &edges, false),
+        EdgeLists::new(layout, &edges, true),
         plt_stubs,
     )
 }

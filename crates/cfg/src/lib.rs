@@ -383,6 +383,9 @@ mod builder {
         let mut iterations = 0usize;
         // Sorted and deduplicated.
         let mut indirect_targets: Vec<u64> = Vec::new();
+        // The reachable flag per block of the final layout, if the
+        // fixpoint has computed it.
+        let mut live: Option<Vec<bool>> = None;
         match options.indirect {
             IndirectResolution::None => {}
             IndirectResolution::AddressTaken => {
@@ -397,9 +400,10 @@ mod builder {
                 loop {
                     iterations += 1;
                     let reachable = edges::reachable_from(entries, &layout, &indirect_targets);
-                    let live = (0..layout.len()).filter(|&i| reachable[i]);
-                    let active = ataken::scan(live.flat_map(|i| layout.insns_of(i)), base, end);
+                    let flagged = (0..layout.len()).filter(|&i| reachable[i]);
+                    let active = ataken::scan(flagged.flat_map(|i| layout.insns_of(i)), base, end);
                     if active == indirect_targets {
+                        live = Some(reachable);
                         break;
                     }
                     indirect_targets = active;
@@ -423,7 +427,8 @@ mod builder {
         for &(i, _) in &plt {
             is_plt[i as usize] = true;
         }
-        let live = edges::reachable_from(entries, &layout, &indirect_targets);
+        let live =
+            live.unwrap_or_else(|| edges::reachable_from(entries, &layout, &indirect_targets));
         let live_ids = (0..layout.len()).filter(|&i| live[i]);
         let reachable = live_ids.clone().map(|i| layout.start(i)).collect();
         // Blocks are disjoint and visited in address order, so the sites

@@ -27,6 +27,17 @@
 //! and PLT-stub tables are built once, after the fixpoint. The stages are
 //! `bside-obs` spans: `cfg.disassemble`, `cfg.fixpoint`, `cfg.edges`.
 //!
+//! The graph keeps one block store: the last disassembly pass's single
+//! instruction array plus each block's start and first instruction. A
+//! [`BasicBlock`] borrows its instructions from it. Blocks have dense
+//! [`BlockId`]s in address order, and successors and predecessors are
+//! flat lists readable by address ([`Cfg::succs`]) or by id
+//! ([`Cfg::succ_ids`]). Built once per graph as well: the function
+//! table, sorted by entry and as a step function over addresses, which
+//! answers [`Cfg::function_of`] by binary search and gives each callee's
+//! range for return edges; a PLT flag per block; and the reachable
+//! `syscall` sites.
+//!
 //! # Examples
 //!
 //! ```
@@ -244,16 +255,12 @@ impl Cfg {
 
     /// Successor edges of the block starting at `addr`.
     pub fn succs(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.layout
-            .index_of(addr)
-            .map_or(&[], |i| self.succs.of(i))
+        self.layout.index_of(addr).map_or(&[], |i| self.succs.of(i))
     }
 
     /// Predecessor edges of the block starting at `addr`.
     pub fn preds(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.layout
-            .index_of(addr)
-            .map_or(&[], |i| self.preds.of(i))
+        self.layout.index_of(addr).map_or(&[], |i| self.preds.of(i))
     }
 
     /// Successor edges of block `id`, by id, in the order of

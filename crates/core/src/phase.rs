@@ -10,10 +10,18 @@
 //! and (optionally, for seccomp's install-stricter-only rule) allowed sets
 //! are back-propagated to predecessor phases.
 //!
-//! Call strings are interned as a parent-pointer trie, and DFA states
-//! and ε-closures are fixed-width bitsets over the expanded nodes plus a
-//! halt bit, so a state costs about `nodes / 8` bytes. The stages are
-//! `bside-obs` spans: `phases.expand`, `phases.powerset`, `phases.merge`.
+//! Everything runs on the CFG's dense block ids: block labels and PLT
+//! flags are read by id, call strings are interned as a parent-pointer
+//! trie that records each call's continuation block, and a
+//! `(context, block)` node key is packed into one integer hashed by an
+//! integer mixer, not SipHash. DFA states and ε-closures are fixed-width
+//! bitsets over the expanded nodes plus a halt bit, so a state costs
+//! about `nodes / 8` bytes; the states live as rows of one flat arena,
+//! interned through hash chains, and the DFA's edges are one flat list
+//! with per-state offsets, which the SCC pass walks directly. Each
+//! phase's block set is built from one sorted list of ids. The stages
+//! are `bside-obs` spans: `phases.expand`, `phases.powerset`,
+//! `phases.merge`.
 //!
 //! The intuitive alternative — navigating the CFG and merging
 //! highly-connected syscall nodes directly — is implemented in
@@ -625,7 +633,11 @@ pub fn detect_phases(
         .enumerate()
         .map(|(id, nodes)| {
             ids.clear();
-            ids.extend(members(nodes).filter(|&n| n != halt).map(|n| expanded.nodes[n].block));
+            ids.extend(
+                members(nodes)
+                    .filter(|&n| n != halt)
+                    .map(|n| expanded.nodes[n].block),
+            );
             ids.sort_unstable();
             ids.dedup();
             let blocks = ids.iter().map(|&b| cfg.block_at(b));

@@ -160,14 +160,14 @@ impl PhaseAutomaton {
 /// Per-block NFA labeling, by block id: a block's outgoing edges carry
 /// the union of its sites' system call sets; blocks without sites emit ε.
 fn block_labels(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> Vec<Option<SyscallSet>> {
-    let mut labels = vec![None; cfg.block_count()];
+    let mut labels: Vec<Option<SyscallSet>> = vec![None; cfg.block_count()];
     for (&site, set) in site_sets {
         let Some(id) = cfg.block_id_containing(site) else {
             continue;
         };
         if cfg.block_at(id).insns.iter().any(|i| i.addr == site) {
-            let label: &mut Option<SyscallSet> = &mut labels[id as usize];
-            label.get_or_insert_with(SyscallSet::new).extend_from(set);
+            let label = labels[id as usize].get_or_insert_with(SyscallSet::new);
+            label.extend_from(set);
         }
     }
     labels

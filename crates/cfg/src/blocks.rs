@@ -157,13 +157,9 @@ impl<'a> Disassembler<'a> {
     /// the address after a `jcc`, `call` or `syscall`).
     pub(crate) fn pass(&mut self, roots: impl IntoIterator<Item = u64>) -> Layout {
         self.marks.fill(0);
-        // Counted to size the layout: one instruction per visited offset,
-        // and about one block per leader.
-        let (mut visited, mut leaders) = (0usize, 0usize);
-        let mut lead = |marks: &mut [u8], off: usize| {
-            leaders += usize::from(marks[off] & LEADER == 0);
-            marks[off] |= LEADER;
-        };
+        // Sizes the layout: an instruction per visited offset, and at
+        // most as many blocks.
+        let mut visited = 0usize;
 
         // Pass 1: discover instructions and leaders. The visited set is
         // the closure of the roots under fall-through and branch targets,
@@ -171,7 +167,7 @@ impl<'a> Disassembler<'a> {
         let mut worklist: Vec<usize> = Vec::new();
         for root in roots {
             if let Some(off) = self.offset(root) {
-                lead(&mut self.marks, off);
+                self.marks[off] |= LEADER;
                 worklist.push(off);
             }
         }
@@ -183,7 +179,7 @@ impl<'a> Disassembler<'a> {
                 self.marks[off] |= VISITED;
                 visited += 1;
                 if let Some(t) = insn.branch_target().and_then(|t| self.offset(t)) {
-                    lead(&mut self.marks, t);
+                    self.marks[t] |= LEADER;
                     worklist.push(t);
                 }
                 let next = self.offset(insn.end());
@@ -193,7 +189,7 @@ impl<'a> Disassembler<'a> {
                 // boundary. Calls fall through (the callee returns).
                 if matches!(insn.op, Op::Jcc(..) | Op::Call(_) | Op::Syscall) {
                     if let Some(n) = next {
-                        lead(&mut self.marks, n);
+                        self.marks[n] |= LEADER;
                     }
                 }
                 match (insn.is_terminator(), next) {
@@ -207,7 +203,7 @@ impl<'a> Disassembler<'a> {
         // at leaders, at gaps and after block-ending instructions.
         let mut layout = Layout {
             insns: Vec::with_capacity(visited),
-            blocks: Vec::with_capacity(leaders),
+            blocks: Vec::with_capacity(visited),
         };
         let mut open = false;
         for off in (0..self.code.len()).filter(|&off| self.marks[off] & VISITED != 0) {

@@ -33,13 +33,12 @@ impl Functions {
         let syms = syms.to_vec();
         let mut by_entry: Vec<u32> = (0..syms.len() as u32).collect();
         by_entry.sort_by_key(|&i| syms[i as usize].entry);
-        // A sized symbol whose end overflows contains no address.
-        let end = |i: u32| {
-            let f = &syms[i as usize];
-            (f.size > 0).then(|| f.entry.checked_add(f.size))
-        };
+        // One past a sized symbol's last address; `None` if that
+        // overflows, and then the symbol contains no address.
+        let end = |i: u32| syms[i as usize].entry.checked_add(syms[i as usize].size);
+        let sized = |i: &&u32| syms[**i as usize].size > 0;
         let mut closes: Vec<(u64, u32)> = Vec::with_capacity(syms.len());
-        closes.extend(by_entry.iter().filter_map(|&i| Some((end(i)??, i))));
+        closes.extend(by_entry.iter().filter(sized).filter_map(|&i| Some((end(i)?, i))));
         closes.sort_unstable();
 
         // Sweep the points where a symbol opens or closes, keeping the
@@ -61,7 +60,7 @@ impl Functions {
                 c += 1;
             }
             while let Some(&i) = by_entry.get(o).filter(|&&i| syms[i as usize].entry == at) {
-                if end(i) != Some(None) {
+                if end(i).is_some() {
                     active.insert((Reverse(at), i));
                 }
                 o += 1;

@@ -392,7 +392,7 @@ mod builder {
         let mut indirect_targets: Vec<u64> = Vec::new();
         // The reachable flag per block of the final layout, if the
         // fixpoint has computed it.
-        let mut live: Option<Vec<bool>> = None;
+        let mut reached: Option<Vec<bool>> = None;
         match options.indirect {
             IndirectResolution::None => {}
             IndirectResolution::AddressTaken => {
@@ -407,10 +407,10 @@ mod builder {
                 loop {
                     iterations += 1;
                     let reachable = edges::reachable_from(entries, &layout, &indirect_targets);
-                    let flagged = (0..layout.len()).filter(|&i| reachable[i]);
-                    let active = ataken::scan(flagged.flat_map(|i| layout.insns_of(i)), base, end);
+                    let live = (0..layout.len()).filter(|&i| reachable[i]);
+                    let active = ataken::scan(live.flat_map(|i| layout.insns_of(i)), base, end);
                     if active == indirect_targets {
-                        live = Some(reachable);
+                        reached = Some(reachable);
                         break;
                     }
                     indirect_targets = active;
@@ -435,7 +435,7 @@ mod builder {
             is_plt[i as usize] = true;
         }
         let live =
-            live.unwrap_or_else(|| edges::reachable_from(entries, &layout, &indirect_targets));
+            reached.unwrap_or_else(|| edges::reachable_from(entries, &layout, &indirect_targets));
         let live_ids = (0..layout.len()).filter(|&i| live[i]);
         let reachable = live_ids.clone().map(|i| layout.start(i)).collect();
         // Blocks are disjoint and visited in address order, so the sites

@@ -205,3 +205,25 @@ fn return_edges_pair_with_call_edges() {
         }
     }
 }
+
+#[test]
+fn edges_by_id_match_edges_by_address() {
+    for (name, cfg) in cfgs_of_corpus(109) {
+        let start = |id: BlockId| cfg.block_at(id).start;
+        for (id, block) in cfg.blocks().enumerate() {
+            let id = id as BlockId;
+            let by_id = |edges: &[(BlockId, EdgeKind)]| -> Vec<(u64, EdgeKind)> {
+                edges.iter().map(|&(to, kind)| (start(to), kind)).collect()
+            };
+            assert_eq!(by_id(cfg.succ_ids(id)), cfg.succs(block.start), "{name}");
+            assert_eq!(by_id(cfg.pred_ids(id)), cfg.preds(block.start), "{name}");
+            let last = block.end() - 1;
+            assert_eq!(cfg.block_id_containing(last), Some(id), "{name}");
+            assert_eq!(
+                cfg.is_plt_stub(id),
+                cfg.plt_stubs().contains_key(&block.start),
+                "{name}"
+            );
+        }
+    }
+}

@@ -36,9 +36,12 @@ impl Functions {
         // One past a sized symbol's last address; `None` if that
         // overflows, and then the symbol contains no address.
         let end = |i: u32| syms[i as usize].entry.checked_add(syms[i as usize].size);
-        let sized = |i: &&u32| syms[**i as usize].size > 0;
         let mut closes: Vec<(u64, u32)> = Vec::with_capacity(syms.len());
-        closes.extend(by_entry.iter().filter(sized).filter_map(|&i| Some((end(i)?, i))));
+        for &i in &by_entry {
+            if let (true, Some(e)) = (syms[i as usize].size > 0, end(i)) {
+                closes.push((e, i));
+            }
+        }
         closes.sort_unstable();
 
         // Sweep the points where a symbol opens or closes, keeping the
@@ -47,13 +50,11 @@ impl Functions {
         let points = syms.len() + closes.len();
         let (mut cuts, mut owner) = (Vec::with_capacity(points), Vec::with_capacity(points));
         let (mut o, mut c) = (0, 0);
-        while o < by_entry.len() || c < closes.len() {
-            let open_at = by_entry.get(o).map(|&i| syms[i as usize].entry);
-            let at = match (open_at, closes.get(c)) {
-                (Some(a), Some(&(b, _))) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(&(b, _))) => b,
-                (None, None) => unreachable!(),
+        loop {
+            let next_open = by_entry.get(o).map(|&i| syms[i as usize].entry);
+            let next_close = closes.get(c).map(|&(e, _)| e);
+            let Some(at) = next_open.into_iter().chain(next_close).min() else {
+                break;
             };
             while let Some(&(_, i)) = closes.get(c).filter(|&&(e, _)| e == at) {
                 active.remove(&(Reverse(syms[i as usize].entry), i));

@@ -158,7 +158,8 @@ serde::impl_serde_struct!(CfgStats {
 });
 
 /// The dense id of a basic block: blocks are numbered from 0 in address
-/// order, so comparing ids compares start addresses.
+/// order, so comparing ids compares start addresses. The methods that
+/// take an id panic if it is not below [`Cfg::block_count`].
 pub type BlockId = u32;
 
 /// A recovered control-flow graph.
@@ -230,10 +231,6 @@ impl Cfg {
     }
 
     /// The block with id `id`.
-    ///
-    /// # Panics
-    ///
-    /// If `id` is not below [`Cfg::block_count`].
     pub fn block_at(&self, id: BlockId) -> BasicBlock<'_> {
         self.layout.block(id as usize)
     }

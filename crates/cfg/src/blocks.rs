@@ -157,9 +157,6 @@ impl<'a> Disassembler<'a> {
     /// the address after a `jcc`, `call` or `syscall`).
     pub(crate) fn pass(&mut self, roots: impl IntoIterator<Item = u64>) -> Layout {
         self.marks.fill(0);
-        // Sizes the layout: an instruction per visited offset, and at
-        // most as many blocks.
-        let mut visited = 0usize;
 
         // Pass 1: discover instructions and leaders. The visited set is
         // the closure of the roots under fall-through and branch targets,
@@ -177,7 +174,6 @@ impl<'a> Disassembler<'a> {
                     break; // undecodable: stop this run
                 };
                 self.marks[off] |= VISITED;
-                visited += 1;
                 if let Some(t) = insn.branch_target().and_then(|t| self.offset(t)) {
                     self.marks[t] |= LEADER;
                     worklist.push(t);
@@ -201,10 +197,7 @@ impl<'a> Disassembler<'a> {
 
         // Pass 2: group instructions, in address order, into blocks split
         // at leaders, at gaps and after block-ending instructions.
-        let mut layout = Layout {
-            insns: Vec::with_capacity(visited),
-            blocks: Vec::with_capacity(visited),
-        };
+        let mut layout = Layout::default();
         let mut open = false;
         for off in (0..self.code.len()).filter(|&off| self.marks[off] & VISITED != 0) {
             let insn = self.decoded[self.slot[off] as usize];

@@ -162,8 +162,7 @@ pub(crate) fn build(
     functions: &Functions,
     indirect_targets: &[u64],
 ) -> (EdgeLists, EdgeLists, Vec<(u32, u64)>) {
-    // Most blocks have one or two out-edges.
-    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::with_capacity(2 * layout.len());
+    let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
     let mut plt_stubs: Vec<(u32, u64)> = Vec::new();
     // Call edges: (callee block, post-call block).
     let mut calls: Vec<(usize, u32)> = Vec::new();

@@ -13,7 +13,7 @@
 //!   in Table 2).
 
 use crate::BaselineError;
-use bside_cfg::{Cfg, CfgOptions, FunctionSym, IndirectResolution};
+use bside_cfg::{BlockId, Cfg, CfgOptions, FunctionSym, IndirectResolution};
 use bside_elf::Elf;
 use bside_syscalls::{SyscallSet, Sysno};
 use bside_x86::{Op, Operand, Reg};
@@ -84,20 +84,18 @@ fn use_define_rax(cfg: &Cfg, site: u64) -> Vec<u64> {
     let Some(func) = cfg.function_of(site) else {
         return Vec::new();
     };
-    let Some(site_block) = cfg.block_containing(site) else {
+    let Some(site_block) = cfg.block_id_containing(site) else {
         return Vec::new();
     };
 
     let mut values = Vec::new();
-    // Work items: (block, tracked register, scan-before address or None
-    // for whole block).
-    let mut work: Vec<(u64, Reg, Option<u64>)> = vec![(site_block, Reg::Rax, Some(site))];
-    let mut visited: HashSet<(u64, Reg)> = HashSet::new();
+    // Work items: (block id, tracked register, scan-before address or
+    // None for whole block).
+    let mut work: Vec<(BlockId, Reg, Option<u64>)> = vec![(site_block, Reg::Rax, Some(site))];
+    let mut visited: HashSet<(BlockId, Reg)> = HashSet::new();
 
-    while let Some((block_addr, tracked, before)) = work.pop() {
-        let Some(block) = cfg.block(block_addr) else {
-            continue;
-        };
+    while let Some((id, tracked, before)) = work.pop() {
+        let block = cfg.block_at(id);
         // Scan this block's instructions backwards from `before`.
         let mut resolved_here = false;
         for insn in block.insns.iter().rev() {
@@ -113,7 +111,7 @@ fn use_define_rax(cfg: &Cfg, site: u64) -> Vec<u64> {
                         Operand::Imm(v) => values.push(v as u64),
                         Operand::Reg(s) => {
                             // Follow the chain from this point backwards.
-                            work.push((block_addr, s, Some(insn.addr)));
+                            work.push((id, s, Some(insn.addr)));
                         }
                         Operand::Mem(_) => {} // memory: cannot track
                     }
@@ -191,11 +189,12 @@ fn use_define_rax(cfg: &Cfg, site: u64) -> Vec<u64> {
         }
         // No definition in this block: continue into intra-procedural
         // predecessors (stop at the function boundary).
-        if !visited.insert((block_addr, tracked)) {
+        if !visited.insert((id, tracked)) {
             continue;
         }
-        for &(pred, _) in cfg.preds(block_addr) {
-            let same_func = cfg.function_of(pred).is_some_and(|f| f.entry == func.entry);
+        for &(pred, _) in cfg.pred_ids(id) {
+            let pred_func = cfg.function_of(cfg.block_at(pred).start);
+            let same_func = pred_func.is_some_and(|f| f.entry == func.entry);
             if same_func {
                 work.push((pred, tracked, None));
             }

@@ -74,20 +74,18 @@ pub(crate) fn reachable_from(
 }
 
 /// Per-block edge lists in one flat array: block `i`'s edges are
-/// `edges[offsets[i]..offsets[i + 1]]`, sorted and deduplicated, and
-/// `ids` holds the same edges with block ids for addresses.
+/// `ids[offsets[i]..offsets[i + 1]]`, sorted by `(id, kind)` and
+/// deduplicated.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EdgeLists {
     offsets: Vec<u32>,
-    edges: Vec<(u64, EdgeKind)>,
     ids: Vec<(BlockId, EdgeKind)>,
 }
 
 impl EdgeLists {
-    /// Lists `(from, to, kind)` block-index triples by `from`, or by `to`
-    /// (as `(to, from, kind)`) when `reverse` is set.
-    fn new(layout: &Layout, triples: &[(u32, u32, EdgeKind)], reverse: bool) -> EdgeLists {
-        let n = layout.len();
+    /// Lists the `(from, to, kind)` triples over `n` blocks by `from`, or
+    /// by `to` (as `(to, from, kind)`) when `reverse` is set.
+    fn new(n: usize, triples: &[(u32, u32, EdgeKind)], reverse: bool) -> EdgeLists {
         let ends = |&(from, to, kind): &(u32, u32, EdgeKind)| {
             if reverse {
                 (to as usize, from, kind)
@@ -128,51 +126,31 @@ impl EdgeLists {
         }
         offsets[n] = len as u32;
         ids.truncate(len);
-        let edges = ids
-            .iter()
-            .map(|&(to, kind)| (layout.start(to as usize), kind))
-            .collect();
-        EdgeLists {
-            offsets,
-            edges,
-            ids,
-        }
-    }
-
-    fn range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
+        EdgeLists { offsets, ids }
     }
 
     /// The edges of block `i`.
-    pub(crate) fn of(&self, i: usize) -> &[(u64, EdgeKind)] {
-        &self.edges[self.range(i)]
-    }
-
-    /// The edges of block `i`, by block id.
-    pub(crate) fn ids_of(&self, i: usize) -> &[(BlockId, EdgeKind)] {
-        &self.ids[self.range(i)]
+    pub(crate) fn of(&self, i: usize) -> &[(BlockId, EdgeKind)] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
 
 /// The final edges, built once after the fixpoint: successor and
-/// predecessor lists, and the PLT stubs as (block index, GOT slot),
-/// ascending.
+/// predecessor lists, and per block the GOT slot of a PLT stub.
 pub(crate) fn build(
     layout: &Layout,
     functions: &Functions,
     indirect_targets: &[u64],
-) -> (EdgeLists, EdgeLists, Vec<(u32, u64)>) {
+) -> (EdgeLists, EdgeLists, Vec<Option<u64>>) {
     let mut edges: Vec<(u32, u32, EdgeKind)> = Vec::new();
-    let mut plt_stubs: Vec<(u32, u64)> = Vec::new();
+    let mut plt = Vec::with_capacity(layout.len());
     // Call edges: (callee block, post-call block).
     let mut calls: Vec<(usize, u32)> = Vec::new();
 
     for i in 0..layout.len() {
         let insns = layout.insns_of(i);
         let term = insns.last().expect("blocks are never empty");
-        if let Some(slot) = plt_stub_got_slot(insns) {
-            plt_stubs.push((i as u32, slot));
-        }
+        plt.push(plt_stub_got_slot(insns));
         let post_call = match term.op {
             Op::Call(_) => layout.index_of(term.end()),
             _ => None,
@@ -198,9 +176,9 @@ pub(crate) fn build(
     }
 
     (
-        EdgeLists::new(layout, &edges, false),
-        EdgeLists::new(layout, &edges, true),
-        plt_stubs,
+        EdgeLists::new(layout.len(), &edges, false),
+        EdgeLists::new(layout.len(), &edges, true),
+        plt,
     )
 }
 
@@ -226,13 +204,16 @@ mod tests {
             .chain(indirect.iter().copied());
         let layout = Disassembler::new(&code, 0x1000).pass(roots.chain([0x1000]));
         let (s, p, stubs) = build(&layout, &Functions::new(funcs), indirect);
-        let stubs = stubs
-            .iter()
-            .map(|&(i, slot)| (layout.start(i as usize), slot))
+        let stubs = (0..layout.len())
+            .filter_map(|i| Some((layout.start(i), stubs[i]?)))
             .collect();
+        let by_addr = |edges: &[(BlockId, EdgeKind)]| {
+            let to_addr = |&(to, kind): &(BlockId, EdgeKind)| (layout.start(to as usize), kind);
+            edges.iter().map(to_addr).collect()
+        };
         let map = |lists: &EdgeLists| -> EdgeMap {
             (0..layout.len())
-                .map(|i| (layout.start(i), lists.of(i).to_vec()))
+                .map(|i| (layout.start(i), by_addr(lists.of(i))))
                 .collect()
         };
         let (s, p) = (map(&s), map(&p));

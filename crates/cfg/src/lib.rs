@@ -27,16 +27,20 @@
 //! and PLT-stub tables are built once, after the fixpoint. The stages are
 //! `bside-obs` spans: `cfg.disassemble`, `cfg.fixpoint`, `cfg.edges`.
 //!
-//! The graph keeps one block store: the last disassembly pass's single
-//! instruction array plus each block's start and first instruction. A
-//! [`BasicBlock`] borrows its instructions from it. Blocks have dense
-//! [`BlockId`]s in address order, and successors and predecessors are
-//! flat lists readable by address ([`Cfg::succs`]) or by id
-//! ([`Cfg::succ_ids`]). Built once per graph as well: the function
-//! table, sorted by entry and as a step function over addresses, which
-//! answers [`Cfg::function_of`] by binary search and gives each callee's
-//! range for return edges; a PLT flag per block; and the reachable
-//! `syscall` sites.
+//! The graph stores each fact once, by block id. Blocks have dense
+//! [`BlockId`]s in address order. The block store is the last
+//! disassembly pass's single instruction array plus each block's start
+//! and first instruction; a [`BasicBlock`] borrows its instructions from
+//! it. Successors and predecessors are flat lists of `(id, kind)` pairs
+//! ([`Cfg::succ_ids`], [`Cfg::pred_ids`]), reachability is a flag per id
+//! ([`Cfg::reached`]), and the PLT table gives each id's GOT slot, if the
+//! block is a stub ([`Cfg::plt_slot`]). Analyses read the graph by id;
+//! the address-keyed views ([`Cfg::succs`], [`Cfg::preds`],
+//! [`Cfg::reachable`], [`Cfg::plt_stubs`]) are computed from the id store
+//! on each call, for tests and reports. Built once per graph as well: the
+//! function table, sorted by entry and as a step function over addresses,
+//! which answers [`Cfg::function_of`] by binary search and gives each
+//! callee's range for return edges; and the reachable `syscall` sites.
 //!
 //! # Examples
 //!
@@ -75,7 +79,7 @@ use functions::Functions;
 
 use bside_obs as obs;
 use bside_x86::{Op, Target};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How indirect branch targets are over-approximated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -178,14 +182,13 @@ pub struct Cfg {
     preds: edges::EdgeLists,
     functions: Functions,
     entries: Vec<u64>,
-    reachable: BTreeSet<u64>,
+    /// Per block id: is the block reachable from the entries.
+    reached: Vec<bool>,
     addresses_taken: BTreeSet<u64>,
-    /// Blocks that are PLT stubs (`jmp [rip+disp]` into a GOT slot),
-    /// mapping block start → GOT slot address. Symbol resolution happens
-    /// in `bside-core` where relocations are available.
-    plt_stubs: HashMap<u64, u64>,
-    /// Per block id: is the block a PLT stub.
-    plt: Vec<bool>,
+    /// Per block id: the GOT slot a PLT stub (`jmp [rip+disp]`) jumps
+    /// through, or `None` if the block is no stub. Symbol resolution
+    /// happens in `bside-core` where relocations are available.
+    plt: Vec<Option<u64>>,
     /// Reachable `syscall` sites, ascending.
     sites: Vec<u64>,
     stats: CfgStats,
@@ -250,26 +253,36 @@ impl Cfg {
         self.layout.containing(addr).map(|i| self.layout.start(i))
     }
 
-    /// Successor edges of the block starting at `addr`.
-    pub fn succs(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.layout.index_of(addr).map_or(&[], |i| self.succs.of(i))
+    /// Successor edges of the block starting at `addr`, by address: a
+    /// view of [`Cfg::succ_ids`] computed on each call, for tests and
+    /// reports.
+    pub fn succs(&self, addr: u64) -> Vec<(u64, EdgeKind)> {
+        self.block_id(addr)
+            .map_or_else(Vec::new, |id| self.by_address(self.succ_ids(id)))
     }
 
-    /// Predecessor edges of the block starting at `addr`.
-    pub fn preds(&self, addr: u64) -> &[(u64, EdgeKind)] {
-        self.layout.index_of(addr).map_or(&[], |i| self.preds.of(i))
+    /// Predecessor edges of the block starting at `addr`, by address: a
+    /// view of [`Cfg::pred_ids`] computed on each call, for tests and
+    /// reports.
+    pub fn preds(&self, addr: u64) -> Vec<(u64, EdgeKind)> {
+        self.block_id(addr)
+            .map_or_else(Vec::new, |id| self.by_address(self.pred_ids(id)))
     }
 
-    /// Successor edges of block `id`, by id, in the order of
-    /// [`Cfg::succs`].
+    fn by_address(&self, edges: &[(BlockId, EdgeKind)]) -> Vec<(u64, EdgeKind)> {
+        let start = |id: BlockId| self.layout.start(id as usize);
+        edges.iter().map(|&(to, kind)| (start(to), kind)).collect()
+    }
+
+    /// Successor edges of block `id`, sorted by `(id, kind)`; ids follow
+    /// addresses, so this is also address order.
     pub fn succ_ids(&self, id: BlockId) -> &[(BlockId, EdgeKind)] {
-        self.succs.ids_of(id as usize)
+        self.succs.of(id as usize)
     }
 
-    /// Predecessor edges of block `id`, by id, in the order of
-    /// [`Cfg::preds`].
+    /// Predecessor edges of block `id`, sorted by `(id, kind)`.
     pub fn pred_ids(&self, id: BlockId) -> &[(BlockId, EdgeKind)] {
-        self.preds.ids_of(id as usize)
+        self.preds.of(id as usize)
     }
 
     /// The function symbols supplied at construction.
@@ -290,9 +303,17 @@ impl Cfg {
         &self.entries
     }
 
-    /// Blocks reachable from the entries (block start addresses).
-    pub fn reachable(&self) -> &BTreeSet<u64> {
-        &self.reachable
+    /// Start addresses of the blocks reachable from the entries,
+    /// ascending: a view of [`Cfg::reached`] computed on each call, for
+    /// tests and reports.
+    pub fn reachable(&self) -> Vec<u64> {
+        let reached = (0..self.block_count()).filter(|&i| self.reached[i]);
+        reached.map(|i| self.layout.start(i)).collect()
+    }
+
+    /// Per block id: `true` if the block is reachable from the entries.
+    pub fn reached(&self) -> &[bool] {
+        &self.reached
     }
 
     /// The (active) address-taken set used to resolve indirect branches.
@@ -313,24 +334,24 @@ impl Cfg {
         syscall_addrs(&self.layout.insns).collect()
     }
 
-    /// Block starts of PLT stubs, with the GOT slot each jumps through.
-    pub fn plt_stubs(&self) -> &HashMap<u64, u64> {
-        &self.plt_stubs
+    /// Block starts of PLT stubs, with the GOT slot each jumps through: a
+    /// view of [`Cfg::plt_slot`] computed on each call, for tests and
+    /// reports.
+    pub fn plt_stubs(&self) -> BTreeMap<u64, u64> {
+        let stubs = (0..self.block_count()).map(|i| (self.layout.start(i), self.plt[i]));
+        stubs
+            .filter_map(|(start, slot)| Some((start, slot?)))
+            .collect()
+    }
+
+    /// The GOT slot block `id` jumps through if it is a PLT stub.
+    pub fn plt_slot(&self, id: BlockId) -> Option<u64> {
+        self.plt[id as usize]
     }
 
     /// `true` if block `id` is a PLT stub.
     pub fn is_plt_stub(&self, id: BlockId) -> bool {
-        self.plt[id as usize]
-    }
-
-    /// Call sites (block start, call instruction) whose direct target is
-    /// `func_entry`.
-    pub fn callers_of(&self, func_entry: u64) -> Vec<u64> {
-        self.preds(self.block_containing(func_entry).unwrap_or(func_entry))
-            .iter()
-            .filter(|(_, k)| matches!(k, EdgeKind::Call | EdgeKind::Indirect))
-            .map(|&(p, _)| p)
-            .collect()
+        self.plt_slot(id).is_some()
     }
 
     /// Cost counters.
@@ -343,8 +364,8 @@ impl Cfg {
         self.functions()
             .iter()
             .filter(|f| {
-                self.block_containing(f.entry)
-                    .is_some_and(|b| self.reachable.contains(&b))
+                self.block_id_containing(f.entry)
+                    .is_some_and(|id| self.reached[id as usize])
             })
             .collect()
     }
@@ -423,21 +444,12 @@ mod builder {
         let edges_span = obs::span("cfg.edges");
         let functions = Functions::new(functions);
         let (succs, preds, plt) = edges::build(&layout, &functions, &indirect_targets);
-        let plt_stubs = plt
-            .iter()
-            .map(|&(i, slot)| (layout.start(i as usize), slot))
-            .collect();
-        let mut is_plt = vec![false; layout.len()];
-        for &(i, _) in &plt {
-            is_plt[i as usize] = true;
-        }
-        let live =
+        let reached =
             reached.unwrap_or_else(|| edges::reachable_from(entries, &layout, &indirect_targets));
-        let live_ids = (0..layout.len()).filter(|&i| live[i]);
-        let reachable = live_ids.clone().map(|i| layout.start(i)).collect();
         // Blocks are disjoint and visited in address order, so the sites
         // come out ascending.
-        let sites = live_ids
+        let sites = (0..layout.len())
+            .filter(|&i| reached[i])
             .flat_map(|i| syscall_addrs(layout.insns_of(i)))
             .collect();
         let stats = CfgStats {
@@ -454,10 +466,9 @@ mod builder {
             preds,
             functions,
             entries: entries.to_vec(),
-            reachable,
+            reached,
             addresses_taken: indirect_targets.into_iter().collect(),
-            plt_stubs,
-            plt: is_plt,
+            plt,
             sites,
             stats,
         }

@@ -54,7 +54,7 @@ fn blocks_are_disjoint_and_sorted() {
 fn preds_are_exact_inverse_of_succs() {
     for (name, cfg) in cfgs_of_corpus(102) {
         for from in cfg.blocks().map(|b| b.start) {
-            for &(to, kind) in cfg.succs(from) {
+            for (to, kind) in cfg.succs(from) {
                 assert!(
                     cfg.preds(to).contains(&(from, kind)),
                     "{name}: edge {from:#x}->{to:#x} ({kind:?}) missing inverse"
@@ -62,7 +62,7 @@ fn preds_are_exact_inverse_of_succs() {
             }
         }
         for to in cfg.blocks().map(|b| b.start) {
-            for &(from, kind) in cfg.preds(to) {
+            for (from, kind) in cfg.preds(to) {
                 assert!(
                     cfg.succs(from).contains(&(to, kind)),
                     "{name}: pred {from:#x}->{to:#x} ({kind:?}) missing forward edge"
@@ -76,7 +76,7 @@ fn preds_are_exact_inverse_of_succs() {
 fn edges_land_on_block_starts() {
     for (name, cfg) in cfgs_of_corpus(103) {
         for from in cfg.blocks().map(|b| b.start) {
-            for &(to, _) in cfg.succs(from) {
+            for (to, _) in cfg.succs(from) {
                 assert!(
                     cfg.block(to).is_some(),
                     "{name}: edge into non-block {to:#x}"
@@ -111,7 +111,7 @@ fn block_containing_agrees_with_block_ranges() {
 #[test]
 fn reachable_blocks_exist_and_include_entry() {
     for (name, cfg) in cfgs_of_corpus(105) {
-        for &b in cfg.reachable() {
+        for b in cfg.reachable() {
             assert!(cfg.block(b).is_some(), "{name}");
         }
         let entry_block = cfg
@@ -187,7 +187,7 @@ fn return_edges_pair_with_call_edges() {
     // in reachability lossless).
     for (name, cfg) in cfgs_of_corpus(108) {
         for from in cfg.blocks().map(|b| b.start) {
-            for &(to, kind) in cfg.succs(from) {
+            for (to, kind) in cfg.succs(from) {
                 if kind != EdgeKind::Return {
                     continue;
                 }

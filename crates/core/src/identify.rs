@@ -7,7 +7,6 @@ use bside_cfg::Cfg;
 use bside_symex::{find_values_scratch, Query, QueryLoc, SearchScratch};
 use bside_syscalls::{SyscallSet, Sysno};
 use bside_x86::Reg;
-use std::collections::BTreeSet;
 
 /// How the set for one site was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +48,8 @@ fn to_syscall_set(values: impl IntoIterator<Item = u64>) -> SyscallSet {
 }
 
 /// Identifies what one wrapper can invoke, restricted (when `universe` is
-/// given) to call sites inside a block universe — the per-export
-/// attribution used by the shared-library analysis (§4.5).
+/// given) to call sites inside a block universe, a flag per block id —
+/// the per-export attribution used by the shared-library analysis (§4.5).
 ///
 /// Returns `(set, complete)`; an incomplete search under the conservative
 /// policy yields every known system call (no-FN preservation).
@@ -58,7 +57,7 @@ pub(crate) fn identify_wrapper(
     cfg: &Cfg,
     wrapper: &WrapperInfo,
     options: &AnalyzerOptions,
-    universe: Option<&BTreeSet<u64>>,
+    universe: Option<&[bool]>,
     scratch: &mut SearchScratch,
 ) -> Result<(SyscallSet, bool), AnalysisError> {
     let query = match wrapper.param {
@@ -111,7 +110,7 @@ pub(crate) fn identify_sites(
     // considered — and the *searches* stay within reachable blocks too,
     // so values passed at dead call sites (e.g. an unlinked wrapper
     // caller) do not leak into a reachable site's set.
-    let universe = cfg.reachable();
+    let universe = cfg.reached();
 
     // A wrapper's identification is the same at every one of its sites
     // (same query at the wrapper entry, same universe): run each wrapper
@@ -165,7 +164,7 @@ fn identify_one_site(
     wrappers: &[WrapperInfo],
     wrapper_sets: &[(SyscallSet, bool)],
     options: &AnalyzerOptions,
-    universe: &BTreeSet<u64>,
+    universe: &[bool],
     site: u64,
     scratch: &mut SearchScratch,
 ) -> Result<(SiteReport, usize), AnalysisError> {

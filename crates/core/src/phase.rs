@@ -312,7 +312,7 @@ fn expand<'a>(
     // Over the seed-1 and seed-3 corpora and the six profiles, nodes per
     // reachable block run 1.26 at the median, 1.68 at p90 and 3.11 at
     // most, and successor edges per node 1.03, 1.15 and 1.35.
-    let hint = 2 * cfg.reachable().len();
+    let hint = 2 * cfg.reached().iter().filter(|&&r| r).count();
     let mut x = Expander {
         labels,
         contexts: vec![Context {
@@ -767,41 +767,40 @@ fn tarjan_scc(n: usize, edges: &DfaEdges) -> Vec<usize> {
 pub fn detect_phases_naive(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> PhaseAutomaton {
     let labels = block_labels(cfg, site_sets);
     // Labelled blocks in id order, which is address order.
-    let (syscall_blocks, syscall_labels): (Vec<u64>, Vec<&SyscallSet>) = labels
-        .iter()
-        .zip(cfg.blocks())
-        .filter_map(|(label, b)| Some((b.start, label.as_ref()?)))
+    let (syscall_blocks, syscall_labels): (Vec<BlockId>, Vec<&SyscallSet>) = (0..)
+        .zip(&labels)
+        .filter_map(|(id, label)| Some((id, label.as_ref()?)))
         .unzip();
     let n = syscall_blocks.len();
 
     // cluster id per syscall block.
     let mut cluster: Vec<usize> = (0..n).collect();
-    let index_of: HashMap<u64, usize> = syscall_blocks
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| (b, i))
-        .collect();
+    // Per block id: its index among the syscall blocks, if labelled.
+    let mut index_of: Vec<Option<usize>> = vec![None; cfg.block_count()];
+    for (i, &b) in syscall_blocks.iter().enumerate() {
+        index_of[b as usize] = Some(i);
+    }
 
     // BFS: does `from` reach `to` without entering a syscall block of a
     // third cluster? Recomputed from scratch every time — the naive cost.
     let reaches = |from: usize, to: usize, cluster: &[usize]| -> bool {
         let (src, dst) = (syscall_blocks[from], syscall_blocks[to]);
         let allowed_cluster = (cluster[from], cluster[to]);
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut queue: VecDeque<u64> = VecDeque::new();
+        let mut seen = vec![false; cfg.block_count()];
+        let mut queue: VecDeque<BlockId> = VecDeque::new();
         queue.push_back(src);
         while let Some(b) = queue.pop_front() {
-            for &(succ, _) in cfg.succs(b) {
+            for &(succ, _) in cfg.succ_ids(b) {
                 if succ == dst {
                     return true;
                 }
-                if let Some(&k) = index_of.get(&succ) {
+                if let Some(k) = index_of[succ as usize] {
                     let c = cluster[k];
                     if c != allowed_cluster.0 && c != allowed_cluster.1 {
                         continue; // a third cluster blocks the path
                     }
                 }
-                if seen.insert(succ) {
+                if !std::mem::replace(&mut seen[succ as usize], true) {
                     queue.push_back(succ);
                 }
             }
@@ -852,23 +851,24 @@ pub fn detect_phases_naive(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> P
         .collect();
     for (i, &b) in syscall_blocks.iter().enumerate() {
         let pid = remap[&cluster[i]];
-        phases[pid].blocks.insert(b);
-        phases[pid].code_bytes += cfg.block(b).map_or(0, |b| b.byte_size());
+        let block = cfg.block_at(b);
+        phases[pid].blocks.insert(block.start);
+        phases[pid].code_bytes += block.byte_size();
     }
     // Transitions: per source syscall block, the next syscall blocks
     // reachable without crossing a third block (one more navigation).
     for (i, &b) in syscall_blocks.iter().enumerate() {
         let from = remap[&cluster[i]];
         let label = syscall_labels[i];
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut queue: VecDeque<u64> = VecDeque::new();
-        for &(succ, _) in cfg.succs(b) {
-            if seen.insert(succ) {
+        let mut seen = vec![false; cfg.block_count()];
+        let mut queue: VecDeque<BlockId> = VecDeque::new();
+        for &(succ, _) in cfg.succ_ids(b) {
+            if !std::mem::replace(&mut seen[succ as usize], true) {
                 queue.push_back(succ);
             }
         }
         while let Some(x) = queue.pop_front() {
-            if let Some(&k) = index_of.get(&x) {
+            if let Some(k) = index_of[x as usize] {
                 let to = remap[&cluster[k]];
                 phases[from]
                     .transitions
@@ -877,8 +877,8 @@ pub fn detect_phases_naive(cfg: &Cfg, site_sets: &HashMap<u64, SyscallSet>) -> P
                     .extend_from(label);
                 continue;
             }
-            for &(succ, _) in cfg.succs(x) {
-                if seen.insert(succ) {
+            for &(succ, _) in cfg.succ_ids(x) {
+                if !std::mem::replace(&mut seen[succ as usize], true) {
                     queue.push_back(succ);
                 }
             }

@@ -14,7 +14,7 @@
 //! memoizes it until the next [`LibraryStore::insert`].
 
 use crate::{AnalysisError, Analyzer};
-use bside_cfg::{Cfg, EdgeKind};
+use bside_cfg::{BlockId, Cfg, EdgeKind};
 use bside_elf::Elf;
 use bside_syscalls::SyscallSet;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -295,10 +295,10 @@ pub(crate) fn resolve_external_calls(
         resolved_imports: BTreeSet::new(),
     };
 
-    for (&stub_block, &got_slot) in cfg.plt_stubs() {
-        if !cfg.reachable().contains(&stub_block) {
-            continue;
-        }
+    let reached_stubs = (0..cfg.block_count() as BlockId)
+        .filter(|&id| cfg.reached()[id as usize])
+        .filter_map(|id| cfg.plt_slot(id));
+    for got_slot in reached_stubs {
         let Some(&symbol) = slot_to_symbol.get(&got_slot) else {
             // A stub with no relocation: cannot name the import.
             out.complete = false;
@@ -401,37 +401,41 @@ pub(crate) fn analyze_library(
         export_infos.insert(export_name, info);
     }
 
-    // Function-level call graph (item 1 of the interface contents).
-    let mut function_cfg: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for f in cfg.functions() {
-        let Some(fb) = cfg.block_containing(f.entry) else {
-            continue;
-        };
-        let mut callees = BTreeSet::new();
-        // Every call edge out of blocks of this function.
-        for start in cfg.blocks().map(|b| b.start) {
-            if cfg.function_of(start).is_none_or(|g| g.entry != f.entry) {
-                continue;
-            }
-            for &(to, kind) in cfg.succs(start) {
-                if kind == EdgeKind::Call {
-                    if let Some(g) = cfg.function_of(to) {
-                        callees.insert(g.name.clone());
-                    }
-                }
-            }
-        }
-        let _ = fb;
-        function_cfg.insert(f.name.clone(), callees);
-    }
-
     Ok(SharedInterface {
         library: name.to_string(),
         exports: export_infos,
         wrappers: analysis.wrappers.iter().map(|w| w.name.clone()).collect(),
         addresses_taken: cfg.addresses_taken().iter().copied().collect(),
-        function_cfg,
+        function_cfg: function_call_graph(cfg),
     })
+}
+
+/// The function-level call graph (item 1 of the interface contents):
+/// each symbol whose entry lies in a block maps to the functions its
+/// blocks call directly. One pass credits every `Call` edge to the entry
+/// of its block's function, so symbols sharing an entry share the callee
+/// set; a later symbol of the same name replaces an earlier one.
+fn function_call_graph(cfg: &Cfg) -> BTreeMap<String, BTreeSet<String>> {
+    let function_at = |id: BlockId| cfg.function_of(cfg.block_at(id).start);
+    let mut callees: HashMap<u64, BTreeSet<String>> = HashMap::new();
+    for id in 0..cfg.block_count() as BlockId {
+        let Some(f) = function_at(id) else {
+            continue;
+        };
+        for &(to, kind) in cfg.succ_ids(id) {
+            if let (EdgeKind::Call, Some(g)) = (kind, function_at(to)) {
+                callees.entry(f.entry).or_default().insert(g.name.clone());
+            }
+        }
+    }
+    let mut graph = BTreeMap::new();
+    for f in cfg.functions() {
+        if cfg.block_id_containing(f.entry).is_some() {
+            let set = callees.get(&f.entry).cloned().unwrap_or_default();
+            graph.insert(f.name.clone(), set);
+        }
+    }
+    graph
 }
 
 /// Attributes one export: BFS over its reachable blocks collecting direct
@@ -455,35 +459,34 @@ fn analyze_one_export(
         calls_out: BTreeSet::new(),
         complete: true,
     };
-    // Per-export reachability over the library CFG.
-    let Some(entry_block) = cfg.block_containing(entry) else {
+    // Per-export reachability over the library CFG, in BFS order: `seen`
+    // marks the ids `queue` lists.
+    let Some(entry_block) = cfg.block_id_containing(entry) else {
         return Ok(info);
     };
-    let mut seen: BTreeSet<u64> = [entry_block].into();
-    let mut queue: VecDeque<u64> = [entry_block].into();
-    while let Some(b) = queue.pop_front() {
-        if let Some(&slot) = cfg.plt_stubs().get(&b).as_ref() {
-            match slot_to_symbol.get(slot) {
+    let mut seen = vec![false; cfg.block_count()];
+    seen[entry_block as usize] = true;
+    let mut queue = vec![entry_block];
+    let mut next = 0;
+    while let Some(&b) = queue.get(next) {
+        next += 1;
+        if let Some(slot) = cfg.plt_slot(b) {
+            match slot_to_symbol.get(&slot) {
                 Some(sym) => {
                     info.calls_out.insert(sym.clone());
                 }
                 None => info.complete = false,
             }
         }
-        if let Some(block) = cfg.block(b) {
-            for insn in block.insns {
-                if let Some(set) = site_sets.get(&insn.addr) {
-                    info.syscalls.extend_from(set);
-                    info.complete &= site_complete.get(&insn.addr).copied().unwrap_or(false);
-                }
+        for insn in cfg.block_at(b).insns {
+            if let Some(set) = site_sets.get(&insn.addr) {
+                info.syscalls.extend_from(set);
+                info.complete &= site_complete.get(&insn.addr).copied().unwrap_or(false);
             }
         }
-        for &(to, kind) in cfg.succs(b) {
-            if kind == EdgeKind::Return {
-                continue;
-            }
-            if seen.insert(to) {
-                queue.push_back(to);
+        for &(to, kind) in cfg.succ_ids(b) {
+            if kind != EdgeKind::Return && !std::mem::replace(&mut seen[to as usize], true) {
+                queue.push(to);
             }
         }
     }
@@ -491,10 +494,10 @@ fn analyze_one_export(
     // parameter with the search universe restricted to the export's
     // blocks, so only numbers this export can pass are attributed.
     for w in wrappers {
-        let Some(wb) = cfg.block_containing(w.entry) else {
+        let Some(wb) = cfg.block_id_containing(w.entry) else {
             continue;
         };
-        if !seen.contains(&wb) {
+        if !seen[wb as usize] {
             continue;
         }
         let (set, complete) =
@@ -509,6 +512,124 @@ fn analyze_one_export(
 mod tests {
     use super::*;
     use bside_syscalls::well_known as wk;
+
+    /// The call-graph loop `function_call_graph` replaced, kept as the
+    /// reference: for each symbol, a rescan of every block.
+    fn call_graph_by_rescan(cfg: &Cfg) -> BTreeMap<String, BTreeSet<String>> {
+        let function_at = |id: BlockId| cfg.function_of(cfg.block_at(id).start);
+        let mut graph = BTreeMap::new();
+        for f in cfg.functions() {
+            if cfg.block_id_containing(f.entry).is_none() {
+                continue;
+            }
+            let mut callees = BTreeSet::new();
+            for id in 0..cfg.block_count() as BlockId {
+                if function_at(id).is_none_or(|g| g.entry != f.entry) {
+                    continue;
+                }
+                for &(to, kind) in cfg.succ_ids(id) {
+                    if kind == EdgeKind::Call {
+                        if let Some(g) = function_at(to) {
+                            callees.insert(g.name.clone());
+                        }
+                    }
+                }
+            }
+            graph.insert(f.name.clone(), callees);
+        }
+        graph
+    }
+
+    #[test]
+    fn call_graph_matches_the_rescan_on_generated_libraries() {
+        use bside_gen::{ExportSpec, LibrarySpec, WrapperStyle};
+        let demo = bside_gen::generate_library(&LibrarySpec {
+            name: "libdemo.so".into(),
+            exports: vec![
+                ExportSpec {
+                    name: "demo_read".into(),
+                    syscalls: vec![0],
+                    calls: vec![],
+                },
+                ExportSpec {
+                    name: "demo_write_close".into(),
+                    syscalls: vec![1, 3],
+                    calls: vec!["demo_read".into()],
+                },
+            ],
+            wrapper_style: WrapperStyle::Register,
+            base: 0x7000_0000,
+            libs: vec![],
+        });
+        let pool = bside_gen::corpus::corpus_with_size(bside_gen::corpus::DEFAULT_SEED, 0, 0, 6);
+        let analyzer = Analyzer::new(crate::AnalyzerOptions::default());
+        let mut edges = 0;
+        for lib in std::iter::once(&demo).chain(&pool.libraries) {
+            let entries: Vec<u64> = lib
+                .elf
+                .exported_functions()
+                .iter()
+                .map(|s| s.value)
+                .collect();
+            let analysis = analyzer
+                .analyze_with_entries(&lib.elf, &entries, None)
+                .expect("analyzes");
+            let graph = function_call_graph(&analysis.cfg);
+            assert_eq!(
+                graph,
+                call_graph_by_rescan(&analysis.cfg),
+                "{}",
+                lib.spec.name
+            );
+            edges += graph.values().map(BTreeSet::len).sum::<usize>();
+        }
+        assert!(edges > 0, "the libraries call functions");
+    }
+
+    #[test]
+    fn call_graph_keeps_shared_entries_and_later_names() {
+        use bside_cfg::{CfgOptions, FunctionSym};
+        let mut a = bside_x86::Assembler::new(0x1000);
+        let (f, g) = (a.new_label(), a.new_label());
+        a.call_label(f);
+        a.ret();
+        let f_addr = a.cursor();
+        a.bind(f).unwrap();
+        a.call_label(g);
+        a.ret();
+        let g_addr = a.cursor();
+        a.bind(g).unwrap();
+        a.ret();
+        let code = a.finish().unwrap();
+        let sym = |name: &str, entry: u64, size: u64| FunctionSym {
+            name: name.into(),
+            entry,
+            size,
+        };
+        let funcs = [
+            sym("main", 0x1000, f_addr - 0x1000),
+            // Shares main's entry, so it gets main's callees.
+            sym("start", 0x1000, 0),
+            sym("f", f_addr, g_addr - f_addr),
+            sym("g", g_addr, 1),
+            // A later `f` replaces the first one's callees with g's.
+            sym("f", g_addr, 1),
+            // In no block: stays absent and replaces nothing.
+            sym("main", 0x9000, 0),
+        ];
+        let cfg = Cfg::build(&code, 0x1000, &[0x1000], &funcs, &CfgOptions::default());
+        let graph = function_call_graph(&cfg);
+        let callees = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
+        let expected: BTreeMap<String, BTreeSet<String>> = [
+            ("main".to_string(), callees(&["f"])),
+            ("start".to_string(), callees(&["f"])),
+            ("f".to_string(), callees(&[])),
+            ("g".to_string(), callees(&[])),
+        ]
+        .into();
+        assert_eq!(graph, expected);
+        assert_eq!(call_graph_by_rescan(&cfg), expected);
+    }
 
     fn export(syscalls: &[bside_syscalls::Sysno], calls: &[&str]) -> ExportInfo {
         ExportInfo {

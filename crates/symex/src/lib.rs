@@ -22,6 +22,9 @@
 //! * [`find_values`] — the backward-BFS + directed-forward search
 //!   answering "which concrete values can `%rax` (or a wrapper parameter
 //!   slot) hold at this address?";
+//! * [`find_values_scratch`] — the same search with reusable
+//!   [`SearchScratch`] buffers, optionally confined to a universe of
+//!   blocks (per-export attribution, §4.5);
 //! * [`exec_within_function`] — intra-procedural forward execution used
 //!   by the wrapper-detection heuristic (§4.4).
 //!
@@ -61,8 +64,8 @@ mod state;
 mod value;
 
 pub use search::{
-    exec_within_function, find_values, find_values_scratch, find_values_within, FuncExecResult,
-    Limits, Query, QueryLoc, SearchResult, SearchScratch,
+    exec_within_function, find_values, find_values_scratch, FuncExecResult, Limits, Query,
+    QueryLoc, SearchResult, SearchScratch,
 };
 pub use state::SymState;
 pub use value::SymValue;

@@ -2,9 +2,9 @@
 
 use crate::state::SymState;
 use crate::value::SymValue;
-use bside_cfg::{Cfg, EdgeKind};
+use bside_cfg::{BlockId, Cfg, EdgeKind};
 use bside_x86::{Op, Reg, Target};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::BTreeSet;
 
 /// What to evaluate once the target address is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,24 +92,25 @@ pub struct SearchResult {
 /// target-reaching path yields a concrete value is immediate-defining and
 /// its predecessors are pruned.
 pub fn find_values(cfg: &Cfg, query: &Query, limits: &Limits) -> SearchResult {
-    find_values_within(cfg, query, limits, None)
+    find_values_scratch(cfg, query, limits, None, &mut SearchScratch::new())
 }
 
-/// Reusable buffers for repeated searches.
+/// Reusable buffers for repeated searches, indexed by block id.
 ///
-/// One backward-BFS + directed-forward search allocates a worklist, a
-/// visited set, a relevance set and a path stack; running one search per
-/// `syscall` site re-allocates all of them thousands of times on large
-/// binaries. Callers that issue many queries (per-site identification,
-/// per-export attribution) hold one scratch per worker thread and pass it
-/// to [`find_values_scratch`], which clears — but does not free — the
-/// buffers between searches.
+/// The backward walk marks the blocks it discovers in a flag vector of
+/// one entry per block, and lists them in discovery order: that list is
+/// the BFS queue, its length is the visited count, and the marks are the
+/// relevant set the forward search is directed into. The forward search
+/// keeps a path stack of block ids. Callers that issue many queries
+/// (per-site identification, per-export attribution) hold one scratch per
+/// worker thread and pass it to [`find_values_scratch`], which unmarks
+/// only the blocks the previous search listed and grows the marks to the
+/// graph's block count, so one scratch serves graphs of any size.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    relevant: BTreeSet<u64>,
-    queue: VecDeque<u64>,
-    visited: HashSet<u64>,
-    stack: Vec<(u64, SymState, usize)>,
+    marked: Vec<bool>,
+    order: Vec<BlockId>,
+    stack: Vec<(BlockId, SymState, usize)>,
     concrete: Vec<u64>,
 }
 
@@ -120,30 +121,21 @@ impl SearchScratch {
     }
 }
 
-/// Like [`find_values`], but the backward walk only expands predecessors
-/// inside `universe` (when given).
+/// Like [`find_values`], reusing the caller's [`SearchScratch`] buffers
+/// instead of allocating fresh ones per search. When `universe` is given
+/// (a flag per block id), the backward walk only expands predecessors
+/// inside it.
 ///
-/// This is how the shared-library analysis attributes a wrapper site *per
-/// exported function* (§4.5): querying the wrapper's parameter with the
-/// universe restricted to the blocks reachable from one export yields
-/// only the numbers that export can pass — not the union over every
-/// caller in the library (the Fig. 2 B over-estimation).
-pub fn find_values_within(
-    cfg: &Cfg,
-    query: &Query,
-    limits: &Limits,
-    universe: Option<&BTreeSet<u64>>,
-) -> SearchResult {
-    find_values_scratch(cfg, query, limits, universe, &mut SearchScratch::new())
-}
-
-/// Like [`find_values_within`], reusing the caller's [`SearchScratch`]
-/// buffers instead of allocating fresh ones per search.
+/// The universe is how the shared-library analysis attributes a wrapper
+/// site *per exported function* (§4.5): querying the wrapper's parameter
+/// with the universe restricted to the blocks reachable from one export
+/// yields only the numbers that export can pass — not the union over
+/// every caller in the library (the Fig. 2 B over-estimation).
 pub fn find_values_scratch(
     cfg: &Cfg,
     query: &Query,
     limits: &Limits,
-    universe: Option<&BTreeSet<u64>>,
+    universe: Option<&[bool]>,
     scratch: &mut SearchScratch,
 ) -> SearchResult {
     let mut result = SearchResult {
@@ -152,27 +144,29 @@ pub fn find_values_scratch(
         budget_exhausted: false,
         blocks_explored: 0,
     };
-    let Some(target_block) = cfg.block_containing(query.target) else {
-        result.complete = false;
-        return result;
-    };
-
     let SearchScratch {
-        relevant,
-        queue,
-        visited,
+        marked,
+        order,
         stack,
         concrete,
     } = scratch;
-    relevant.clear();
-    relevant.insert(target_block);
-    queue.clear();
-    queue.push_back(target_block);
-    visited.clear();
-    visited.insert(target_block);
+    for id in order.drain(..) {
+        marked[id as usize] = false;
+    }
+    if marked.len() < cfg.block_count() {
+        marked.resize(cfg.block_count(), false);
+    }
+    let Some(target_block) = cfg.block_id_containing(query.target) else {
+        result.complete = false;
+        return result;
+    };
+    marked[target_block as usize] = true;
+    order.push(target_block);
 
-    while let Some(start) = queue.pop_front() {
-        if visited.len() > limits.max_backward_nodes
+    let mut next = 0;
+    while let Some(&start) = order.get(next) {
+        next += 1;
+        if order.len() > limits.max_backward_nodes
             || result.blocks_explored > limits.max_total_blocks
         {
             result.budget_exhausted = true;
@@ -184,7 +178,7 @@ pub fn find_values_scratch(
             cfg,
             start,
             query,
-            relevant,
+            marked,
             limits,
             &mut result.blocks_explored,
             stack,
@@ -201,30 +195,18 @@ pub fn find_values_scratch(
             // Expand backwards (the walk crosses function boundaries via
             // call edges but not return edges, so it ascends from wrappers
             // into their callers rather than descending into callees).
-            let preds: Vec<u64> = cfg
-                .preds(start)
-                .iter()
-                .filter(|(_, k)| {
-                    matches!(
-                        k,
-                        EdgeKind::Branch
-                            | EdgeKind::FallThrough
-                            | EdgeKind::Call
-                            | EdgeKind::Indirect
-                    )
-                })
-                .map(|&(p, _)| p)
-                .filter(|p| universe.is_none_or(|u| u.contains(p)))
-                .collect();
-            if preds.is_empty() && fwd.saw_symbolic {
+            let mut any_pred = false;
+            for &(p, kind) in cfg.pred_ids(start) {
+                if kind != EdgeKind::Return && universe.is_none_or(|u| u[p as usize]) {
+                    any_pred = true;
+                    if !std::mem::replace(&mut marked[p as usize], true) {
+                        order.push(p);
+                    }
+                }
+            }
+            if !any_pred && fwd.saw_symbolic {
                 // Symbolic value at a program boundary: cannot conclude.
                 result.complete = false;
-            }
-            for p in preds {
-                relevant.insert(p);
-                if visited.insert(p) {
-                    queue.push_back(p);
-                }
             }
         }
     }
@@ -250,19 +232,19 @@ fn eval_query(state: &mut SymState, what: QueryLoc) -> SymValue {
 }
 
 /// Directed forward symbolic execution from `start` toward
-/// `query.target`, restricted to `relevant` blocks.
+/// `query.target`, restricted to the blocks `relevant` marks (by id).
 ///
 /// Concrete values observed at the target are appended to `concrete`
 /// (cleared on entry); `stack` is the caller's reusable path worklist.
 #[allow(clippy::too_many_arguments)]
 fn forward_exec(
     cfg: &Cfg,
-    start: u64,
+    start: BlockId,
     query: &Query,
-    relevant: &BTreeSet<u64>,
+    relevant: &[bool],
     limits: &Limits,
     blocks_explored: &mut usize,
-    stack: &mut Vec<(u64, SymState, usize)>,
+    stack: &mut Vec<(BlockId, SymState, usize)>,
     concrete: &mut Vec<u64>,
 ) -> ForwardOutcome {
     let mut outcome = ForwardOutcome::default();
@@ -271,7 +253,7 @@ fn forward_exec(
     concrete.clear();
     let mut paths = 0usize;
 
-    while let Some((block_addr, mut state, depth)) = stack.pop() {
+    while let Some((id, mut state, depth)) = stack.pop() {
         if paths >= limits.max_forward_paths || *blocks_explored >= limits.max_total_blocks {
             outcome.budget_exhausted = true;
             break;
@@ -282,10 +264,7 @@ fn forward_exec(
             paths += 1;
             continue;
         }
-        let Some(block) = cfg.block(block_addr) else {
-            paths += 1;
-            continue;
-        };
+        let block = cfg.block_at(id);
         *blocks_explored += 1;
 
         // Execute the block, stopping at the query target if it is here.
@@ -310,9 +289,9 @@ fn forward_exec(
 
         // Follow successor edges, directed: only into `relevant`
         // (unless the undirected ablation is on).
-        let admit = |to: u64| limits.undirected || relevant.contains(&to);
+        let admit = |to: BlockId| limits.undirected || relevant[to as usize];
         let term = block.terminator();
-        let succs = cfg.succs(block_addr);
+        let succs = cfg.succ_ids(id);
         let mut followed = false;
         match term.op {
             Op::Call(_) => {
@@ -393,16 +372,17 @@ pub fn exec_within_function(
         reached: false,
         budget_exhausted: false,
     };
-    let Some(entry_block) = cfg.block_containing(func_entry) else {
+    let Some(entry_block) = cfg.block_id_containing(func_entry) else {
         return result;
     };
     let func = cfg.function_of(func_entry);
 
-    let mut stack: Vec<(u64, SymState, usize)> = vec![(entry_block, SymState::fresh_at_entry(), 0)];
+    let mut stack: Vec<(BlockId, SymState, usize)> =
+        vec![(entry_block, SymState::fresh_at_entry(), 0)];
     let mut paths = 0usize;
     let mut blocks = 0usize;
 
-    while let Some((block_addr, mut state, depth)) = stack.pop() {
+    while let Some((id, mut state, depth)) = stack.pop() {
         if paths >= limits.max_forward_paths || blocks >= limits.max_total_blocks {
             result.budget_exhausted = true;
             break;
@@ -412,12 +392,9 @@ pub fn exec_within_function(
             paths += 1;
             continue;
         }
-        let Some(block) = cfg.block(block_addr) else {
-            paths += 1;
-            continue;
-        };
+        let block = cfg.block_at(id);
         // Stay inside the function.
-        match (func, cfg.function_of(block_addr)) {
+        match (func, cfg.function_of(block.start)) {
             (Some(f), Some(g)) if f.entry == g.entry => {}
             (None, _) => {}
             _ => {
@@ -448,7 +425,7 @@ pub fn exec_within_function(
         match term.op {
             Op::Call(Target::Rel(_)) | Op::Call(Target::Reg(_)) | Op::Call(Target::Mem(_)) => {
                 // Intra-procedural: always step over calls.
-                for &(to, kind) in cfg.succs(block_addr) {
+                for &(to, kind) in cfg.succ_ids(id) {
                     if kind == EdgeKind::FallThrough {
                         let mut s = state.clone();
                         s.apply_call_skip();
@@ -459,7 +436,7 @@ pub fn exec_within_function(
             }
             Op::Ret => {}
             _ => {
-                for &(to, kind) in cfg.succs(block_addr) {
+                for &(to, kind) in cfg.succ_ids(id) {
                     if matches!(kind, EdgeKind::Branch | EdgeKind::FallThrough) {
                         stack.push((to, state.clone(), depth + 1));
                         followed = true;
@@ -702,6 +679,110 @@ mod tests {
         let r = find_values(&cfg, &rax_query(site), &tight);
         assert!(r.budget_exhausted);
         assert!(!r.complete);
+    }
+
+    #[test]
+    fn universe_confines_the_backward_walk() {
+        // Two call sites pass 0 and 39 to a register wrapper; a universe
+        // that leaves out the second caller's block keeps its number out.
+        let mut a = Assembler::new(0x1000);
+        let w = a.new_label();
+        a.mov_reg_imm32(Reg::Rdi, 0);
+        a.call_label(w);
+        let second = a.cursor();
+        a.mov_reg_imm32(Reg::Rdi, 39);
+        a.call_label(w);
+        a.ret();
+        let w_addr = a.cursor();
+        a.bind(w).unwrap();
+        a.mov_reg_reg(Reg::Rax, Reg::Rdi);
+        let site = a.cursor();
+        a.syscall();
+        a.ret();
+        let funcs = vec![
+            FunctionSym {
+                name: "main".into(),
+                entry: 0x1000,
+                size: w_addr - 0x1000,
+            },
+            FunctionSym {
+                name: "wrapper".into(),
+                entry: w_addr,
+                size: 0,
+            },
+        ];
+        let cfg = build_cfg(a.finish().unwrap(), funcs);
+        let query = rax_query(site);
+        let values = |universe: Option<&[bool]>| {
+            let mut scratch = SearchScratch::new();
+            let r = find_values_scratch(&cfg, &query, &Limits::default(), universe, &mut scratch);
+            assert!(r.complete, "{r:?}");
+            r.values.into_iter().collect::<Vec<_>>()
+        };
+        assert_eq!(values(None), vec![0, 39]);
+        let mut universe = vec![true; cfg.block_count()];
+        universe[cfg.block_id_containing(second).unwrap() as usize] = false;
+        assert_eq!(values(Some(&universe)), vec![0]);
+    }
+
+    /// `mov rax, 7`, then a chain of `blocks` jumps, then the site.
+    fn chain(blocks: usize) -> (Cfg, u64) {
+        let mut a = Assembler::new(0x1000);
+        a.mov_reg_imm32(Reg::Rax, 7);
+        for _ in 0..blocks {
+            let next = a.new_label();
+            a.jmp_label(next);
+            a.bind(next).unwrap();
+        }
+        let site = a.cursor();
+        a.syscall();
+        a.ret();
+        (build_cfg(a.finish().unwrap(), vec![]), site)
+    }
+
+    /// `mov rax, 60` and a branch around the site to a dead end: the
+    /// directed search explores the dead end only if its block is marked.
+    fn branch_to_dead_end() -> (Cfg, u64) {
+        let mut a = Assembler::new(0x1000);
+        let dead = a.new_label();
+        a.mov_reg_imm32(Reg::Rax, 60);
+        a.cmp_reg_imm32(Reg::Rdi, 0);
+        a.jcc_label(Cond::E, dead);
+        let site = a.cursor();
+        a.syscall();
+        a.ret();
+        a.bind(dead).unwrap();
+        a.ret();
+        (build_cfg(a.finish().unwrap(), vec![]), site)
+    }
+
+    #[test]
+    fn one_scratch_serves_graphs_of_any_size() {
+        let (large, large_site) = chain(40);
+        let (small, small_site) = branch_to_dead_end();
+        assert!(large.block_count() > 2 * small.block_count());
+        // Small then large grows the marks; large then small leaves marks
+        // past the small graph's blocks, which must all be clear.
+        let mut scratch = SearchScratch::new();
+        for (cfg, site) in [
+            (&small, small_site),
+            (&large, large_site),
+            (&small, small_site),
+            (&large, large_site),
+        ] {
+            let query = rax_query(site);
+            let reused = find_values_scratch(cfg, &query, &Limits::default(), None, &mut scratch);
+            assert_eq!(reused, find_values(cfg, &query, &Limits::default()));
+        }
+        let small_result = find_values(&small, &rax_query(small_site), &Limits::default());
+        assert_eq!(
+            small_result.values.into_iter().collect::<Vec<_>>(),
+            vec![60]
+        );
+        assert_eq!(
+            small_result.blocks_explored, 3,
+            "the dead end stays unexplored"
+        );
     }
 
     #[test]
